@@ -7,7 +7,6 @@ via Mamdani fuzzy inference, and verifies every plan's realized error rates
 exactly and by simulation.
 """
 
-from ._backend import BACKEND
 from .errors import (DegenerateSpecError, DhtError, DomainError, LadderError,
                      NoConvergenceError, NoRecommendationError, SolverError,
                      StateError)
@@ -29,7 +28,7 @@ from .verification import (ErrorEstimate, OcCurve, accept_probability,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "__version__",
+    "__version__",
     "DhtError", "DomainError", "DegenerateSpecError", "NoConvergenceError",
     "SolverError", "StateError", "LadderError", "NoRecommendationError",
     "TailMass", "Binomial", "Poisson", "binom_cdf", "poisson_cdf",

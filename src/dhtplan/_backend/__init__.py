@@ -1,31 +1,14 @@
-"""Kernel backend selection.
+"""Numeric kernels: discrete CDFs, quantiles and the plan-search scans.
 
-Prefers the compiled extension (``_fastkern``) when it is importable, and
-falls back to the pure-Python twin otherwise.  Set the environment variable
-``DHTPLAN_PURE=1`` to force the pure backend.
+Plain re-exports of the pure-Python implementations in ``pure``.
 """
 
-import os
+from .pure import (binom_cdf, binom_quantile_ge, binom_quantile_le,
+                   discrete_scan, norm_iter_scan, poisson_cap, poisson_cdf,
+                   poisson_quantile_ge, poisson_quantile_le, zero_scan)
 
-from . import pure
-
-if os.environ.get("DHTPLAN_PURE"):
-    impl = pure
-else:
-    try:
-        from . import _fastkern as impl  # type: ignore[no-redef]
-    except ImportError:
-        impl = pure
-
-BACKEND = "fastkern" if impl is not pure else "pure"
-
-lgamma = impl.lgamma
-binom_cdf = impl.binom_cdf
-poisson_cdf = impl.poisson_cdf
-binom_quantile_ge = impl.binom_quantile_ge
-binom_quantile_le = impl.binom_quantile_le
-poisson_quantile_ge = impl.poisson_quantile_ge
-poisson_quantile_le = impl.poisson_quantile_le
-discrete_scan = impl.discrete_scan
-zero_scan = impl.zero_scan
-norm_iter_scan = impl.norm_iter_scan
+__all__ = [
+    "binom_cdf", "poisson_cdf", "binom_quantile_ge", "binom_quantile_le",
+    "poisson_quantile_ge", "poisson_quantile_le", "poisson_cap",
+    "discrete_scan", "zero_scan", "norm_iter_scan",
+]

@@ -1,40 +1,15 @@
-"""Pure-Python kernel implementations.
+"""Pure-Python numeric kernels.
 
-These are the hot inner loops of the package: discrete CDF recurrences,
-quantile scans, and the plan-search loops that evaluate them thousands of
-times.  ``_fastkern.pyx`` is a line-for-line compiled twin; keep the two in
-sync (same operations, same order) so results stay bit-identical across
-backends.
+These are the hot inner loops of the package: discrete CDF term sums,
+single-pass quantile scans, and the plan-search loops that evaluate them
+thousands of times.
 """
 
 import math
+from itertools import chain, count, islice, repeat
+from math import lgamma
 
-# Lanczos coefficients (g=7, n=9).  Private log-gamma so both backends share
-# one algorithm; only the underflow branches of the CDFs need it.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lgamma(x):
-    """log Gamma(x) for x > 0 via the Lanczos approximation."""
-    if x < 0.5:
-        # reflection; not hit by the CDF kernels but kept for completeness
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma(1.0 - x)
-    x -= 1.0
-    a = _LANCZOS[0]
-    t = x + 7.5
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x + i)
-    return 0.9189385332046727 + (x + 0.5) * math.log(t) - t + math.log(a)
+from ..errors import SolverError
 
 
 def binom_cdf(c, n, p):
@@ -117,44 +92,115 @@ def poisson_cdf(c, lam):
     return total
 
 
+def _binom_partials(n, p):
+    """Yield binom_cdf(k, n, p) for k = 0 .. n-1 from one running sum.
+
+    Same terms, same order and same operations as binom_cdf, so each value
+    equals binom_cdf(k, n, p) bit for bit while the whole pass costs O(n).
+    """
+    if p <= 0.0 or p >= 1.0:
+        yield from repeat(1.0 if p <= 0.0 else 0.0, n)
+        return
+    q = 1.0 - p
+    t0 = pow(q, float(n))
+    if t0 > 0.0:
+        total = t0
+        comp = 0.0
+        term = t0
+        ratio = p / q
+        yield 1.0 if total > 1.0 else total
+        for k in range(n - 1):
+            term = term * ((n - k) / (k + 1.0)) * ratio
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            yield 1.0 if total > 1.0 else total
+        return
+    lp = math.log(p)
+    lq = math.log(q)
+    lgn = lgamma(n + 1.0)
+    lsum = -math.inf
+    for k in range(n):
+        lt = lgn - lgamma(k + 1.0) - lgamma(n - k + 1.0) + k * lp + (n - k) * lq
+        if lt > lsum:
+            lsum, lt = lt, lsum
+        if lt != -math.inf:
+            lsum += math.log1p(math.exp(lt - lsum))
+        total = math.exp(lsum)
+        yield 1.0 if total > 1.0 else total
+
+
+def _poisson_partials(lam):
+    """Yield poisson_cdf(k, lam) for k = 0, 1, ... from one running sum.
+
+    Same terms, same order and same operations as poisson_cdf, so each value
+    equals poisson_cdf(k, lam) bit for bit.  The generator never ends.
+    """
+    if lam <= 0.0:
+        yield from repeat(1.0)
+    if lam <= 700.0:
+        term = math.exp(-lam)
+        total = term
+        comp = 0.0
+        yield 1.0 if total > 1.0 else total
+        for k in count():
+            term = term * (lam / (k + 1.0))
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            yield 1.0 if total > 1.0 else total
+    llam = math.log(lam)
+    lsum = -math.inf
+    for k in count():
+        lt = -lam + k * llam - lgamma(k + 1.0)
+        if lt > lsum:
+            lsum, lt = lt, lsum
+        if lt != -math.inf:
+            lsum += math.log1p(math.exp(lt - lsum))
+        total = math.exp(lsum)
+        yield 1.0 if total > 1.0 else total
+
+
 def binom_quantile_ge(n, p, target):
-    """Smallest k with P(X <= k) >= target, X ~ Binomial(n, p)."""
-    k = 0
-    while k < n and binom_cdf(k, n, p) < target:
-        k += 1
-    return k
+    """Smallest k with P(X <= k) >= target, X ~ Binomial(n, p); at most n."""
+    for k, cdf in enumerate(_binom_partials(n, p)):
+        if cdf >= target:
+            return k
+    return n
 
 
 def binom_quantile_le(n, p, tail):
     """Largest k with P(X <= k) <= tail, or -1 when CDF(0) > tail."""
-    if binom_cdf(0, n, p) > tail:
-        return -1
-    k = 0
-    while k < n and binom_cdf(k + 1, n, p) <= tail:
-        k += 1
-    return k
+    # P(X <= n) is exactly 1.0, as binom_cdf returns it
+    for k, cdf in enumerate(chain(_binom_partials(n, p), (1.0,))):
+        if cdf > tail:
+            return k - 1
+    return n
 
 
 def poisson_quantile_ge(lam, target, cap):
-    """Smallest k with P(X <= k) >= target, X ~ Poisson(lam); cap guards runtime."""
-    k = 0
-    while k <= cap:
-        if poisson_cdf(k, lam) >= target:
+    """Smallest k <= cap with P(X <= k) >= target, X ~ Poisson(lam).
+
+    Raises SolverError when no k up to cap qualifies.
+    """
+    for k, cdf in enumerate(islice(_poisson_partials(lam), cap + 1)):
+        if cdf >= target:
             return k
-        k += 1
-    raise RuntimeError("poisson quantile scan exceeded cap %d at lambda=%g" % (cap, lam))
+    raise SolverError("poisson quantile scan exceeded cap %d at lambda=%g" % (cap, lam))
 
 
 def poisson_quantile_le(lam, tail, cap):
-    if poisson_cdf(0, lam) > tail:
-        return -1
-    k = 0
-    while k <= cap and poisson_cdf(k + 1, lam) <= tail:
-        k += 1
-    return k
+    """Largest k with P(X <= k) <= tail, at most cap + 1; -1 when CDF(0) > tail."""
+    for k, cdf in enumerate(islice(_poisson_partials(lam), cap + 2)):
+        if cdf > tail:
+            return k - 1
+    return cap + 1
 
 
-def _poisson_cap(lam):
+def poisson_cap(lam):
+    """Count past which a Poisson quantile scan gives up: lam + 20 sqrt(lam) + 50."""
     return int(lam + 20.0 * math.sqrt(lam) + 50.0)
 
 
@@ -173,12 +219,12 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     for n in range(1, max_n + 1):
         if use_poisson:
             lam1 = n * p1
-            cap1 = _poisson_cap(lam1)
+            cap1 = poisson_cap(lam1)
             lq = poisson_quantile_le(lam1, b_half, cap1)
             if lq < 0:
                 continue
             lam0 = n * p0
-            cap0 = _poisson_cap(lam0)
+            cap0 = poisson_cap(lam0)
             L1 = poisson_quantile_ge(lam0, 1.0 - a_half, cap0) + 1
         else:
             lq = binom_quantile_le(n, p1, b_half)
@@ -204,7 +250,7 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
     for n in range(1, max_n + 1):
         if use_poisson:
             lam = n * p1
-            cap = _poisson_cap(lam)
+            cap = poisson_cap(lam)
             m = poisson_quantile_ge(lam, 0.5, cap)
             c = int(math.floor(m / 2.0 + 0.5))
             risk = poisson_cdf(c - 1, lam)

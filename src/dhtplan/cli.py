@@ -352,8 +352,8 @@ def build_parser():
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("DHTPLAN_SEED", "0")))
+    # a string default goes through type=int only when simulate parses it
+    p.add_argument("--seed", type=int, default=os.environ.get("DHTPLAN_SEED", "0"))
     p.set_defaults(fn=cmd_simulate)
 
     return ap

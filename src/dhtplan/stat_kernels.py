@@ -1,7 +1,7 @@
 """Numerically careful probability primitives.
 
-Binomial/Poisson CDFs and discrete quantiles (delegated to the selected
-kernel backend), plus the standard-normal CDF and quantile used by the
+Binomial/Poisson CDFs and discrete quantiles (delegated to the kernels in
+``_backend``), plus the standard-normal CDF and quantile used by the
 normal-approximation solvers.
 """
 
@@ -10,10 +10,6 @@ from dataclasses import dataclass
 
 from . import _backend
 from .errors import DomainError
-
-#: Poisson quantile scans give up past lam + 20 sqrt(lam) + 50 counts.
-POISSON_SCAN_CAP_SLACK = 50.0
-
 
 @dataclass(frozen=True)
 class TailMass:
@@ -71,16 +67,12 @@ def poisson_cdf(c, lam):
     return _backend.poisson_cdf(int(c), float(lam))
 
 
-def _poisson_cap(lam):
-    return int(lam + 20.0 * math.sqrt(lam) + POISSON_SCAN_CAP_SLACK)
-
-
 def upper_quantile(dist, tail):
     """Smallest count L with CDF(L) >= 1 - tail."""
     t = _tail_value(tail)
     if isinstance(dist, Binomial):
         return _backend.binom_quantile_ge(dist.n, dist.p, 1.0 - t)
-    return _backend.poisson_quantile_ge(dist.lam, 1.0 - t, _poisson_cap(dist.lam))
+    return _backend.poisson_quantile_ge(dist.lam, 1.0 - t, _backend.poisson_cap(dist.lam))
 
 
 def lower_quantile(dist, tail):
@@ -89,7 +81,7 @@ def lower_quantile(dist, tail):
     if isinstance(dist, Binomial):
         k = _backend.binom_quantile_le(dist.n, dist.p, t)
     else:
-        k = _backend.poisson_quantile_le(dist.lam, t, _poisson_cap(dist.lam))
+        k = _backend.poisson_quantile_le(dist.lam, t, _backend.poisson_cap(dist.lam))
     return None if k < 0 else k
 
 
@@ -97,7 +89,7 @@ def median_count(dist):
     """Smallest count m with CDF(m) >= 1/2."""
     if isinstance(dist, Binomial):
         return _backend.binom_quantile_ge(dist.n, dist.p, 0.5)
-    return _backend.poisson_quantile_ge(dist.lam, 0.5, _poisson_cap(dist.lam))
+    return _backend.poisson_quantile_ge(dist.lam, 0.5, _backend.poisson_cap(dist.lam))
 
 
 def normal_cdf(x):

@@ -174,6 +174,24 @@ class TestSmallCommands:
         assert "rate=" in first[1] and "half_width=" in first[1]
         assert run(argv) == first
 
+    def test_simulate_seed_from_environment(self, monkeypatch):
+        argv = ["simulate", "--n", "383", "--c", "13", "--p", "0.02",
+                "--reps", "2000"]
+        monkeypatch.setenv("DHTPLAN_SEED", "9")
+        from_env = run(argv)
+        assert from_env[0] == 0
+        assert from_env == run(argv + ["--seed", "9"])
+
+    def test_bad_seed_environment_only_breaks_simulate(self, monkeypatch, capsys):
+        monkeypatch.setenv("DHTPLAN_SEED", "abc")
+        code, out, _ = run(["sfl", "--p", "0.02"])
+        assert code == 0 and "r=4" in out
+        code, out, _ = run(["simulate", "--n", "383", "--c", "13", "--p", "0.02"])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "--seed: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
     def test_simulate_rep_floor(self):
         code, _, _ = run(["simulate", "--n", "10", "--c", "2", "--p", "0.1",
                           "--reps", "50"])

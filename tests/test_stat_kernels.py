@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (Binomial, DomainError, Poisson, TailMass, binom_cdf,
-                     lower_quantile, normal_cdf, poisson_cdf, upper_quantile,
-                     z_value)
+from dhtplan import (Binomial, DomainError, Poisson, SolverError, TailMass,
+                     binom_cdf, lower_quantile, normal_cdf, poisson_cdf,
+                     upper_quantile, z_value)
 from dhtplan._backend import pure
 
 getcontext().prec = 60
@@ -166,7 +166,7 @@ class TestQuantiles:
             assert binom_cdf(lo + 1, n, p) > tail
 
     def test_poisson_scan_cap_is_internal_error(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SolverError):
             pure.poisson_quantile_ge(1.0, 2.0, 71)
 
 
