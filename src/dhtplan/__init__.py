@@ -12,8 +12,8 @@ from .errors import (DegenerateSpecError, DhtError, DomainError, LadderError,
                      StateError)
 from .fuzzy_selector import (FuzzyRuleBase, MembershipFunction, SelectorInput,
                              classify, infer, membership_degree, response_surface)
-from .inspection_engine import (InspectionState, LevelLadder, Outcome,
-                                build_ladder, observe, replay, run_stream)
+from .inspection_engine import (InspectionState, LevelLadder, build_ladder,
+                                observe, replay, run_stream)
 from .plan_solvers import (Applicability, NewtonState, SamplingPlan, TestSpec,
                            applicability_report, closed_form_norm, solve,
                            solve_bin, solve_norm_iterative, solve_norm_newton,
@@ -39,7 +39,7 @@ __all__ = [
     "SflQuery", "sfl_r", "mean_recurrence",
     "MembershipFunction", "FuzzyRuleBase", "SelectorInput",
     "membership_degree", "infer", "classify", "response_surface",
-    "Outcome", "LevelLadder", "InspectionState",
+    "LevelLadder", "InspectionState",
     "build_ladder", "observe", "run_stream", "replay",
     "OcCurve", "ErrorEstimate", "accept_probability", "oc_curve",
     "realized_errors", "monte_carlo_accept", "benchmark_solver",

@@ -5,7 +5,9 @@ Subcommands: plan, table, inspect, sfl, select, oc, simulate.
 Output is key=value lines by default; ``--format csv`` and ``--format
 jsonl`` switch to machine formats.  Exit codes are a stable contract:
 0 success/accept, 1 usage or parse error, 2 solver/computation failure,
-3 reject verdict, 4 inconclusive.
+3 reject verdict, 4 inconclusive.  Bad input (a value out of range, a
+missing or unreadable file, malformed JSON) ends with one ``error:`` line on
+stderr and exit 1, never a traceback.
 """
 
 import argparse
@@ -13,11 +15,11 @@ import json
 import os
 import sys
 import types
+from contextlib import nullcontext
 
-from .errors import (DhtError, DomainError, NoConvergenceError,
-                     NoRecommendationError, StateError)
+from .errors import DhtError, DomainError, NoConvergenceError, NoRecommendationError
 from .fuzzy_selector import FuzzyRuleBase, SelectorInput, infer
-from .inspection_engine import ACCEPTED, REJECTED, InspectionState, build_ladder, observe
+from .inspection_engine import ACCEPTED, REJECTED, build_ladder, run_stream
 from .plan_solvers import TestSpec, solve
 from .run_limits import SflQuery, mean_recurrence, sfl_r
 from .verification import accept_probability, monte_carlo_accept
@@ -84,11 +86,7 @@ def _plan_fields(plan):
 
 
 def cmd_plan(args, out, err):
-    try:
-        spec = _spec_from_args(args)
-    except DomainError as exc:
-        err.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    spec = _spec_from_args(args)
     try:
         plan = solve(spec, _METHOD_FLAGS[args.method])
     except NoConvergenceError as exc:
@@ -158,31 +156,14 @@ def cmd_inspect(args, out, err):
         return EXIT_COMPUTE
 
     emit = _Emitter(args.format, "dhtplan.events", out)
-    state = InspectionState()
-    close_me = None
-    if args.input == "-":
-        source = sys.stdin
-    else:
-        close_me = source = open(args.input)
-    try:
-        for value in _read_outcomes(source):
-            prior = len(state.events)
-            try:
-                state, _ = observe(state, ladder, value)
-            except StateError:
-                break
-            for e in state.events[prior:]:
-                emit.record({"trial": e.trial, "outcome": e.outcome,
-                             "level": e.level, "failures": e.failures,
-                             "run": e.run, "transition": e.transition})
-            if state.terminal:
-                break
-    except DomainError as exc:
-        err.write("error: %s\n" % exc)
-        return EXIT_USAGE
-    finally:
-        if close_me is not None:
-            close_me.close()
+
+    def record(e):
+        emit.record({"trial": e.trial, "outcome": e.outcome, "level": e.level,
+                     "failures": e.failures, "run": e.run,
+                     "transition": e.transition})
+
+    with nullcontext(sys.stdin) if args.input == "-" else open(args.input) as source:
+        state = run_stream(ladder, _read_outcomes(source), sink=record)
 
     verdict = _Emitter(args.format, "dhtplan.verdict", out)
     if state.status == ACCEPTED:
@@ -236,6 +217,8 @@ def _parse_grid(text):
     start, stop, step = (float(x) for x in parts)
     if step <= 0 or stop < start:
         raise DomainError("grid must advance from start to stop")
+    if start < 0 or stop > 1:
+        raise DomainError("grid must lie within [0, 1]")
     pts = []
     k = 0
     while True:
@@ -248,11 +231,7 @@ def _parse_grid(text):
 
 
 def cmd_oc(args, out, err):
-    try:
-        grid = _parse_grid(args.grid)
-    except DomainError as exc:
-        err.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    grid = _parse_grid(args.grid)
     if args.c < 1 or args.c > args.n:
         err.write("error: need 1 <= c <= n\n")
         return EXIT_USAGE
@@ -367,7 +346,12 @@ def main(argv=None, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args, out, err)
+    try:
+        return args.fn(args, out, err)
+    except (OSError, ValueError) as exc:
+        # bad input: DomainError and json.JSONDecodeError are ValueErrors too
+        err.write("error: %s\n" % exc)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,10 +14,17 @@ Transitions, checked in order after each outcome:
 Escalation past the last level rejects the whole ladder.  On entry to a new
 level the same checks cascade immediately with the carried counts, which
 matters when a later plan's cumulative n is already met; a cascade emits
-one event per step, all sharing the trial index that triggered it.
+one event per step, all sharing the trial index that triggered it, and no
+``continue`` event follows an escalation.
+
+``run_stream`` is the one implementation of this rule: a loop over plain
+counters, O(1) per outcome, that hands each transition to an optional event
+sink instead of storing a log.  ``InspectionState`` holds the counters and
+the verdict only.  ``observe`` runs it on a single outcome, and ``replay``
+re-drives it from an event log.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
@@ -25,18 +32,6 @@ from .run_limits import DEFAULT_EX, SflQuery, sfl_r
 
 SUCCESS = 0
 FAILURE = 1
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """A single Bernoulli observation; value is 0 (success) or 1 (failure)."""
-
-    value: int
-    source: str | None = None
-
-    def __post_init__(self):
-        if self.value not in (SUCCESS, FAILURE):
-            raise DomainError("outcome value must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,6 @@ class InspectionState:
     status: str = CONTINUE
     accepted_level: int | None = None
     accepted_t_h: float | None = None
-    events: tuple = field(default_factory=tuple)
 
     @property
     def terminal(self):
@@ -128,71 +122,68 @@ def build_ladder(levels, alpha_tail=0.05, beta_tail=0.05, method="Norm_I",
                        ex=ex, methods=tuple(methods))
 
 
-def _resolve(state, ladder, trial, value):
-    """Apply the transition checks, cascading escalations across levels."""
-    events = list(state.events)
-    escalated = False
-    while True:
-        level = state.level_index
-        plan = ladder.plans[level]
-        limit = ladder.run_limits[level]
-        if state.failures >= plan.c or state.run > limit:
-            kind = ("escalate_failures" if state.failures >= plan.c
-                    else "escalate_run")
-            if level + 1 >= len(ladder.plans):
-                events.append(Event(trial, value, level, state.failures,
-                                    state.run, "reject"))
-                return (replace(state, status=REJECTED, events=tuple(events)),
-                        events[-1])
-            events.append(Event(trial, value, level, state.failures,
-                                state.run, kind))
-            state = replace(state, level_index=level + 1)
-            escalated = True
-            continue
-        if state.trials >= plan.n:
-            events.append(Event(trial, value, level, state.failures,
-                                state.run, "accept"))
-            return (replace(state, status=ACCEPTED, accepted_level=level,
-                            accepted_t_h=plan.t_h, events=tuple(events)),
-                    events[-1])
-        if not escalated:
-            events.append(Event(trial, value, level, state.failures,
-                                state.run, "continue"))
-        return replace(state, events=tuple(events)), events[-1]
+def run_stream(ladder, outcomes, state=None, sink=None):
+    """Consume outcomes from ``state`` (fresh by default) until a verdict.
 
-
-def observe(state, ladder, outcome):
-    """Consume one outcome; returns (new state, event for this trial)."""
-    if state.terminal:
-        raise StateError("cannot observe after terminal status %r" % (state.status,))
-    value = outcome.value if isinstance(outcome, Outcome) else int(outcome)
-    if value not in (SUCCESS, FAILURE):
-        raise DomainError("outcome value must be 0 or 1")
-    trial = state.trials + 1
-    if value == FAILURE:
-        state = replace(state, trials=trial, failures=state.failures + 1,
-                        run=state.run + 1)
-    else:
-        state = replace(state, trials=trial, run=0)
-    return _resolve(state, ladder, trial, value)
-
-
-def run_stream(ladder, outcomes, state=None):
-    """Left-fold of observe; stops at the first terminal status.
-
-    A stream that ends while the status is still ``continue`` yields an
-    inconclusive state (the partial counts are preserved).
+    Stops at the first terminal status without drawing another outcome, so
+    a lazy iterable is read no further than needed.  A stream that ends
+    while the status is still ``continue`` yields an inconclusive state
+    (the partial counts are preserved).  Each transition is passed to
+    ``sink`` as an ``Event`` when a sink is given; without one no event is
+    built.  A non-empty stream on a terminal state raises ``StateError``.
     """
     if state is None:
         state = InspectionState()
+    level, trials, failures, run = state.level_index, state.trials, state.failures, state.run
+    status, accepted_level, accepted_t_h = state.status, state.accepted_level, state.accepted_t_h
+    plans, limits = ladder.plans, ladder.run_limits
+    last = len(plans) - 1
+    n, c, r = plans[level].n, plans[level].c, limits[level]
     for outcome in outcomes:
-        state, _ = observe(state, ladder, outcome)
-        if state.terminal:
+        if status != CONTINUE:
+            raise StateError("cannot observe after terminal status %r" % (status,))
+        value = int(outcome)
+        if value == FAILURE:
+            failures += 1
+            run += 1
+        elif value == SUCCESS:
+            run = 0
+        else:
+            raise DomainError("outcome value must be 0 or 1")
+        trials += 1
+        escalated = False
+        while failures >= c or run > r:
+            if level == last:
+                status = REJECTED
+                break
+            if sink is not None:
+                sink(Event(trials, value, level, failures, run,
+                           "escalate_failures" if failures >= c else "escalate_run"))
+            level += 1
+            n, c, r = plans[level].n, plans[level].c, limits[level]
+            escalated = True
+        if status == CONTINUE and trials >= n:
+            status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
+        if status != CONTINUE:
+            if sink is not None:
+                sink(Event(trials, value, level, failures, run,
+                           "accept" if status == ACCEPTED else "reject"))
             break
-    return state
+        if sink is not None and not escalated:
+            sink(Event(trials, value, level, failures, run, "continue"))
+    return InspectionState(level_index=level, trials=trials, failures=failures, run=run,
+                           status=status, accepted_level=accepted_level,
+                           accepted_t_h=accepted_t_h)
 
 
-def replay(ladder, events):
+def observe(state, ladder, outcome):
+    """Consume one outcome; returns (new state, tuple of this trial's events)."""
+    events = []
+    state = run_stream(ladder, (outcome,), state, events.append)
+    return state, tuple(events)
+
+
+def replay(ladder, events, sink=None):
     """Re-drive the engine from an event log; returns the final state.
 
     Cascaded events share a trial index, so the log is deduplicated to one
@@ -204,4 +195,4 @@ def replay(ladder, events):
         if e.trial != seen:
             seen = e.trial
             seq.append(e.outcome)
-    return run_stream(ladder, seq)
+    return run_stream(ladder, seq, sink=sink)

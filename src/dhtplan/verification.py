@@ -91,7 +91,10 @@ def monte_carlo_accept(plan, p_true, reps, seed):
     Returns (acceptance rate, 99% CI half-width).  Rep i consumes draws
     [i*n, (i+1)*n) of the Philox stream keyed by the seed, so the output
     does not depend on chunking and repeats exactly for the same seed.
+    A seed is required: ``None`` would draw a fresh key on every call.
     """
+    if seed is None:
+        raise DomainError("seed is required; None would not repeat")
     if reps < 100:
         raise DomainError("reps must be >= 100 for a usable estimate")
     if not (0.0 <= p_true <= 1.0):

@@ -215,10 +215,13 @@ def test_criterion_08_inspection_property_suite():
             tallies = {"accept0": 0, "accept1": 0, "reject": 0}
             for _ in range(streams_per_p):
                 stream = (rng.random(length) < p).astype(int).tolist()
-                state = run_stream(ladder, stream)
+                events = []
+                state = run_stream(ladder, stream, sink=events.append)
                 assert state.terminal
-                # (a) event-log replay reproduces the state exactly
-                assert replay(ladder, state.events) == state
+                # (a) event-log replay reproduces the state and the log exactly
+                again = []
+                assert replay(ladder, events, sink=again.append) == state
+                assert again == events
                 if state.status == ACCEPTED:
                     tallies["accept%d" % state.accepted_level] += 1
                 else:

@@ -200,3 +200,38 @@ class TestSmallCommands:
     def test_usage_error(self):
         assert run(["plan", "--method", "bogus", "--p0", "0.1",
                     "--p1", "0.2"])[0] == 1
+
+
+class TestErrorBoundary:
+    SELECT = ["select", "--step", "0.001", "--th", "0.05", "--texec", "3",
+              "--prec", "5e-4"]
+
+    def _one_line_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_oc_grid_beyond_unit_interval(self):
+        err = self._one_line_usage_error(["oc", "--n", "10", "--c", "2",
+                                          "--grid", "0:2:0.5"])
+        assert "[0, 1]" in err
+
+    def test_inspect_missing_input(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        err = self._one_line_usage_error(["inspect", "--levels", "0,0.03,0.06",
+                                          "--input", str(missing)])
+        assert "missing.txt" in err
+
+    def test_select_missing_fuzzy_config(self, tmp_path):
+        missing = tmp_path / "nonexistent.json"
+        err = self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(missing)])
+        assert "nonexistent.json" in err
+
+    def test_select_fuzzy_config_not_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("memberships: [")
+        err = self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(path)])
+        assert "Expecting value" in err

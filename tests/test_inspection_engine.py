@@ -1,12 +1,19 @@
 """Inspection engine tests: ladder construction, transition semantics,
 event-sourcing determinism, and cumulative-count invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from dhtplan import (DomainError, InspectionState, LadderError, Outcome,
-                     StateError, build_ladder, observe, replay, run_stream)
+from dhtplan import (DomainError, InspectionState, LadderError, StateError,
+                     build_ladder, inspection_engine, observe, replay, run_stream)
 from dhtplan.inspection_engine import ACCEPTED, CONTINUE, REJECTED
+
+
+def _run_logged(ladder, outcomes):
+    events = []
+    return run_stream(ladder, outcomes, sink=events.append), events
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +75,12 @@ class TestObserve:
     def test_escalation_keeps_counts(self, step3_ladder):
         c0 = step3_ladder.plans[0].c
         outcomes = [0, 1] * c0  # c0-th failure arrives at trial 2*c0
-        state = run_stream(step3_ladder, outcomes)
+        state, events = _run_logged(step3_ladder, outcomes)
         assert state.status == CONTINUE
         assert state.level_index == 1
         assert state.trials == 2 * c0
         assert state.failures == c0
-        kinds = [e.transition for e in state.events]
+        kinds = [e.transition for e in events]
         assert "escalate_failures" in kinds
 
     def test_escalated_level_accepts_cumulatively(self, step3_ladder):
@@ -88,11 +95,11 @@ class TestObserve:
 
     def test_run_limit_escalates_before_failure_count(self, newton_ladder):
         # 6 consecutive failures exceed r=5 at level 0 while failures < c=13
-        state = run_stream(newton_ladder, [0, 1, 0] * 3 + [1] * 6)
+        state, events = _run_logged(newton_ladder, [0, 1, 0] * 3 + [1] * 6)
         assert state.level_index == 1
         assert state.status == CONTINUE
         assert state.failures == 9
-        assert any(e.transition == "escalate_run" for e in state.events)
+        assert any(e.transition == "escalate_run" for e in events)
 
     def test_run_limit_cascades_to_rejection(self, newton_ladder):
         # 8 straight failures: run 6 > 5 escalates, then run 7 > 6 rejects
@@ -113,12 +120,17 @@ class TestObserve:
         state = run_stream(step3_ladder, [0] * step3_ladder.plans[0].n)
         with pytest.raises(StateError):
             observe(state, step3_ladder, 0)
+        with pytest.raises(StateError):
+            run_stream(step3_ladder, [0], state)
+        assert run_stream(step3_ladder, [], state) == state
 
     def test_outcome_validation(self, step3_ladder):
         with pytest.raises(DomainError):
-            Outcome(2)
-        with pytest.raises(DomainError):
             observe(InspectionState(), step3_ladder, 7)
+        outcomes = iter([0, 1, 2, 0])
+        with pytest.raises(DomainError):
+            run_stream(step3_ladder, outcomes)
+        assert list(outcomes) == [0]  # raised at the bad outcome
 
 
 class TestRunStream:
@@ -133,10 +145,12 @@ class TestRunStream:
         assert state.status == ACCEPTED
         assert state.trials == n0
 
-    def test_accepts_outcome_objects(self, step3_ladder):
+    def test_reads_a_generator_lazily(self, step3_ladder):
         n0 = step3_ladder.plans[0].n
-        state = run_stream(step3_ladder, (Outcome(0) for _ in range(n0)))
+        outcomes = (0 for _ in range(n0 + 5))
+        state = run_stream(step3_ladder, outcomes)
         assert state.status == ACCEPTED
+        assert len(list(outcomes)) == 5  # nothing past the verdict was drawn
 
 
 class TestEventSourcing:
@@ -145,9 +159,11 @@ class TestEventSourcing:
         rng = np.random.Generator(np.random.Philox(key=99))
         for _ in range(40):
             stream = (rng.random(400) < p_true).astype(int).tolist()
-            state = run_stream(newton_ladder, stream)
-            again = replay(newton_ladder, state.events)
-            assert again == state
+            state, events = _run_logged(newton_ladder, stream)
+            assert run_stream(newton_ladder, stream) == state
+            again = []
+            assert replay(newton_ladder, events, sink=again.append) == state
+            assert again == events
 
     def test_cumulative_monotonicity_and_terminal_exclusivity(self, newton_ladder):
         rng = np.random.Generator(np.random.Philox(key=1234))
@@ -177,10 +193,84 @@ class TestEventSourcing:
         seen = 0
         for _ in range(200):
             stream = (rng.random(400) < 0.2).astype(int)
-            state = run_stream(newton_ladder, stream.tolist())
-            for e in state.events:
+            _, events = _run_logged(newton_ladder, stream.tolist())
+            for e in events:
                 if e.transition == "escalate_run":
                     level_at = e.level
                     assert e.run > newton_ladder.run_limits[level_at]
                     seen += 1
         assert seen > 0
+
+
+# Event logs written by the engine as it was before the counters rewrite,
+# when each state carried its whole log: (ladder fixture, stream, number of
+# events, every event other than `continue` as (trial, outcome, level,
+# failures, run, transition), sha256 of repr() of the full log in that form).
+GOLDEN = {
+    "run_breach_cascades_to_reject": (
+        "newton_ladder", [1] * 8, 7,
+        [(6, 1, 0, 6, 6, "escalate_run"), (7, 1, 1, 7, 7, "reject")],
+        "ded0cf05c3733017af68961c08a3398d52df4db30b4abae34c28feee567916a2"),
+    "failures_escalate_then_continue": (
+        "step3_ladder", [0, 1, 0, 1, 1, 0, 0], 7,
+        [(5, 1, 0, 3, 2, "escalate_failures")],
+        "28cba64d7bbbb57dd1fd603def5371061f705af973c9099e0da6f65183c8b3a5"),
+    "failures_escalate_then_run_rejects": (
+        "step3_ladder", [0, 1, 0, 1, 0, 1] + [1] * 6, 11,
+        [(6, 1, 0, 3, 1, "escalate_failures"), (11, 1, 1, 8, 6, "reject")],
+        "a2f6ca4071cfae89564df0dbd1356f968165adb1b8a6f847a1e85e0c491196d0"),
+    "clean_stream_accepts": (
+        "step3_ladder", [0] * 208, 208,
+        [(208, 0, 0, 0, 0, "accept")],
+        "edbeb8c3f70e57fb066078cd8bfdceb9e4a10bc7e9fdebf7d32d96db39be2605"),
+    "failure_count_beats_acceptance_at_n": (
+        "step3_ladder", [0] * 205 + [1] * 3 + [0], 209,
+        [(208, 1, 0, 3, 3, "escalate_failures")],
+        "083cf8ee1e54dc42317a7d3cdaafcdce61987c0bbe57260258e448cf2b66f158"),
+    "run_escalation_cascades_to_accept": (
+        "newton_ladder", [0] * 289 + [1] * 6, 296,
+        [(295, 1, 0, 6, 6, "escalate_run"), (295, 1, 1, 6, 6, "accept")],
+        "4466886513f97925fe29cd290686cabcf176c085465655d16ee23b2627de2c43"),
+    "failure_escalation_cascades_to_accept": (
+        "newton_ladder", [0] * 300 + [1, 0] * 13, 326,
+        [(325, 1, 0, 13, 1, "escalate_failures"), (325, 1, 1, 13, 1, "accept")],
+        "e6571488aa309edc317dbe10a0103eb89f2980228c3a78a190d88a65c7fc2912"),
+}
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_event_log(self, request, name):
+        fixture, stream, count, transitions, digest = GOLDEN[name]
+        ladder = request.getfixturevalue(fixture)
+        state, events = _run_logged(ladder, stream)
+        log = [(e.trial, e.outcome, e.level, e.failures, e.run, e.transition)
+               for e in events]
+        assert [e for e in log if e[5] != "continue"] == transitions
+        assert len(log) == count
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+        # observe, one outcome at a time, returns each trial's events
+        stepped, step_state = [], InspectionState()
+        for value in stream[:state.trials]:
+            step_state, new = observe(step_state, ladder, value)
+            stepped.extend(new)
+        assert step_state == state
+        assert stepped == events
+
+    def test_no_event_built_without_a_sink(self, monkeypatch):
+        built = []
+        real = inspection_engine.Event
+
+        def counted(*fields):
+            built.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(inspection_engine, "Event", counted)
+        ladder = build_ladder([0.01 * i for i in range(9)])
+        stream = ([0] * 13 + [1]) * 522  # 7308 outcomes, through every level
+        state = run_stream(ladder, stream)
+        assert (state.status, state.level_index, state.trials) == (ACCEPTED, 7, 7308)
+        assert built == []
+        events = []
+        assert run_stream(ladder, stream, sink=events.append) == state
+        assert len(built) == len(events) == 7308

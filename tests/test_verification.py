@@ -114,6 +114,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_accept(_plan(10, 1), 0.1, 99, 0)
 
+    def test_seed_required(self):
+        with pytest.raises(DomainError, match="seed"):
+            monte_carlo_accept(_plan(383, 13), 0.02, 1000, None)
+        with pytest.raises(DomainError, match="seed"):
+            realized_errors(_plan(383, 13), 0.02, 0.05, mc=(1000, None))
+
     def test_duck_typed_plan(self):
         shim = types.SimpleNamespace(n=100, c=3)
         rate, _ = monte_carlo_accept(shim, 0.0, 200, 5)
