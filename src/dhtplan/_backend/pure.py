@@ -1,13 +1,13 @@
 """Pure-Python numeric kernels.
 
 These are the hot inner loops of the package: discrete CDF term sums,
-single-pass quantile scans, and the plan-search loops that evaluate them
-thousands of times.
+single-pass quantile scans, and the plan-search loops, which follow their
+quantiles across n with certified incremental walkers.
 """
 
 import math
 from itertools import chain, count, islice, repeat
-from math import lgamma
+from math import exp, lgamma, log1p
 
 from ..errors import SolverError
 
@@ -204,62 +204,453 @@ def poisson_cap(lam):
     return int(lam + 20.0 * math.sqrt(lam) + 50.0)
 
 
+# Certified incremental scans
+# ---------------------------
+# discrete_scan and zero_scan need, at every n, the first count whose CDF
+# reaches a target.  Both quantiles are non-decreasing in n, so a walker
+# keeps one count k with running values of P(X <= k) and P(X = k), moves
+# them to the next n by an exact recurrence and then steps k forward.  The
+# running CDF carries an error bound, first order in the unit roundoff,
+# that grows with every operation; the exact kernel's own error bound at
+# (k, n) is added to it.  A comparison with the target is decided from the
+# running value only when the target lies outside that interval, and by the
+# exact kernel otherwise.  The kernel's partial sums are non-decreasing in
+# k, so certifying the count and the one below it fixes the quantile, and
+# every decision, and every plan, is the one the per-n partial sums give.
+
+_U = 2.0 ** -53            # unit roundoff of a double
+_SUB = 2.0 ** -1074        # spacing of the subnormal doubles
+_NORMAL = 2.0 ** -1022     # smallest normal double
+_MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
+_NO_CAP = 1 << 62          # Bin quantiles end at n by themselves
+_REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
+_JUMP = 16                 # re-seed, not step, across more than k + _JUMP trials
+
+
+def _reaches(value, target, strict):
+    return value > target or (value == target and not strict)
+
+
+class _Walk:
+    """One count k of a failure-count distribution, followed as n grows.
+
+    cdf and pmf are running values of P(X <= k) and P(X = k); cdf_err
+    bounds |cdf - P(X <= k)| and pmf_rel the relative error of pmf.  At the
+    current n the exact kernel's value lies within cdf * (ka + kb * k) of
+    P(X <= k), with room left for rounding the comparison itself.
+    """
+
+    __slots__ = ("p", "n", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka", "kb")
+
+    def __init__(self, p):
+        # n = 0: all mass at zero failures
+        self.p = p
+        self.n = self.k = 0
+        self.cdf = self.pmf = 1.0
+        self.cdf_err = self.pmf_rel = 0.0
+
+    def first(self, n, target, strict):
+        """Smallest count whose exact CDF at n is >= target (> target when strict).
+
+        n must not decrease between calls.  A Poisson walker stops at cap + 2
+        when strict and raises SolverError past cap otherwise, as the exact
+        quantiles do.
+        """
+        self.move(n)
+        k, cdf, err, ka, kb = self.k, self.cdf, self.cdf_err, self.ka, self.kb
+        # usual case: the count of the previous n still reaches the target,
+        # and the one below it still falls short, both certified
+        if cdf - err - cdf * (ka + kb * k) > target:
+            if k == 0:
+                return k
+            pmf = self.pmf
+            low = cdf - pmf
+            if low + err + pmf * self.pmf_rel + low * (ka + kb * (k - 1) + _U) < target:
+                return k
+        return self._settle(target, strict)
+
+    def _settle(self, target, strict):
+        if self.cdf_err > _REFRESH * self.cdf:
+            # the running value lost too much to decide from; start afresh
+            self.reseed(self.k)
+        cap = self.cap()
+        stop = cap + (2 if strict else 1)
+        k0 = k = self.k
+        while k < stop:
+            cdf = self.cdf
+            bound = self.cdf_err + cdf * (self.ka + self.kb * k)
+            if cdf - bound > target:
+                break
+            if cdf + bound >= target:
+                # too close to call: the exact kernel decides, and on a
+                # shortfall the exact quantile, so no walk costs O(K) per step
+                if _reaches(self.exact(k), target, strict):
+                    break
+                return self.reseed(self.exact_first(target, strict))
+            self.step()
+            k += 1
+        if k == k0 and k > 0:
+            # the walk did not move, so certify that k - 1 still falls short
+            pmf = self.pmf
+            low = self.cdf - pmf
+            bound = (self.cdf_err + pmf * self.pmf_rel
+                     + low * (self.ka + self.kb * (k - 1) + _U))
+            if low + bound >= target and _reaches(self.exact(k - 1), target, strict):
+                k = self.reseed(self.exact_first(target, strict))
+        if k > cap and not strict:
+            # only a Poisson walker has a cap, and its mean is n * p
+            raise SolverError("poisson quantile scan exceeded cap %d at lambda=%g"
+                              % (cap, self.n * self.p))
+        return k
+
+    def cdf_at_most(self, n, j, tail):
+        """Whether the exact CDF at count j and trial count n is <= tail."""
+        self.move(n)
+        if j < self.k:
+            self.reseed(j)
+        while self.k < j:
+            self.step()
+        for fresh in (False, True):
+            # a second pass follows a re-seed of a running value that lost
+            # too much to decide from
+            cdf = self.cdf
+            bound = self.cdf_err + cdf * (self.ka + self.kb * j)
+            if cdf + bound < tail:
+                return True
+            if cdf - bound > tail:
+                return False
+            if fresh or self.cdf_err <= _REFRESH * cdf:
+                return self.exact(j) <= tail
+            self.reseed(j)
+
+    def hold(self, target, limit, left):
+        """Trial counts past n, at most limit, for which the exact CDF at k
+        certainly stays above target and, with left, the one at k - 1 below.
+
+        P(X <= k) falls as n grows, by a factor exp(-x) at most over steps(x)
+        trials; P(X <= k - 1) only falls.  Both are compared with the kernel's
+        error bound at the last count of the range, where it is largest.
+        """
+        end = min(self.n + limit, self.linear_end)
+        if end <= self.n:
+            return 0
+        k = self.k
+        ka, kb = self.linear_bound(end)
+        if left and k:
+            pmf = self.pmf
+            low = self.cdf - pmf
+            high = low + self.cdf_err + pmf * self.pmf_rel + low * _U
+            if not high * (1.0 + ka + kb * (k - 1)) < target:
+                return 0
+        floor = (self.cdf - self.cdf_err) * (1.0 - ka - kb * k) * (1.0 - 2.0 ** -40)
+        if not floor > target:
+            return 0
+        return min(end - self.n, self.steps(math.log(floor / target)))
+
+
+class _BinomWalk(_Walk):
+    """Binomial(n, p) walker, 0 < p < 1.
+
+    n -> n+1:  P(X <= k) -= p P(X = k);  P(X = k) *= q (n+1) / (n+1-k)
+    k -> k+1:  P(X = k+1) = P(X = k) (n-k)/(k+1) p/q;  P(X <= k+1) += it
+    """
+
+    __slots__ = ("q", "ratio", "lp", "lq", "n_edge", "n_log", "linear_end")
+
+    def __init__(self, p):
+        super().__init__(p)
+        q = self.q = 1.0 - p
+        self.ratio = p / q
+        self.lp = -math.log(p)
+        self.lq = lq = -math.log(q)
+        self.ka, self.kb = self.linear_bound(0)
+        # binom_cdf's leading term q**n is normal below n_edge and 0 above n_log
+        self.n_edge = 693.1 / lq if lq > 0.0 else math.inf
+        self.n_log = 762.5 / lq if lq > 0.0 else math.inf
+        self.linear_end = math.ceil(self.n_edge) - 1 if lq > 0.0 else _NO_CAP
+
+    def move(self, n):
+        m = self.n
+        if m == n:
+            return
+        if n - m > self.k + _JUMP:
+            self.n = n
+            self._kernel_bound()
+            self.reseed(self.k)
+            return
+        k, cdf, pmf, err, rel = self.k, self.cdf, self.pmf, self.cdf_err, self.pmf_rel
+        p, q = self.p, self.q
+        while m < n:
+            pb = p * pmf
+            cdf -= pb
+            err += pb * (rel + _U) + _U * cdf
+            m += 1
+            pmf = pmf * q * m / (m - k)
+            rel += 4 * _U
+        if pmf < _MIN_PMF:
+            err = math.inf  # a subnormal pmf lost its relative error bound
+        self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel = n, cdf, pmf, err, rel
+        if n < self.n_edge:
+            self.ka = (n + 6) * _U  # linear_bound(n), inline on the hot path
+        else:
+            self._kernel_bound()
+
+    def linear_bound(self, n):
+        # linear branch: term j is off by (n + 2 + 5j) u, the sum by 2u more
+        return (n + 6) * _U, 5 * _U
+
+    def _kernel_bound(self):
+        n = self.n
+        if n < self.n_edge:
+            t0 = 1.0
+        else:
+            t0 = pow(self.q, float(n)) if n <= self.n_log else 0.0
+        if t0 > 0.0:
+            self.ka, self.kb = self.linear_bound(n)
+            if t0 < _NORMAL:
+                # a subnormal t0 is off by up to 2**-1074, and so, relatively,
+                # is every term after it; the later subnormal terms grow by a
+                # factor (n-j)/(j+1) p/q >= n (-log q) / 53 > 2 and add twice
+                # that at most
+                self.ka += 3.0 * _SUB / t0
+        else:
+            # log branch: lgamma and the log terms are off by a few u of their
+            # magnitude, and each log-sum-exp step by u |log partial sum|
+            nlq = n * self.lq
+            self.ka = _U * (16.0 * lgamma(n + 1.0) + 17.0 * n + 8.0 * nlq + 36.0)
+            self.kb = _U * (7.0 * self.lp + nlq + 6.0)
+
+    def steps(self, x):
+        # (1 - p)**h >= exp(-x)
+        return int(x / (self.lq * (1.0 + 4 * _U) + 2 * _U))
+
+    def cap(self):
+        return _NO_CAP
+
+    def step(self):
+        k = self.k
+        pmf = self.pmf * ((self.n - k) / (k + 1.0)) * self.ratio
+        rel = self.pmf_rel + 5 * _U
+        cdf = self.cdf + pmf
+        self.cdf_err += pmf * rel + _U * cdf
+        self.k, self.cdf, self.pmf, self.pmf_rel = k + 1, cdf, pmf, rel
+
+    def exact(self, k):
+        return binom_cdf(k, self.n, self.p)
+
+    def exact_first(self, target, strict):
+        if strict:
+            return binom_quantile_le(self.n, self.p, target) + 1
+        return binom_quantile_ge(self.n, self.p, target)
+
+    def reseed(self, k):
+        n, p = self.n, self.p
+        lgn = lgamma(n + 1.0)
+        lp, l1p = -math.log(p), -math.log1p(-p)
+        self.k = k
+        self.cdf = cdf = binom_cdf(k, n, p)
+        self.pmf = math.exp(lgn - lgamma(k + 1.0) - lgamma(n - k + 1.0)
+                            - k * lp - (n - k) * l1p)
+        self.pmf_rel = _U * (18.0 * lgn + 7.0 * (k * lp + (n - k) * l1p) + 20.0 * n + 32.0)
+        self.cdf_err = cdf * (self.ka + self.kb * k) if self.pmf >= _MIN_PMF else math.inf
+        return k
+
+
+def _poisson_tails(d):
+    """P(Y > i) for Y ~ Poisson(d), i = 0, 1, ... while it matters; d < 1.
+
+    Returns (tails, exp(-d), rel, trunc): the walker's convolution with
+    these tails is off by at most rel of itself beyond its pmf's own error,
+    plus trunc times P(X <= k) for the terms left out.
+    """
+    e0 = math.exp(-d)
+    ys = []
+    y = e0
+    m = 0
+    while True:
+        m += 1
+        y = y * d / m
+        if m > d and y < _U / 32.0:
+            break
+        ys.append(y)
+    tails = []
+    s = 0.0
+    for t in reversed(ys):
+        s += t
+        tails.append(s)
+    tails.reverse()
+    # P(Y = i) is off by (2 + 2i) u and a tail sum by m u more; the
+    # convolution's pmf steps, products and sums cost 3m u more
+    return tuple(tails), e0, (6 * m + 4) * _U, 4.0 * y / (1.0 - d / (m + 1.0))
+
+
+class _PoissonWalk(_Walk):
+    """Poisson(n p) walker.
+
+    lam -> lam + d, with d = fl(n p) - fl((n-1) p) exact by Sterbenz:
+        P(X <= k) -= sum_i P(X = k-i) P(Poisson(d) > i)
+        P(X = k)  *= exp(k log1p(d / lam) - d)
+    k -> k+1:  P(X = k+1) = P(X = k) lam / (k+1);  P(X <= k+1) += it
+    """
+
+    __slots__ = ("lam", "tails", "linear_end")
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.lam = 0.0
+        self.tails = {}
+        self.ka, self.kb = self.linear_bound(0)
+        self.linear_end = int(700.0 / p) - 1
+
+    def move(self, n):
+        m = self.n
+        if m == n:
+            return
+        if n - m > self.k + _JUMP:
+            self.n, self.lam = n, n * self.p
+            self._kernel_bound()
+            self.reseed(self.k)
+            return
+        k, cdf, pmf, err, rel, lam = (self.k, self.cdf, self.pmf, self.cdf_err,
+                                      self.pmf_rel, self.lam)
+        p, tails = self.p, self.tails
+        while m < n:
+            m += 1
+            lam2 = m * p
+            d = lam2 - lam
+            try:
+                tail, e0, trel, trunc = tails[d]
+            except KeyError:
+                tail, e0, trel, trunc = tails[d] = _poisson_tails(d)
+            if k:
+                s = 0.0
+                g = pmf
+                j = k
+                for above in tail:
+                    s += g * above
+                    g = g * j / lam      # P(X = j-1) from P(X = j); 0 past j = 0
+                    j -= 1
+                kl = k * log1p(d / lam)
+                x = kl - d
+                pmf *= exp(x)
+                rel_step = _U * (4.0 * kl + abs(x) + 3.0)
+            else:
+                s = pmf * tail[0] if tail else 0.0
+                pmf *= e0
+                rel_step = 3 * _U
+            cdf -= s
+            err += s * (rel + trel + trunc) + (trunc + _U) * cdf
+            rel += rel_step
+            lam = lam2
+        if pmf < _MIN_PMF:
+            err = math.inf  # a subnormal pmf lost its relative error bound
+        self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel, self.lam = (
+            n, cdf, pmf, err, rel, lam)
+        if lam > 700.0:
+            self._kernel_bound()
+
+    def linear_bound(self, n):
+        # linear branch: term j is off by (2 + 2j) u, the Kahan sum by 2u more
+        return 7 * _U, 2 * _U
+
+    def _kernel_bound(self):
+        lam = self.lam
+        if lam <= 700.0:
+            self.ka, self.kb = self.linear_bound(self.n)
+        else:
+            # log branch, as for Bin; lgamma(k + 1) <= k log(cap + 3)
+            self.ka = _U * (3.0 * lam + 27.0)
+            self.kb = _U * (5.0 * math.log(lam) + 7.0 * math.log(poisson_cap(lam) + 3.0)
+                            + lam + 16.0)
+
+    def steps(self, x):
+        # exp(-(fl((n + h) p) - fl(n p))) >= exp(-x)
+        p = self.p
+        return max(0, int((x - 2 * _U * self.n * p) / (p * (1.0 + 2 * _U))))
+
+    def cap(self):
+        return poisson_cap(self.lam)
+
+    def step(self):
+        k = self.k
+        pmf = self.pmf * (self.lam / (k + 1.0))
+        rel = self.pmf_rel + 2 * _U
+        cdf = self.cdf + pmf
+        self.cdf_err += pmf * rel + _U * cdf
+        self.k, self.cdf, self.pmf, self.pmf_rel = k + 1, cdf, pmf, rel
+
+    def exact(self, k):
+        return poisson_cdf(k, self.lam)
+
+    def exact_first(self, target, strict):
+        cap = poisson_cap(self.lam)
+        if strict:
+            return poisson_quantile_le(self.lam, target, cap) + 1
+        return poisson_quantile_ge(self.lam, target, cap)
+
+    def reseed(self, k):
+        lam = self.lam
+        llam, lgk = math.log(lam), lgamma(k + 1.0)
+        self.k = k
+        self.cdf = cdf = poisson_cdf(k, lam)
+        self.pmf = math.exp(-lam + k * llam - lgk)
+        self.pmf_rel = _U * (2.0 * lam + 5.0 * k * abs(llam) + 7.0 * lgk + 10.0 * k + 17.0)
+        self.cdf_err = cdf * (self.ka + self.kb * k) if self.pmf >= _MIN_PMF else math.inf
+        return k
+
+
 def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
-    """Plan search for the discrete methods with p0 > 0.
+    """Plan search for the discrete methods with 0 < p0 < p1 < 1.
 
     For each n, form the first count beyond the producer upper limit
     (upper quantile at a_half, plus one) and the first count beyond the
     consumer lower limit (lower quantile at b_half, plus one); stop when
-    they cross or come within eps*n of each other.
+    they cross or come within eps*n of each other.  One certified walker
+    per rate follows each count as n grows.
 
     Returns (converged, n, L1, l1) where L1/l1 are the two limit counts at
     the stopping n (l1 = -1 entries never escape: non-convergence returns
     converged=False with the last examined n).
     """
+    walk = _PoissonWalk if use_poisson else _BinomWalk
+    upper, lower = walk(p0), walk(p1)
+    target = 1.0 - a_half
     for n in range(1, max_n + 1):
-        if use_poisson:
-            lam1 = n * p1
-            cap1 = poisson_cap(lam1)
-            lq = poisson_quantile_le(lam1, b_half, cap1)
-            if lq < 0:
-                continue
-            lam0 = n * p0
-            cap0 = poisson_cap(lam0)
-            L1 = poisson_quantile_ge(lam0, 1.0 - a_half, cap0) + 1
-        else:
-            lq = binom_quantile_le(n, p1, b_half)
-            if lq < 0:
-                continue
-            L1 = binom_quantile_ge(n, p0, 1.0 - a_half) + 1
-        l1 = lq + 1
+        l1 = lower.first(n, b_half, True)
+        if l1 == 0:
+            upper.move(n)  # keep pace: a long catch-up would re-seed from the kernel
+            continue
+        L1 = upper.first(n, target, False) + 1
         if L1 <= l1 or abs(L1 - l1) <= eps * n:
             return True, n, L1, l1
     return False, max_n, 0, 0
 
 
 def zero_scan(use_poisson, p1, b_tail, max_n):
-    """Plan search for the discrete methods with p0 = 0.
+    """Plan search for the discrete methods with p0 = 0 and 0 < p1 < 1.
 
     The producer side is degenerate at zero failures, so the threshold sits
     midway between 0 and the consumer distribution's median failure count m;
     the scan stops at the first n whose acceptance number keeps the realized
-    consumer risk within b_tail.
+    consumer risk within b_tail.  One certified walker follows the median
+    and a second one the risk count c - 1.  While both certainly hold, that
+    is while m cannot move and the risk cannot reach b_tail, the scan skips
+    those n: each CDF falls by a bounded factor per trial.
 
     Returns (converged, n, m, c).
     """
-    for n in range(1, max_n + 1):
-        if use_poisson:
-            lam = n * p1
-            cap = poisson_cap(lam)
-            m = poisson_quantile_ge(lam, 0.5, cap)
-            c = int(math.floor(m / 2.0 + 0.5))
-            risk = poisson_cdf(c - 1, lam)
-        else:
-            m = binom_quantile_ge(n, p1, 0.5)
-            c = int(math.floor(m / 2.0 + 0.5))
-            risk = binom_cdf(c - 1, n, p1)
-        if c >= 1 and risk <= b_tail:
+    walk = _PoissonWalk if use_poisson else _BinomWalk
+    median, risk = walk(p1), walk(p1)
+    n = 1
+    while n <= max_n:
+        m = median.first(n, 0.5, False)
+        c = int(math.floor(m / 2.0 + 0.5))
+        if c >= 1 and risk.cdf_at_most(n, c - 1, b_tail):
             return True, n, m, c
+        skip = median.hold(0.5, max_n - n, True)
+        if c >= 1 and skip:
+            skip = risk.hold(b_tail, skip, False)
+        n += 1 + skip
     return False, max_n, 0, 0
 
 

@@ -201,14 +201,48 @@ class FuzzyRuleBase:
 
     @classmethod
     def load(cls, path):
+        """Read a rule base written by save; a malformed one raises DomainError
+        naming the key or field at fault."""
         with open(path) as fh:
             cfg = json.load(fh)
-        memberships = {v: {l: tuple(p) for l, p in labs.items()}
-                       for v, labs in cfg["memberships"].items()}
-        outputs = {l: tuple(p) for l, p in cfg["outputs"].items()}
-        rules = tuple((tuple((v, l, bool(neg)) for v, l, neg in r["if"]), r["then"])
-                      for r in cfg["rules"])
-        return cls(memberships=memberships, outputs=outputs, rules=rules)
+        memberships = {}
+        for v, labs in _config_field(cfg, "the config", "memberships", dict).items():
+            if not isinstance(labs, dict):
+                raise DomainError("fuzzy config: memberships.%s must be an object" % v)
+            memberships[v] = {l: _trapezoid(p, "memberships.%s.%s" % (v, l))
+                              for l, p in labs.items()}
+        outputs = {l: _trapezoid(p, "outputs.%s" % l)
+                   for l, p in _config_field(cfg, "the config", "outputs", dict).items()}
+        rules = []
+        for i, rule in enumerate(_config_field(cfg, "the config", "rules", list), 1):
+            where = "rule %d" % i
+            ants = _config_field(rule, where, "if", list)
+            out = _config_field(rule, where, "then", str)
+            if not all(isinstance(a, list) and len(a) == 3 for a in ants):
+                raise DomainError("fuzzy config: %s: each 'if' entry must be "
+                                  "[variable, label, negated]" % where)
+            rules.append((tuple((v, l, bool(neg)) for v, l, neg in ants), out))
+        return cls(memberships=memberships, outputs=outputs, rules=tuple(rules))
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _config_field(obj, where, key, kind):
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError("fuzzy config: %s has no %r" % (where, key))
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise DomainError("fuzzy config: %r in %s must be %s" % (key, where, _KINDS[kind]))
+    return value
+
+
+def _trapezoid(points, where):
+    if not (isinstance(points, list) and len(points) == 4
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in points)):
+        raise DomainError("fuzzy config: trapezoid %s needs 4 numbers, got %s"
+                          % (where, json.dumps(points)))
+    return tuple(points)
 
 
 def classify(score, base=None):

@@ -17,7 +17,11 @@ Method notes
     threshold is placed midway between zero and the consumer median and n
     is the smallest size whose acceptance number keeps the realized
     consumer risk within the full beta tail (no producer risk to split
-    against).
+    against).  Both scans are certified incremental: a walker per quantile
+    carries the CDF and pmf at its count from one n to the next in O(1),
+    with a rounding-error bound, and leaves any comparison that falls
+    inside that bound to the exact kernel.  The plans are therefore those
+    of the exact quantiles recomputed at every n.
 
 ``norm_n``
     Generalized Newton-Raphson on the two-equation system equating the

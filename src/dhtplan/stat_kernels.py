@@ -85,13 +85,6 @@ def lower_quantile(dist, tail):
     return None if k < 0 else k
 
 
-def median_count(dist):
-    """Smallest count m with CDF(m) >= 1/2."""
-    if isinstance(dist, Binomial):
-        return _backend.binom_quantile_ge(dist.n, dist.p, 0.5)
-    return _backend.poisson_quantile_ge(dist.lam, 0.5, _backend.poisson_cap(dist.lam))
-
-
 def normal_cdf(x):
     """Standard normal CDF; absolute error well under 1e-7."""
     if not math.isfinite(x):

@@ -235,3 +235,39 @@ class TestErrorBoundary:
         path.write_text("memberships: [")
         err = self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(path)])
         assert "Expecting value" in err
+
+    def _bad_fuzzy_config(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(path)])
+
+    @staticmethod
+    def _default_config():
+        from dhtplan import FuzzyRuleBase
+        return FuzzyRuleBase().to_config()
+
+    def test_select_fuzzy_config_missing_key(self, tmp_path):
+        assert "'memberships'" in self._bad_fuzzy_config(tmp_path, {})
+        cfg = self._default_config()
+        del cfg["outputs"]
+        assert "'outputs'" in self._bad_fuzzy_config(tmp_path, cfg)
+
+    def test_select_fuzzy_config_rules_not_a_list(self, tmp_path):
+        cfg = self._default_config()
+        cfg["rules"] = 3
+        assert "'rules'" in self._bad_fuzzy_config(tmp_path, cfg)
+
+    def test_select_fuzzy_config_rule_without_if_or_then(self, tmp_path):
+        for key in ("if", "then"):
+            cfg = self._default_config()
+            del cfg["rules"][2][key]
+            err = self._bad_fuzzy_config(tmp_path, cfg)
+            assert "rule 3" in err and repr(key) in err
+
+    def test_select_fuzzy_config_trapezoid_without_four_points(self, tmp_path):
+        cfg = self._default_config()
+        var, labs = next(iter(cfg["memberships"].items()))
+        label = next(iter(labs))
+        labs[label] = labs[label][:3]
+        err = self._bad_fuzzy_config(tmp_path, cfg)
+        assert "memberships.%s.%s" % (var, label) in err and "4" in err

@@ -1,0 +1,119 @@
+"""The exact kernels against scipy.stats, an independent implementation.
+
+The certified scans fall back to these kernels, so they are held to the
+bound the benchmark uses: 1e-9 relative wherever scipy reads at least
+1e-250, and 1e-250 absolute below that.  Where the binomial leading term
+q**n is a subnormal double it carries an absolute rounding error of up to
+2**-1074, and a sum that starts from it may be off by that much relative to
+q**n; those points get that extra share, as in the benchmark.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dhtplan._backend import pure
+
+stats = pytest.importorskip("scipy.stats")
+
+REL = 1e-9
+FLOOR = 1e-250
+
+
+def binom_tol(ref, n, p):
+    if ref < FLOOR:
+        return FLOOR
+    lead = pow(1.0 - p, float(n))
+    extra = 2.0 ** -1074 / lead if 0.0 < lead < 2.0 ** -1022 else 0.0
+    return (REL + extra) * ref
+
+
+def poisson_tol(ref):
+    return FLOOR if ref < FLOOR else REL * ref
+
+
+@st.composite
+def binomials(draw):
+    """(k, n, p) with n <= 20000 and p in [1e-6, 0.5], often on the log branch."""
+    p = 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
+    lq = -math.log1p(-p)
+    # binom_cdf leaves its linear branch once q**n underflows, n > 745 / -log q
+    first_log = math.ceil(745.2 / lq)
+    if first_log <= 20000 and draw(st.booleans()):
+        n = draw(st.integers(first_log, 20000))
+    else:
+        n = draw(st.integers(1, 20000))
+    k = draw(st.integers(0, n))
+    return k, n, p
+
+
+@given(binomials())
+@settings(max_examples=120, deadline=None)
+def test_binom_cdf(case):
+    k, n, p = case
+    ref = float(stats.binom.cdf(k, n, p))
+    assert abs(pure.binom_cdf(k, n, p) - ref) <= binom_tol(ref, n, p)
+
+
+def test_binom_cdf_log_branch_is_drawn():
+    # 0.5**20000 underflows, so the branch is reachable within the drawn range
+    assert pow(0.5, 20000.0) == 0.0
+    ref = float(stats.binom.cdf(9900, 20000, 0.5))
+    assert abs(pure.binom_cdf(9900, 20000, 0.5) - ref) <= binom_tol(ref, 20000, 0.5)
+
+
+@st.composite
+def poissons(draw):
+    """(k, lam) with lam up to 3000, past the log-space switch at 700."""
+    lam = draw(st.one_of(st.floats(1e-6, 700.0), st.floats(700.0, 3000.0)))
+    k = draw(st.integers(0, int(lam + 12.0 * math.sqrt(lam) + 12.0)))
+    return k, lam
+
+
+@given(poissons())
+@settings(max_examples=100, deadline=None)
+def test_poisson_cdf(case):
+    k, lam = case
+    ref = float(stats.poisson.cdf(k, lam))
+    assert abs(pure.poisson_cdf(k, lam) - ref) <= poisson_tol(ref)
+
+
+# A quantile is the first count whose CDF reaches the target.  scipy's CDF
+# may differ from the kernel's within the bound, so a count whose CDF lies
+# within the bound of the target may fall either way; elsewhere they agree.
+TARGETS = st.floats(1e-6, 1.0 - 1e-6)
+
+
+def assert_first_count(k, target, cdf, tol, last):
+    """k is the first count up to last whose CDF reaches target, within tol."""
+    if k < last:
+        value = cdf(k)
+        assert value + tol(value) >= target
+    if k > 0:
+        value = cdf(k - 1)
+        assert value - tol(value) <= target
+
+
+@given(binomials(), TARGETS)
+@settings(max_examples=60, deadline=None)
+def test_binomial_quantiles(case, target):
+    _, n, p = case
+    cdf = lambda k: float(stats.binom.cdf(k, n, p))  # noqa: E731
+    tol = lambda ref: binom_tol(ref, n, p)  # noqa: E731
+    assert_first_count(pure.binom_quantile_ge(n, p, target), target, cdf, tol, n)
+    # the lower quantile is the last count below the first one past the tail
+    assert_first_count(pure.binom_quantile_le(n, p, target) + 1, target, cdf, tol, n)
+
+
+@given(poissons(), TARGETS)
+@settings(max_examples=60, deadline=None)
+def test_poisson_quantiles(case, target):
+    _, lam = case
+    cap = pure.poisson_cap(lam)
+    cdf = lambda k: float(stats.poisson.cdf(k, lam))  # noqa: E731
+    assert_first_count(pure.poisson_quantile_ge(lam, target, cap), target,
+                       cdf, poisson_tol, cap + 1)
+    assert_first_count(pure.poisson_quantile_le(lam, target, cap) + 1, target,
+                       cdf, poisson_tol, cap + 2)
