@@ -11,12 +11,15 @@ from math import exp, lgamma, log1p
 
 from ..errors import SolverError
 
+_NORMAL = 2.0 ** -1022     # smallest normal double
+
 
 def binom_cdf(c, n, p):
     """P(X <= c) for X ~ Binomial(n, p).
 
     Term recurrence in linear space with Kahan summation; switches to
-    log-space terms when the leading term q**n underflows.
+    log-space terms when the leading term q**n leaves the normal range,
+    where a subnormal q**n would carry its rounding into every term.
     """
     if c < 0:
         return 0.0
@@ -28,7 +31,7 @@ def binom_cdf(c, n, p):
         return 0.0
     q = 1.0 - p
     t0 = pow(q, float(n))
-    if t0 > 0.0:
+    if t0 >= _NORMAL:
         total = t0
         comp = 0.0
         term = t0
@@ -103,7 +106,7 @@ def _binom_partials(n, p):
         return
     q = 1.0 - p
     t0 = pow(q, float(n))
-    if t0 > 0.0:
+    if t0 >= _NORMAL:
         total = t0
         comp = 0.0
         term = t0
@@ -219,8 +222,6 @@ def poisson_cap(lam):
 # every decision, and every plan, is the one the per-n partial sums give.
 
 _U = 2.0 ** -53            # unit roundoff of a double
-_SUB = 2.0 ** -1074        # spacing of the subnormal doubles
-_NORMAL = 2.0 ** -1022     # smallest normal double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _NO_CAP = 1 << 62          # Bin quantiles end at n by themselves
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
@@ -355,7 +356,7 @@ class _BinomWalk(_Walk):
     k -> k+1:  P(X = k+1) = P(X = k) (n-k)/(k+1) p/q;  P(X <= k+1) += it
     """
 
-    __slots__ = ("q", "ratio", "lp", "lq", "n_edge", "n_log", "linear_end")
+    __slots__ = ("q", "ratio", "lp", "lq", "n_edge", "linear_end")
 
     def __init__(self, p):
         super().__init__(p)
@@ -364,9 +365,8 @@ class _BinomWalk(_Walk):
         self.lp = -math.log(p)
         self.lq = lq = -math.log(q)
         self.ka, self.kb = self.linear_bound(0)
-        # binom_cdf's leading term q**n is normal below n_edge and 0 above n_log
+        # binom_cdf's leading term q**n is normal, so linear, below n_edge
         self.n_edge = 693.1 / lq if lq > 0.0 else math.inf
-        self.n_log = 762.5 / lq if lq > 0.0 else math.inf
         self.linear_end = math.ceil(self.n_edge) - 1 if lq > 0.0 else _NO_CAP
 
     def move(self, n):
@@ -401,18 +401,9 @@ class _BinomWalk(_Walk):
 
     def _kernel_bound(self):
         n = self.n
-        if n < self.n_edge:
-            t0 = 1.0
-        else:
-            t0 = pow(self.q, float(n)) if n <= self.n_log else 0.0
-        if t0 > 0.0:
+        if n < self.n_edge or pow(self.q, float(n)) >= _NORMAL:
+            # the same test binom_cdf makes on its leading term
             self.ka, self.kb = self.linear_bound(n)
-            if t0 < _NORMAL:
-                # a subnormal t0 is off by up to 2**-1074, and so, relatively,
-                # is every term after it; the later subnormal terms grow by a
-                # factor (n-j)/(j+1) p/q >= n (-log q) / 53 > 2 and add twice
-                # that at most
-                self.ka += 3.0 * _SUB / t0
         else:
             # log branch: lgamma and the log terms are off by a few u of their
             # magnitude, and each log-sum-exp step by u |log partial sum|

@@ -12,6 +12,7 @@ stderr and exit 1, never a traceback.
 
 import argparse
 import json
+import math
 import os
 import sys
 import types
@@ -70,6 +71,21 @@ def _spec_from_args(args):
                     paper_compat_z=(args.z_mode == "paper"))
 
 
+def _ladder_from_args(args, levels, err):
+    """The ladder the table and inspect flags describe, or None after one
+    error line when it cannot be built."""
+    try:
+        return build_ladder(levels, alpha_tail=args.alpha, beta_tail=args.beta,
+                            method=_METHOD_FLAGS[args.method], ex=args.ex,
+                            epsilon=args.eps,
+                            first_method=_METHOD_FLAGS[args.first_method]
+                            if args.first_method else None,
+                            paper_compat_z=(args.z_mode == "paper"))
+    except DhtError as exc:
+        err.write("error: %s\n" % exc)
+        return None
+
+
 def _plan_fields(plan):
     return {
         "method": plan.method,
@@ -106,20 +122,16 @@ def cmd_table(args, out, err):
     if args.step <= 0.0:
         err.write("error: --step must be positive\n")
         return EXIT_USAGE
+    if args.rows < 1:
+        err.write("error: --rows must be >= 1\n")
+        return EXIT_USAGE
     levels = [round(args.step * i, 12) for i in range(args.rows + 1)]
     if levels[-1] >= 0.5:
         err.write("error: %d rows at step %g exceed the 0.5 rate ceiling\n"
                   % (args.rows, args.step))
         return EXIT_USAGE
-    try:
-        ladder = build_ladder(levels, alpha_tail=args.alpha, beta_tail=args.beta,
-                              method=_METHOD_FLAGS[args.method], ex=args.ex,
-                              epsilon=args.eps,
-                              first_method=_METHOD_FLAGS[args.first_method]
-                              if args.first_method else None,
-                              paper_compat_z=(args.z_mode == "paper"))
-    except DhtError as exc:
-        err.write("error: %s\n" % exc)
+    ladder = _ladder_from_args(args, levels, err)
+    if ladder is None:
         return EXIT_COMPUTE
     emit = _Emitter(args.format, "dhtplan.table", out)
     for plan, r in zip(ladder.plans, ladder.run_limits):
@@ -144,15 +156,8 @@ def cmd_inspect(args, out, err):
     except ValueError:
         err.write("error: --levels must be a comma-separated list of rates\n")
         return EXIT_USAGE
-    try:
-        ladder = build_ladder(levels, alpha_tail=args.alpha, beta_tail=args.beta,
-                              method=_METHOD_FLAGS[args.method], ex=args.ex,
-                              epsilon=args.eps,
-                              first_method=_METHOD_FLAGS[args.first_method]
-                              if args.first_method else None,
-                              paper_compat_z=(args.z_mode == "paper"))
-    except DhtError as exc:
-        err.write("error: %s\n" % exc)
+    ladder = _ladder_from_args(args, levels, err)
+    if ladder is None:
         return EXIT_COMPUTE
 
     emit = _Emitter(args.format, "dhtplan.events", out)
@@ -215,6 +220,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise DomainError("grid must be start:stop:step")
     start, stop, step = (float(x) for x in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError("grid values must be finite")
     if step <= 0 or stop < start:
         raise DomainError("grid must advance from start to stop")
     if start < 0 or stop > 1:

@@ -14,6 +14,7 @@ not ground truth.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -107,12 +108,18 @@ def membership_degree(value, mf):
 
 @dataclass(frozen=True)
 class SelectorInput:
-    """One query to the selector; fields outside their universe are clamped."""
+    """One query to the selector; a NaN field is rejected, and fields outside
+    their universe are clamped."""
 
     step: float
     t_h: float
     t_exec: float
     prec_abs: float
+
+    def __post_init__(self):
+        for name in UNIVERSES:
+            if math.isnan(getattr(self, name)):
+                raise DomainError("%s must be a number, got nan" % name)
 
     def clamped(self):
         vals = {}
@@ -131,7 +138,7 @@ class FuzzyRuleBase:
     """Immutable rule base: input/output membership functions plus 8 rules."""
 
     def __init__(self, memberships=DEFAULT_MEMBERSHIPS, outputs=DEFAULT_OUTPUTS,
-                 rules=DEFAULT_RULES, grid=GRID_POINTS):
+                 rules=DEFAULT_RULES):
         if len(rules) != 8:
             raise DomainError("rule base must hold exactly 8 rules, got %d" % len(rules))
         self._mfs = {
@@ -140,7 +147,7 @@ class FuzzyRuleBase:
         }
         self._rules = tuple((tuple((v, l, bool(neg)) for v, l, neg in ants), out)
                             for ants, out in rules)
-        self._grid = np.linspace(0.0, 1.0, grid)
+        self._grid = np.linspace(0.0, 1.0, GRID_POINTS)
         self._out_mfs = {}
         for label, pts in outputs.items():
             mf = MembershipFunction(label, *pts)
@@ -155,9 +162,6 @@ class FuzzyRuleBase:
         self._memberships_src = memberships
         self._outputs_src = outputs
 
-    def input_degree(self, var, label, value):
-        return membership_degree(value, self._mfs[var][label])
-
     def rule_strengths(self, inp):
         vals = {"step": inp.step, "t_h": inp.t_h,
                 "t_exec": inp.t_exec, "prec_abs": inp.prec_abs}
@@ -165,7 +169,7 @@ class FuzzyRuleBase:
         for ants, _ in self._rules:
             s = 1.0
             for var, lab, neg in ants:
-                mu = self.input_degree(var, lab, vals[var])
+                mu = membership_degree(vals[var], self._mfs[var][lab])
                 if neg:
                     mu = 1.0 - mu
                 s = min(s, mu)
@@ -245,7 +249,7 @@ def _trapezoid(points, where):
     return tuple(points)
 
 
-def classify(score, base=None):
+def classify(score):
     """Map a defuzzified score to a method label; <= 0.1 is no recommendation."""
     if not (0.0 <= score <= 1.0):
         raise DomainError("score must lie in [0, 1]")

@@ -33,7 +33,7 @@ Method notes
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import _backend
 from .errors import DegenerateSpecError, DomainError, NoConvergenceError, SolverError
@@ -80,8 +80,9 @@ class TestSpec:
                 "p0 must be strictly below p1, got p0=%g p1=%g" % (self.p0, self.p1))
         TailMass(self.alpha_tail)
         TailMass(self.beta_tail)
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be finite and positive, got %r"
+                              % (self.epsilon,))
         if self.max_n < 2:
             raise DomainError("max_n must be >= 2")
 
@@ -104,10 +105,6 @@ class Applicability:
     nq0_gt5: bool
     p_lt_0_1: bool
 
-    @property
-    def meaningless_for_normal(self):
-        return not self.np0_gt5
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -128,30 +125,10 @@ class SamplingPlan:
             raise DomainError("unknown method %r" % (self.method,))
 
 
-@dataclass
-class NewtonState:
-    """Iterate of the two-unknown Newton solve."""
-
-    threshold: float
-    sample_size: float
-    residual_norm: float = field(default=math.inf)
-    step_norm: float = field(default=math.inf)
-
-    def __post_init__(self):
-        if self.sample_size <= 0.0:
-            raise DomainError("Newton sample-size iterate must stay positive")
-
-
 def _applicability(n, p0, p1):
     return Applicability(np0_gt5=n * p0 > 5.0,
                          nq0_gt5=n * (1.0 - p0) > 5.0,
                          p_lt_0_1=p1 < 0.1)
-
-
-def applicability_report(plan, spec):
-    """Re-evaluate the validity flags of a plan against its spec."""
-    flags = _applicability(plan.n, spec.p0, spec.p1)
-    return flags
 
 
 def closed_form_norm(spec):
@@ -173,7 +150,7 @@ def closed_form_norm(spec):
     return n_real, t_h
 
 
-def solve_norm_newton(spec, init=None):
+def solve_norm_newton(spec):
     """Newton-Raphson on the paired normal limits (method Norm_N).
 
     Stops on any of: maxit iterations, step norm < 1e-9, residual norm
@@ -183,14 +160,9 @@ def solve_norm_newton(spec, init=None):
     z0, z1 = spec.z_pair()
     s0 = math.sqrt(spec.p0 * (1.0 - spec.p0))
     s1 = math.sqrt(spec.p1 * (1.0 - spec.p1))
-    if init is None:
-        n_real, _ = closed_form_norm(spec)
-        state = NewtonState(threshold=(spec.p0 + spec.p1) / 2.0,
-                            sample_size=math.ceil(n_real))
-    else:
-        state = replace(init)
-
-    x1, x2 = state.threshold, state.sample_size
+    # start at the midpoint threshold and the closed-form trial count
+    n_real, _ = closed_form_norm(spec)
+    x1, x2 = (spec.p0 + spec.p1) / 2.0, math.ceil(n_real)
     converged = False
     iterations = 0
     for iterations in range(1, NEWTON_MAXIT + 1):

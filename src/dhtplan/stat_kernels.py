@@ -1,8 +1,9 @@
 """Numerically careful probability primitives.
 
-Binomial/Poisson CDFs and discrete quantiles (delegated to the kernels in
-``_backend``), plus the standard-normal CDF and quantile used by the
-normal-approximation solvers.
+Checked entry points to the binomial and Poisson CDF kernels in
+``_backend`` (which also holds the discrete quantiles the plan scans use),
+plus the standard-normal CDF and quantile used by the normal-approximation
+solvers.
 """
 
 import math
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 from . import _backend
 from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class TailMass:
@@ -26,31 +28,6 @@ def _tail_value(tail):
     return tail.value if isinstance(tail, TailMass) else TailMass(float(tail)).value
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """Failure-count distribution over n Bernoulli trials at rate p."""
-
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("binomial trial count must be >= 1")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError("binomial p must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class Poisson:
-    """Failure-count distribution with mean lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise DomainError("poisson mean must be >= 0")
-
-
 def binom_cdf(c, n, p):
     """P(X <= c) for X ~ Binomial(n, p), exact term summation."""
     if not (0.0 <= p <= 1.0):
@@ -65,24 +42,6 @@ def poisson_cdf(c, lam):
     if lam < 0.0:
         raise DomainError("lambda must be >= 0, got %r" % (lam,))
     return _backend.poisson_cdf(int(c), float(lam))
-
-
-def upper_quantile(dist, tail):
-    """Smallest count L with CDF(L) >= 1 - tail."""
-    t = _tail_value(tail)
-    if isinstance(dist, Binomial):
-        return _backend.binom_quantile_ge(dist.n, dist.p, 1.0 - t)
-    return _backend.poisson_quantile_ge(dist.lam, 1.0 - t, _backend.poisson_cap(dist.lam))
-
-
-def lower_quantile(dist, tail):
-    """Largest count l with CDF(l) <= tail, or None when CDF(0) > tail."""
-    t = _tail_value(tail)
-    if isinstance(dist, Binomial):
-        k = _backend.binom_quantile_le(dist.n, dist.p, t)
-    else:
-        k = _backend.poisson_quantile_le(dist.lam, t, _backend.poisson_cap(dist.lam))
-    return None if k < 0 else k
 
 
 def normal_cdf(x):

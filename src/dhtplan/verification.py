@@ -7,14 +7,11 @@ result is bit-identical however the work is chunked.
 """
 
 import math
-import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .plan_solvers import solve
 from .stat_kernels import binom_cdf
 
 #: z for the reported 99% confidence half-width.
@@ -100,6 +97,8 @@ def monte_carlo_accept(plan, p_true, reps, seed):
     if not (0.0 <= p_true <= 1.0):
         raise DomainError("p_true must be in [0, 1]")
     n, c = plan.n, plan.c
+    if n < 1:
+        raise DomainError("n must be >= 1, got %r" % (n,))
     gen = np.random.Generator(np.random.Philox(key=seed))
     rows_per_chunk = max(1, _CHUNK_DRAWS // n)
     accepted = 0
@@ -112,28 +111,3 @@ def monte_carlo_accept(plan, p_true, reps, seed):
         done += rows
     rate = accepted / reps
     return rate, _wilson_half_width(accepted, reps)
-
-
-def benchmark_solver(method, spec, repeats=5):
-    """Median wall-clock time plus the solver's own iteration count.
-
-    Absolute timings are host-specific; only iteration counts and relative
-    ordering are meaningful.
-    """
-    if repeats < 1:
-        raise DomainError("repeats must be >= 1")
-    times = []
-    plan = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        plan = solve(spec, method)
-        times.append(time.perf_counter() - t0)
-    spread = (max(times) - min(times)) if len(times) > 1 else 0.0
-    return {
-        "method": method,
-        "median_s": statistics.median(times),
-        "spread_s": spread,
-        "iterations": plan.iterations,
-        "n": plan.n,
-        "converged": plan.converged,
-    }

@@ -206,40 +206,66 @@ class TestErrorBoundary:
     SELECT = ["select", "--step", "0.001", "--th", "0.05", "--texec", "3",
               "--prec", "5e-4"]
 
-    def _one_line_usage_error(self, argv):
+    def _one_line_error(self, argv, exit_code=1):
         code, out, err = run(argv)
-        assert code == 1
+        assert code == exit_code
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
         return err
 
     def test_oc_grid_beyond_unit_interval(self):
-        err = self._one_line_usage_error(["oc", "--n", "10", "--c", "2",
+        err = self._one_line_error(["oc", "--n", "10", "--c", "2",
                                           "--grid", "0:2:0.5"])
         assert "[0, 1]" in err
 
+    def test_oc_grid_not_finite(self):
+        err = self._one_line_error(["oc", "--n", "10", "--c", "2",
+                                    "--grid", "nan:1:0.1"])
+        assert "finite" in err
+
+    def test_table_rows_below_one(self):
+        err = self._one_line_error(["table", "--step", "0.01", "--rows", "-1"])
+        assert "--rows" in err
+
+    def test_select_nan_input(self):
+        argv = list(self.SELECT)
+        argv[argv.index("--step") + 1] = "nan"
+        err = self._one_line_error(argv)
+        assert "step" in err and "nan" in err
+
+    def test_simulate_zero_trials(self):
+        err = self._one_line_error(["simulate", "--n", "0", "--c", "1",
+                                    "--p", "0.1"], exit_code=2)
+        assert "n must be >= 1" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_plan_epsilon_not_finite(self, eps):
+        err = self._one_line_error(["plan", "--method", "bin", "--p0", "0.02",
+                                    "--p1", "0.05", "--eps", eps])
+        assert "epsilon" in err
+
     def test_inspect_missing_input(self, tmp_path):
         missing = tmp_path / "missing.txt"
-        err = self._one_line_usage_error(["inspect", "--levels", "0,0.03,0.06",
+        err = self._one_line_error(["inspect", "--levels", "0,0.03,0.06",
                                           "--input", str(missing)])
         assert "missing.txt" in err
 
     def test_select_missing_fuzzy_config(self, tmp_path):
         missing = tmp_path / "nonexistent.json"
-        err = self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(missing)])
+        err = self._one_line_error(self.SELECT + ["--fuzzy-config", str(missing)])
         assert "nonexistent.json" in err
 
     def test_select_fuzzy_config_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("memberships: [")
-        err = self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(path)])
+        err = self._one_line_error(self.SELECT + ["--fuzzy-config", str(path)])
         assert "Expecting value" in err
 
     def _bad_fuzzy_config(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        return self._one_line_usage_error(self.SELECT + ["--fuzzy-config", str(path)])
+        return self._one_line_error(self.SELECT + ["--fuzzy-config", str(path)])
 
     @staticmethod
     def _default_config():

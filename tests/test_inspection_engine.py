@@ -11,7 +11,7 @@ from dhtplan import (DomainError, InspectionState, LadderError, StateError,
 from dhtplan.inspection_engine import ACCEPTED, CONTINUE, REJECTED
 
 
-def _run_logged(ladder, outcomes):
+def _run_recorded(ladder, outcomes):
     events = []
     return run_stream(ladder, outcomes, sink=events.append), events
 
@@ -75,7 +75,7 @@ class TestObserve:
     def test_escalation_keeps_counts(self, step3_ladder):
         c0 = step3_ladder.plans[0].c
         outcomes = [0, 1] * c0  # c0-th failure arrives at trial 2*c0
-        state, events = _run_logged(step3_ladder, outcomes)
+        state, events = _run_recorded(step3_ladder, outcomes)
         assert state.status == CONTINUE
         assert state.level_index == 1
         assert state.trials == 2 * c0
@@ -95,7 +95,7 @@ class TestObserve:
 
     def test_run_limit_escalates_before_failure_count(self, newton_ladder):
         # 6 consecutive failures exceed r=5 at level 0 while failures < c=13
-        state, events = _run_logged(newton_ladder, [0, 1, 0] * 3 + [1] * 6)
+        state, events = _run_recorded(newton_ladder, [0, 1, 0] * 3 + [1] * 6)
         assert state.level_index == 1
         assert state.status == CONTINUE
         assert state.failures == 9
@@ -159,7 +159,7 @@ class TestEventSourcing:
         rng = np.random.Generator(np.random.Philox(key=99))
         for _ in range(40):
             stream = (rng.random(400) < p_true).astype(int).tolist()
-            state, events = _run_logged(newton_ladder, stream)
+            state, events = _run_recorded(newton_ladder, stream)
             assert run_stream(newton_ladder, stream) == state
             again = []
             assert replay(newton_ladder, events, sink=again.append) == state
@@ -193,7 +193,7 @@ class TestEventSourcing:
         seen = 0
         for _ in range(200):
             stream = (rng.random(400) < 0.2).astype(int)
-            _, events = _run_logged(newton_ladder, stream.tolist())
+            _, events = _run_recorded(newton_ladder, stream.tolist())
             for e in events:
                 if e.transition == "escalate_run":
                     level_at = e.level
@@ -243,7 +243,7 @@ class TestEventLog:
     def test_golden_event_log(self, request, name):
         fixture, stream, count, transitions, digest = GOLDEN[name]
         ladder = request.getfixturevalue(fixture)
-        state, events = _run_logged(ladder, stream)
+        state, events = _run_recorded(ladder, stream)
         log = [(e.trial, e.outcome, e.level, e.failures, e.run, e.transition)
                for e in events]
         assert [e for e in log if e[5] != "continue"] == transitions

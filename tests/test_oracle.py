@@ -2,10 +2,9 @@
 
 The certified scans fall back to these kernels, so they are held to the
 bound the benchmark uses: 1e-9 relative wherever scipy reads at least
-1e-250, and 1e-250 absolute below that.  Where the binomial leading term
-q**n is a subnormal double it carries an absolute rounding error of up to
-2**-1074, and a sum that starts from it may be off by that much relative to
-q**n; those points get that extra share, as in the benchmark.
+1e-250, and 1e-250 absolute below that.  The binomial kernel sums in log
+space wherever its leading term q**n would be subnormal, so no point gets
+more than that.
 """
 
 import math
@@ -23,11 +22,7 @@ FLOOR = 1e-250
 
 
 def binom_tol(ref, n, p):
-    if ref < FLOOR:
-        return FLOOR
-    lead = pow(1.0 - p, float(n))
-    extra = 2.0 ** -1074 / lead if 0.0 < lead < 2.0 ** -1022 else 0.0
-    return (REL + extra) * ref
+    return FLOOR if ref < FLOOR else REL * ref
 
 
 def poisson_tol(ref):
@@ -39,8 +34,8 @@ def binomials(draw):
     """(k, n, p) with n <= 20000 and p in [1e-6, 0.5], often on the log branch."""
     p = 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
     lq = -math.log1p(-p)
-    # binom_cdf leaves its linear branch once q**n underflows, n > 745 / -log q
-    first_log = math.ceil(745.2 / lq)
+    # binom_cdf leaves its linear branch once q**n < 2**-1022, n > 708.4 / -log q
+    first_log = math.ceil(1022 * math.log(2.0) / lq)
     if first_log <= 20000 and draw(st.booleans()):
         n = draw(st.integers(first_log, 20000))
     else:
@@ -62,6 +57,17 @@ def test_binom_cdf_log_branch_is_drawn():
     assert pow(0.5, 20000.0) == 0.0
     ref = float(stats.binom.cdf(9900, 20000, 0.5))
     assert abs(pure.binom_cdf(9900, 20000, 0.5) - ref) <= binom_tol(ref, 20000, 0.5)
+
+
+def test_binom_cdf_subnormal_leading_term():
+    # 0.7**2085 is subnormal; summed from it, P(X <= 662) read 0.8873 and no
+    # count below n reached 0.975
+    assert 0.0 < pow(0.7, 2085.0) < 2.0 ** -1022
+    ref = float(stats.binom.cdf(662, 2085, 0.3))
+    assert abs(ref - 0.96094174447987) < 1e-12
+    assert abs(pure.binom_cdf(662, 2085, 0.3) - ref) <= binom_tol(ref, 2085, 0.3)
+    assert stats.binom.ppf(0.975, 2085, 0.3) == 667
+    assert pure.binom_quantile_ge(2085, 0.3, 0.975) == 667
 
 
 @st.composite

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (Applicability, DegenerateSpecError, DomainError,
-                     NewtonState, NoConvergenceError, SamplingPlan, TestSpec,
-                     applicability_report, binom_cdf, closed_form_norm, solve,
+from dhtplan import (DegenerateSpecError, DomainError, NoConvergenceError,
+                     TestSpec, binom_cdf, closed_form_norm, solve,
                      solve_bin, solve_norm_iterative, solve_norm_newton,
                      solve_poiss)
 
@@ -60,19 +59,6 @@ class TestNormNewton:
         plan = solve_norm_newton(spec)
         assert plan.n_real == pytest.approx(n_real, abs=1e-4)
         assert plan.t_h == pytest.approx(t_h, abs=1e-9)
-
-    def test_custom_init_converges_to_same_root(self):
-        spec = TestSpec(0.02, 0.05)
-        default = solve_norm_newton(spec)
-        custom = solve_norm_newton(spec, NewtonState(threshold=0.04,
-                                                     sample_size=50.0))
-        assert custom.converged
-        assert custom.n == default.n
-        assert custom.t_h == pytest.approx(default.t_h, abs=1e-9)
-
-    def test_init_must_be_positive(self):
-        with pytest.raises(DomainError):
-            NewtonState(threshold=0.03, sample_size=0.0)
 
 
 class TestNormIterative:
@@ -212,6 +198,11 @@ class TestPlanProperties:
         with pytest.raises(DomainError):
             solve(TestSpec(0.02, 0.05), "Wald")
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        with pytest.raises(DomainError, match="epsilon"):
+            TestSpec(0.02, 0.05, epsilon=eps)
+
     def test_cross_method_threshold_coherence(self):
         # the four methods answer the same question; their thresholds for a
         # given pair stay within 0.005 of one another
@@ -223,17 +214,15 @@ class TestPlanProperties:
 
 class TestApplicability:
     def test_degenerate_normal_plan_is_meaningless(self):
-        plan = SamplingPlan(n=267, c=0, t_h=0.0, np0=0.0, method="Norm_I",
-                            iterations=267, converged=True,
-                            applicability=Applicability(False, True, True))
-        flags = applicability_report(plan, TestSpec(0.0, 0.01))
-        assert not flags.np0_gt5
-        assert flags.meaningless_for_normal
+        # np0 = 0 <= 5: the normal approximation does not hold, and the
+        # solved plan carries that flag
+        plan = solve_norm_newton(TestSpec(0.0, 0.01))
+        assert plan.np0 == 0.0
+        assert not plan.applicability.np0_gt5
 
     def test_healthy_newton_plan(self):
         spec = TestSpec(0.02, 0.05)
-        plan = solve_norm_newton(spec)
-        flags = applicability_report(plan, spec)
+        flags = solve_norm_newton(spec).applicability
         assert flags.np0_gt5           # 383 * 0.02 = 7.66
         assert flags.nq0_gt5
         assert flags.p_lt_0_1
@@ -241,6 +230,6 @@ class TestApplicability:
     def test_bin_plan_flags_reported_without_judgement(self):
         spec = TestSpec(0.0, 0.02)
         plan = solve_bin(spec)
-        flags = applicability_report(plan, spec)
+        flags = plan.applicability
         assert not flags.np0_gt5       # np0 = 0; exact method, not invalid
         assert plan.converged

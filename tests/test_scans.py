@@ -88,10 +88,12 @@ def test_scan_matches_reference(method, p0, p1):
 
 
 def test_bin_scan_across_the_log_branch():
-    # 0.67**n is subnormal from n = 1769 and 0 from n = 1861 on, and 0.7**n is
-    # subnormal from n = 1987: the kernel leaves its linear branch on both sides
-    assert pow(0.67, 1861.0) == 0.0 and 0.0 < pow(0.7, 2086.0) < 2.0 ** -1022
-    assert assert_same_scan(*scan_args("Bin", 0.3, 0.33)) == (True, 2086, 640, 646)
+    # 0.67**n leaves the normal range at n = 1769 and 0.7**n at n = 1987, and
+    # the kernel leaves its linear branch there on both sides; a per-n scipy
+    # scan gives the same (n, L1, l1)
+    assert pow(0.67, 1769.0) < 2.0 ** -1022 <= pow(0.67, 1768.0)
+    assert pow(0.7, 1987.0) < 2.0 ** -1022 <= pow(0.7, 1986.0)
+    assert assert_same_scan(*scan_args("Bin", 0.3, 0.33)) == (True, 3273, 1034, 1028)
 
 
 def test_poisson_scans_across_lambda_700():
@@ -239,7 +241,8 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     assert calls["exact"] <= 4
 
 
-# (k, n, p) on each branch of binom_cdf: q**n normal, subnormal, underflowed
+# (k, n, p) with q**n normal (linear branch of binom_cdf), subnormal and
+# underflowed (log branch)
 BINOM_POINTS = [(60, 2641, 0.02), (323, 5790, 0.06), (0, 313, 0.02), (1, 12590, 0.0005),
                 (560, 1800, 0.3), (120, 1830, 0.0625), (9, 21000, 0.0004),
                 (100, 2000, 0.3), (590, 2000, 0.3), (661, 2075, 0.3),

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (Binomial, DomainError, Poisson, SolverError, TailMass,
-                     binom_cdf, lower_quantile, normal_cdf, poisson_cdf,
-                     upper_quantile, z_value)
+from dhtplan import (DomainError, SolverError, TailMass, binom_cdf, normal_cdf,
+                     poisson_cdf, z_value)
 from dhtplan._backend import pure
 
 getcontext().prec = 60
@@ -120,15 +119,17 @@ class TestPoissonCdf:
 
 
 class TestQuantiles:
+    """The backend quantiles at 1 - tail (upper) and at tail (lower, -1 when
+    CDF(0) is already past it)."""
+
     def test_upper_zero_rate(self):
-        assert upper_quantile(Binomial(10, 0.0), 0.05) == 0
+        assert pure.binom_quantile_ge(10, 0.0, 0.95) == 0
 
     def test_upper_poisson_unit(self):
-        assert upper_quantile(Poisson(1.0), 0.05) == 3
+        assert pure.poisson_quantile_ge(1.0, 0.95, pure.poisson_cap(1.0)) == 3
 
     def test_upper_binomial_scan_oracle(self):
-        tail = TailMass(0.05)
-        got = upper_quantile(Binomial(550, 0.02), tail)
+        got = pure.binom_quantile_ge(550, 0.02, 0.95)
         scan = 0
         while binom_cdf(scan, 550, 0.02) < 0.95:
             scan += 1
@@ -136,30 +137,29 @@ class TestQuantiles:
         assert binom_cdf(got - 1, 550, 0.02) < 0.95 <= binom_cdf(got, 550, 0.02)
 
     def test_lower_poisson(self):
-        assert lower_quantile(Poisson(7.5), 0.05) == 2
+        assert pure.poisson_quantile_le(7.5, 0.05, pure.poisson_cap(7.5)) == 2
 
     def test_lower_binomial_small(self):
-        assert lower_quantile(Binomial(2, 0.5), 0.3) == 0
+        assert pure.binom_quantile_le(2, 0.5, 0.3) == 0
 
     def test_lower_none_vs_zero(self):
         # CDF(0) = 1e-10 clears the tail, so a value exists; the direct
         # CDF oracle puts the largest qualifying count at 4
-        got = lower_quantile(Binomial(10, 0.9), 0.001)
-        assert got is not None
+        got = pure.binom_quantile_le(10, 0.9, 0.001)
+        assert got >= 0
         assert binom_cdf(got, 10, 0.9) <= 0.001 < binom_cdf(got + 1, 10, 0.9)
         assert got == 4
-        assert lower_quantile(Binomial(10, 0.0001), 0.001) is None
+        assert pure.binom_quantile_le(10, 0.0001, 0.001) == -1
 
     @given(st.integers(2, 200), st.floats(0.001, 0.999), st.floats(0.001, 0.499))
     @settings(max_examples=80)
     def test_adjointness(self, n, p, tail):
-        d = Binomial(n, p)
-        up = upper_quantile(d, tail)
+        up = pure.binom_quantile_ge(n, p, 1.0 - tail)
         assert binom_cdf(up, n, p) >= 1 - tail
         if up > 0:
             assert binom_cdf(up - 1, n, p) < 1 - tail
-        lo = lower_quantile(d, tail)
-        if lo is None:
+        lo = pure.binom_quantile_le(n, p, tail)
+        if lo < 0:
             assert binom_cdf(0, n, p) > tail
         else:
             assert binom_cdf(lo, n, p) <= tail
@@ -233,11 +233,3 @@ class TestTypes:
         with pytest.raises(DomainError):
             TailMass(0.0)
         assert TailMass(0.05).value == 0.05
-
-    def test_distribution_validation(self):
-        with pytest.raises(DomainError):
-            Binomial(0, 0.5)
-        with pytest.raises(DomainError):
-            Binomial(10, -0.1)
-        with pytest.raises(DomainError):
-            Poisson(-1.0)

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dhtplan import (Applicability, DomainError, SamplingPlan, TestSpec,
-                     accept_probability, benchmark_solver, monte_carlo_accept,
-                     oc_curve, realized_errors, solve_bin, solve_norm_iterative,
-                     solve_norm_newton)
+                     accept_probability, monte_carlo_accept, oc_curve,
+                     realized_errors, solve)
 from dhtplan import verification
 
 
@@ -114,6 +113,10 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_accept(_plan(10, 1), 0.1, 99, 0)
 
+    def test_trial_count_floor(self):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            monte_carlo_accept(types.SimpleNamespace(n=0, c=1), 0.1, 1000, 0)
+
     def test_seed_required(self):
         with pytest.raises(DomainError, match="seed"):
             monte_carlo_accept(_plan(383, 13), 0.02, 1000, None)
@@ -127,21 +130,17 @@ class TestMonteCarlo:
 
 
 class TestBenchmark:
+    """Iteration counts a solved plan reports, which a benchmark reads."""
+
     def test_norm_i_iterations_equal_n(self):
-        rec = benchmark_solver("Norm_I", TestSpec(0.01, 0.02, epsilon=1e-6),
-                               repeats=1)
-        assert rec["iterations"] == rec["n"] == 1543
-        assert rec["median_s"] >= 0.0
+        plan = solve(TestSpec(0.01, 0.02, epsilon=1e-6), "Norm_I")
+        assert plan.iterations == plan.n == 1543
 
     def test_newton_step_budget(self):
-        rec = benchmark_solver("Norm_N", TestSpec(0.07, 0.08), repeats=1)
-        assert rec["converged"]
-        assert rec["iterations"] < 10000
+        plan = solve(TestSpec(0.07, 0.08), "Norm_N")
+        assert plan.converged
+        assert plan.iterations < 10000
 
     def test_bin_iterations_equal_n(self):
-        rec = benchmark_solver("Bin", TestSpec(0.2, 0.4), repeats=2)
-        assert rec["iterations"] == rec["n"]
-
-    def test_repeats_validated(self):
-        with pytest.raises(DomainError):
-            benchmark_solver("Bin", TestSpec(0.2, 0.4), repeats=0)
+        plan = solve(TestSpec(0.2, 0.4), "Bin")
+        assert plan.iterations == plan.n
