@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import types
+import warnings
 from contextlib import nullcontext
 
 from .errors import DhtError, DomainError, NoConvergenceError, NoRecommendationError
@@ -119,8 +120,8 @@ def cmd_plan(args, out, err):
 
 
 def cmd_table(args, out, err):
-    if args.step <= 0.0:
-        err.write("error: --step must be positive\n")
+    if not args.step > 0.0:
+        err.write("error: --step must be positive, got %g\n" % args.step)
         return EXIT_USAGE
     if args.rows < 1:
         err.write("error: --rows must be >= 1\n")
@@ -203,6 +204,12 @@ def cmd_select(args, out, err):
         FuzzyRuleBase.load(args.fuzzy_config)
     inp = SelectorInput(step=args.step, t_h=args.th, t_exec=args.texec,
                         prec_abs=args.prec)
+    # one stderr line per clamped input, not the warnings module's two
+    with warnings.catch_warnings(record=True) as clamps:
+        warnings.simplefilter("always")
+        inp = inp.clamped()
+    for w in clamps:
+        err.write("warning: %s\n" % w.message)
     try:
         score, label, firings = infer(inp, base)
     except NoRecommendationError as exc:

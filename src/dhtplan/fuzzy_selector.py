@@ -15,14 +15,17 @@ not ground truth.
 
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, NoRecommendationError
 
 GRID_POINTS = 1001
+
+#: the defuzzification grid; element for element equal to numpy's
+#: linspace(0, 1, GRID_POINTS)
+_GRID = [i * (1.0 / (GRID_POINTS - 1)) for i in range(GRID_POINTS - 1)] + [1.0]
 
 #: Universe of each input variable (values are clamped on ingestion).
 UNIVERSES = {
@@ -147,12 +150,10 @@ class FuzzyRuleBase:
         }
         self._rules = tuple((tuple((v, l, bool(neg)) for v, l, neg in ants), out)
                             for ants, out in rules)
-        self._grid = np.linspace(0.0, 1.0, GRID_POINTS)
         self._out_mfs = {}
         for label, pts in outputs.items():
             mf = MembershipFunction(label, *pts)
-            self._out_mfs[label] = np.array(
-                [membership_degree(x, mf) for x in self._grid])
+            self._out_mfs[label] = [membership_degree(x, mf) for x in _GRID]
         for ants, out in self._rules:
             if out not in self._out_mfs:
                 raise DomainError("rule consequent %r has no output set" % (out,))
@@ -177,20 +178,28 @@ class FuzzyRuleBase:
         return strengths
 
     def aggregate(self, strengths):
-        agg = np.zeros_like(self._grid)
+        """Max over the rules of each consequent clipped at its rule strength,
+        as a list over the grid."""
+        # rules sharing a consequent fold to one clip, exactly:
+        # max(min(s1, m), min(s2, m)) == min(max(s1, s2), m)
+        clips = {}
         for s, (_, out) in zip(strengths, self._rules):
             if s > 0.0:
-                np.maximum(agg, np.minimum(s, self._out_mfs[out]), out=agg)
+                clips[out] = max(clips.get(out, 0.0), s)
+        agg = [0.0] * GRID_POINTS
+        for out, s in clips.items():
+            clipped = [m if m < s else s for m in self._out_mfs[out]]
+            agg = [a if a >= b else b for a, b in zip(agg, clipped)]
         return agg
 
     def centroid(self, agg):
-        # trapezoid weights on the uniform grid; the spacing cancels
-        w = np.ones_like(agg)
-        w[0] = w[-1] = 0.5
-        mass = float(np.sum(w * agg))
+        # trapezoid weights on the uniform grid, 0.5 at both ends; the spacing
+        # cancels, and the grid runs from 0 to 1
+        mass = 0.5 * agg[0] + sum(agg[1:-1]) + 0.5 * agg[-1]
         if mass == 0.0:
             raise NoRecommendationError("all rule strengths are zero")
-        return float(np.sum(w * agg * self._grid) / mass)
+        moment = sum(map(operator.mul, agg[1:-1], _GRID[1:-1])) + 0.5 * agg[-1]
+        return moment / mass
 
     def to_config(self):
         return {"memberships": {v: {l: list(p) for l, p in labs.items()}
@@ -276,7 +285,13 @@ def infer(inp, base=None):
 
 
 def response_surface(base, axis1, axis2, fixed, grid=51):
-    """Score matrix over a grid of two inputs with the others held fixed."""
+    """Score matrix over a grid of two inputs with the others held fixed.
+
+    Returns numpy arrays (xs, ys, scores); a cell with no rule firing scores
+    nan.
+    """
+    import numpy as np
+
     if grid < 2:
         raise DomainError("grid must be >= 2")
     for ax in (axis1, axis2):
@@ -289,13 +304,13 @@ def response_surface(base, axis1, axis2, fixed, grid=51):
     xs = np.linspace(lo1, hi1, grid)
     ys = np.linspace(lo2, hi2, grid)
     out = np.empty((grid, grid))
+    # the axes run inside their universes, so only the fixed inputs can clamp
+    q = asdict(fixed.clamped())
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            q = {"step": fixed.step, "t_h": fixed.t_h,
-                 "t_exec": fixed.t_exec, "prec_abs": fixed.prec_abs}
             q[axis1] = float(x)
             q[axis2] = float(y)
-            strengths = base.rule_strengths(SelectorInput(**q).clamped())
+            strengths = base.rule_strengths(SelectorInput(**q))
             agg = base.aggregate(strengths)
             try:
                 out[i, j] = base.centroid(agg)

@@ -34,9 +34,10 @@ class SflQuery:
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
-            raise DomainError("defect probability must be in (0, 1)")
-        if self.ex < 1.0:
-            raise DomainError("recurrence horizon must be >= 1")
+            raise DomainError("defect probability must be in (0, 1), got %g" % self.p)
+        if not (math.isfinite(self.ex) and self.ex >= 1.0):
+            raise DomainError("recurrence horizon ex must be finite and >= 1, got %g"
+                              % self.ex)
 
 
 def sfl_r(query, ex=None):

@@ -3,13 +3,12 @@
 The exact side evaluates binomial tails directly; the Monte Carlo side
 simulates whole lots of Bernoulli outcomes from a counter-based generator
 (Philox), so per-rep draws occupy fixed positions in the key stream and the
-result is bit-identical however the work is chunked.
+result is bit-identical however the work is chunked.  numpy is imported
+only when a simulation runs.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .stat_kernels import binom_cdf
@@ -99,6 +98,10 @@ def monte_carlo_accept(plan, p_true, reps, seed):
     n, c = plan.n, plan.c
     if n < 1:
         raise DomainError("n must be >= 1, got %r" % (n,))
+    if n > 2**63 - 1:  # a numpy array dimension is an int64
+        raise DomainError("n must be <= 2**63 - 1, got %r" % (n,))
+    import numpy as np
+
     gen = np.random.Generator(np.random.Philox(key=seed))
     rows_per_chunk = max(1, _CHUNK_DRAWS // n)
     accepted = 0

@@ -2,16 +2,21 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dhtplan.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
@@ -144,6 +149,14 @@ class TestSmallCommands:
                             "--texec", "0.2", "--prec", "5e-4"])
         assert code == 2
 
+    def test_select_clamp_is_one_line(self):
+        code, out, err = run(["select", "--step", "0.001", "--th", "0.05",
+                              "--texec", "20", "--prec", "5e-4"])
+        assert code == 0
+        assert "label=Poiss" in out
+        assert err == "warning: t_exec=20 outside universe [0, 12]; clamped\n"
+        assert ".py:" not in err
+
     def test_select_config_file(self, tmp_path):
         from dhtplan import FuzzyRuleBase
         path = tmp_path / "cfg.json"
@@ -239,6 +252,28 @@ class TestErrorBoundary:
                                     "--p", "0.1"], exit_code=2)
         assert "n must be >= 1" in err
 
+    def test_simulate_trials_beyond_int64(self):
+        err = self._one_line_error(["simulate", "--n", "100000000000000000000",
+                                    "--c", "3", "--p", "0.1"], exit_code=2)
+        assert "2**63 - 1" in err
+
+    def test_table_step_nan(self):
+        err = self._one_line_error(["table", "--step", "nan"])
+        assert "--step" in err and "nan" in err
+
+    @pytest.mark.parametrize("p,ex,message", [
+        ("0.1", "nan", "ex must be finite and >= 1, got nan"),
+        ("0.1", "inf", "ex must be finite and >= 1, got inf"),
+        ("nan", "1e6", "must be in (0, 1), got nan")])
+    def test_sfl_flag_not_finite(self, p, ex, message):
+        err = self._one_line_error(["sfl", "--p", p, "--ex", ex], exit_code=2)
+        assert message in err
+
+    def test_table_ex_nan(self):
+        err = self._one_line_error(["table", "--step", "0.01", "--ex", "nan"],
+                                   exit_code=2)
+        assert "ex" in err and "nan" in err
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_plan_epsilon_not_finite(self, eps):
         err = self._one_line_error(["plan", "--method", "bin", "--p0", "0.02",
@@ -297,3 +332,35 @@ class TestErrorBoundary:
         labs[label] = labs[label][:3]
         err = self._bad_fuzzy_config(tmp_path, cfg)
         assert "memberships.%s.%s" % (var, label) in err and "4" in err
+
+
+class TestLeanImport:
+    """Only Monte Carlo needs numpy; every other path runs without it."""
+
+    def test_numpy_loaded_only_by_simulate(self, tmp_path):
+        stream = tmp_path / "stream.txt"
+        stream.write_text("0\n" * 250)
+        script = """
+import io, sys
+import dhtplan
+from dhtplan.cli import main
+assert "numpy" not in sys.modules, "import dhtplan"
+for argv in (["plan", "--method", "bin", "--p0", "0.02", "--p1", "0.05"],
+             ["table", "--step", "0.03"],
+             ["inspect", "--levels", "0,0.03,0.06", "--input", sys.argv[1]],
+             ["sfl", "--p", "0.02"],
+             ["select", "--step", "0.001", "--th", "0.05", "--texec", "3",
+              "--prec", "5e-4"],
+             ["oc", "--n", "383", "--c", "13"]):
+    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+assert main(["simulate", "--n", "383", "--c", "13", "--p", "0.02", "--reps", "1000"],
+            out=io.StringIO(), err=io.StringIO()) == 0
+assert "numpy" in sys.modules, "simulate"
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(stream)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

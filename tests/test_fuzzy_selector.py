@@ -112,6 +112,69 @@ class TestInfer:
                 reached = reached or label == "Norm_N"
 
 
+def numpy_scorer(base):
+    """The numpy aggregate (max of clipped output sets) and trapezoid-rule
+    centroid on linspace(0, 1, 1001), kept as the oracle for the list code:
+    a function from rule strengths to the score."""
+    grid = np.linspace(0.0, 1.0, 1001)
+    cfg = base.to_config()
+    out_mfs = {label: np.array([membership_degree(x, MembershipFunction(label, *pts))
+                                for x in grid])
+               for label, pts in cfg["outputs"].items()}
+    consequents = [rule["then"] for rule in cfg["rules"]]
+    w = np.ones_like(grid)
+    w[0] = w[-1] = 0.5
+
+    def score(strengths):
+        agg = np.zeros_like(grid)
+        for s, out in zip(strengths, consequents):
+            if s > 0.0:
+                np.maximum(agg, np.minimum(s, out_mfs[out]), out=agg)
+        mass = float(np.sum(w * agg))
+        if mass == 0.0:
+            raise NoRecommendationError("all rule strengths are zero")
+        return float(np.sum(w * agg * grid) / mass)
+    return score
+
+
+#: output sets that overlap their neighbours, so that several consequents
+#: share grid points
+OVERLAPPING_OUTPUTS = {
+    "Bin": (0.0, 0.15, 0.3, 0.5),
+    "Poiss": (0.2, 0.35, 0.45, 0.7),
+    "Norm_I": (0.4, 0.55, 0.6, 0.9),
+    "Norm_N": (0.5, 0.8, 1.0, 1.0),
+}
+
+
+class TestAggregateAgainstNumpy:
+    @pytest.mark.parametrize("outputs", [DEFAULT_OUTPUTS, OVERLAPPING_OUTPUTS],
+                             ids=["default", "overlapping"])
+    def test_scores_match_numpy_oracle(self, outputs):
+        base = FuzzyRuleBase(outputs=outputs)
+        numpy_score = numpy_scorer(base)
+        rng = np.random.Generator(np.random.Philox(key=2024))
+        raised = 0
+        for i in range(1500):
+            if i % 2:
+                strengths = base.rule_strengths(SelectorInput(
+                    *(rng.uniform(lo, hi) for lo, hi in UNIVERSES.values())))
+            else:
+                # each rule silent half the time, and at a strength tied with
+                # other rules a quarter of the time
+                strengths = [float(rng.choice([0.0, 0.0, 0.5, rng.uniform()]))
+                             for _ in range(8)]
+            try:
+                ref = numpy_score(strengths)
+            except NoRecommendationError:
+                raised += 1
+                with pytest.raises(NoRecommendationError):
+                    base.centroid(base.aggregate(strengths))
+                continue
+            assert base.centroid(base.aggregate(strengths)) == pytest.approx(ref, abs=1e-12)
+        assert 0 < raised < 1500
+
+
 class TestClassify:
     @pytest.mark.parametrize("score,label", [
         (0.12, "Bin"), (0.2, "Poiss"), (0.5, "Norm_I"), (0.85, "Norm_N"),

@@ -10,12 +10,13 @@ more than that.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhtplan._backend import pure
 
 stats = pytest.importorskip("scipy.stats")
+special = pytest.importorskip("scipy.special")
 
 REL = 1e-9
 FLOOR = 1e-250
@@ -44,11 +45,22 @@ def binomials(draw):
     return k, n, p
 
 
+def binom_reference(k, n, p):
+    """scipy's P(X <= k), or below FLOOR its log pmf summed in log space:
+    scipy's cdf can lose a value that small altogether (it reads 0.0 for
+    P(X <= 33) at n = 6406, p = 0.1047011080095176, which is 1.634e-250)."""
+    ref = float(stats.binom.cdf(k, n, p))
+    if ref < FLOOR:
+        ref = math.exp(special.logsumexp(stats.binom.logpmf(range(k + 1), n, p)))
+    return ref
+
+
 @given(binomials())
 @settings(max_examples=120, deadline=None)
+@example(case=(33, 6406, 0.1047011080095176))
 def test_binom_cdf(case):
     k, n, p = case
-    ref = float(stats.binom.cdf(k, n, p))
+    ref = binom_reference(k, n, p)
     assert abs(pure.binom_cdf(k, n, p) - ref) <= binom_tol(ref, n, p)
 
 

@@ -4,6 +4,7 @@ import math
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dhtplan import (Applicability, DomainError, SamplingPlan, TestSpec,
@@ -103,6 +104,16 @@ class TestMonteCarlo:
         assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
         monkeypatch.setattr(verification, "_CHUNK_DRAWS", 10**9)
         assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
+
+    def test_first_lots_are_a_shorter_run(self, monkeypatch):
+        # lot i is draws [i*n, (i+1)*n) of the seed's Philox stream, so a
+        # k-lot run sees the first k lots of a longer one
+        monkeypatch.setattr(verification, "_CHUNK_DRAWS", 1000 * 383)
+        u = np.random.Generator(np.random.Philox(key=3)).random((5000, 383))
+        fails = np.count_nonzero(u < 0.05, axis=1)
+        for reps in (100, 999, 1001, 5000):
+            rate, _ = monte_carlo_accept(_plan(383, 13), 0.05, reps, 3)
+            assert round(rate * reps) == np.count_nonzero(fails[:reps] <= 12)
 
     def test_agreement_with_exact(self):
         plan = _plan(383, 13)
