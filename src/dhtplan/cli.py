@@ -8,10 +8,12 @@ jsonl`` switch to machine formats.  Exit codes are a stable contract:
 3 reject verdict, 4 inconclusive.  Bad input (a value out of range, a
 missing or unreadable file, malformed JSON) ends with one ``error:`` line on
 stderr and exit 1, never a traceback.
+
+Each subcommand imports only the modules it runs, so a process pays for
+no solver, engine or selector it does not use.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,11 +22,6 @@ import warnings
 from contextlib import nullcontext
 
 from .errors import DhtError, DomainError, NoConvergenceError, NoRecommendationError
-from .fuzzy_selector import FuzzyRuleBase, SelectorInput, infer
-from .inspection_engine import ACCEPTED, REJECTED, build_ladder, run_stream
-from .plan_solvers import TestSpec, solve
-from .run_limits import SflQuery, mean_recurrence, sfl_r
-from .verification import accept_probability, monte_carlo_accept
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +30,9 @@ EXIT_REJECT = 3
 EXIT_INCONCLUSIVE = 4
 
 _METHOD_FLAGS = {"bin": "Bin", "poiss": "Poiss", "norm-n": "Norm_N", "norm-i": "Norm_I"}
+
+#: the most points an ``oc --grid`` may ask for
+_MAX_GRID_POINTS = 10**6
 
 
 def _fmt(v):
@@ -51,10 +51,13 @@ class _Emitter:
         self.schema = schema
         self.out = out
         self._csv_header_done = False
+        if fmt == "jsonl":
+            import json
+            self._dumps = json.dumps
 
     def record(self, fields):
         if self.fmt == "jsonl":
-            self.out.write(json.dumps(fields) + "\n")
+            self.out.write(self._dumps(fields) + "\n")
         elif self.fmt == "csv":
             if not self._csv_header_done:
                 self.out.write("# %s.v1\n" % self.schema)
@@ -67,6 +70,7 @@ class _Emitter:
 
 
 def _spec_from_args(args):
+    from .plan_solvers import TestSpec
     return TestSpec(p0=args.p0, p1=args.p1, alpha_tail=args.alpha,
                     beta_tail=args.beta, epsilon=args.eps, max_n=args.max_n,
                     paper_compat_z=(args.z_mode == "paper"))
@@ -75,6 +79,7 @@ def _spec_from_args(args):
 def _ladder_from_args(args, levels, err):
     """The ladder the table and inspect flags describe, or None after one
     error line when it cannot be built."""
+    from .inspection_engine import build_ladder
     try:
         return build_ladder(levels, alpha_tail=args.alpha, beta_tail=args.beta,
                             method=_METHOD_FLAGS[args.method], ex=args.ex,
@@ -103,6 +108,7 @@ def _plan_fields(plan):
 
 
 def cmd_plan(args, out, err):
+    from .plan_solvers import solve
     spec = _spec_from_args(args)
     try:
         plan = solve(spec, _METHOD_FLAGS[args.method])
@@ -152,6 +158,7 @@ def _read_outcomes(source):
 
 
 def cmd_inspect(args, out, err):
+    from .inspection_engine import ACCEPTED, REJECTED, run_stream
     try:
         levels = [float(x) for x in args.levels.split(",")]
     except ValueError:
@@ -188,6 +195,7 @@ def cmd_inspect(args, out, err):
 
 
 def cmd_sfl(args, out, err):
+    from .run_limits import SflQuery, mean_recurrence, sfl_r
     try:
         raw, r = sfl_r(SflQuery(p=args.p, ex=args.ex))
     except DomainError as exc:
@@ -200,6 +208,7 @@ def cmd_sfl(args, out, err):
 
 
 def cmd_select(args, out, err):
+    from .fuzzy_selector import FuzzyRuleBase, SelectorInput, infer
     base = FuzzyRuleBase() if args.fuzzy_config is None else \
         FuzzyRuleBase.load(args.fuzzy_config)
     inp = SelectorInput(step=args.step, t_h=args.th, t_exec=args.texec,
@@ -233,6 +242,10 @@ def _parse_grid(text):
         raise DomainError("grid must advance from start to stop")
     if start < 0 or stop > 1:
         raise DomainError("grid must lie within [0, 1]")
+    # count before building: a tiny step would otherwise grow the list unbounded
+    if (stop - start) / step >= _MAX_GRID_POINTS:
+        raise DomainError("grid step %g gives more than %d points"
+                          % (step, _MAX_GRID_POINTS))
     pts = []
     k = 0
     while True:
@@ -245,6 +258,7 @@ def _parse_grid(text):
 
 
 def cmd_oc(args, out, err):
+    from .verification import accept_probability
     grid = _parse_grid(args.grid)
     if args.c < 1 or args.c > args.n:
         err.write("error: need 1 <= c <= n\n")
@@ -257,6 +271,14 @@ def cmd_oc(args, out, err):
 
 
 def cmd_simulate(args, out, err):
+    from .verification import monte_carlo_accept
+    # n < 1 is left to monte_carlo_accept's DomainError (exit 2)
+    if args.n >= 1 and not 1 <= args.c <= args.n:
+        err.write("error: need 1 <= c <= n\n")
+        return EXIT_USAGE
+    if not 0 <= args.seed < 2**128:  # the Philox key is 128 bits
+        err.write("error: --seed must be in [0, 2**128), got %d\n" % args.seed)
+        return EXIT_USAGE
     plan = types.SimpleNamespace(n=args.n, c=args.c)
     try:
         rate, hw = monte_carlo_accept(plan, args.p, args.reps, args.seed)

@@ -13,7 +13,6 @@ documented reconstruction chosen to reproduce the intended band behavior,
 not ground truth.
 """
 
-import json
 import math
 import operator
 import warnings
@@ -209,6 +208,7 @@ class FuzzyRuleBase:
                           for ants, out in self._rules]}
 
     def save(self, path):
+        import json
         with open(path, "w") as fh:
             json.dump(self.to_config(), fh, indent=2)
 
@@ -216,6 +216,7 @@ class FuzzyRuleBase:
     def load(cls, path):
         """Read a rule base written by save; a malformed one raises DomainError
         naming the key or field at fault."""
+        import json
         with open(path) as fh:
             cfg = json.load(fh)
         memberships = {}
@@ -253,6 +254,7 @@ def _config_field(obj, where, key, kind):
 def _trapezoid(points, where):
     if not (isinstance(points, list) and len(points) == 4
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in points)):
+        import json
         raise DomainError("fuzzy config: trapezoid %s needs 4 numbers, got %s"
                           % (where, json.dumps(points)))
     return tuple(points)

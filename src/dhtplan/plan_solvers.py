@@ -73,6 +73,9 @@ class TestSpec:
     paper_compat_z: bool = True
 
     def __post_init__(self):
+        for name, rate in (("p0", self.p0), ("p1", self.p1)):
+            if not math.isfinite(rate):
+                raise DomainError("%s must be a finite rate, got %r" % (name, rate))
         if not (0.0 <= self.p0 < 0.5) or not (0.0 < self.p1 < 0.5):
             raise DomainError("rates must satisfy 0 <= p0 < 0.5 and 0 < p1 < 0.5")
         if self.p0 >= self.p1:

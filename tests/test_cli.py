@@ -14,6 +14,12 @@ from dhtplan.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
@@ -269,6 +275,38 @@ class TestErrorBoundary:
         err = self._one_line_error(["sfl", "--p", p, "--ex", ex], exit_code=2)
         assert message in err
 
+    def test_plan_rate_nan(self):
+        err = self._one_line_error(["plan", "--method", "bin", "--p0", "nan",
+                                    "--p1", "0.05"])
+        assert "p0 must be a finite rate, got nan" in err
+
+    def test_inspect_level_nan(self):
+        err = self._one_line_error(["inspect", "--levels", "0,nan"], exit_code=2)
+        assert "p1 must be a finite rate, got nan" in err
+
+    def test_oc_grid_too_fine_returns_at_once(self):
+        # the points are counted, not built: a 1e300-point grid must not hang
+        proc = subprocess.run(
+            [sys.executable, "-m", "dhtplan.cli", "oc", "--n", "10", "--c", "2",
+             "--grid", "0:1:1e-300"],
+            env=_env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: grid step 1e-300 gives more than "
+                               "1000000 points\n")
+
+    @pytest.mark.parametrize("c", ["0", "384"])
+    def test_simulate_c_outside_one_to_n(self, c):
+        err = self._one_line_error(["simulate", "--n", "383", "--c", c,
+                                    "--p", "0.02", "--reps", "1000"])
+        assert "need 1 <= c <= n" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_simulate_seed_outside_philox_key(self, seed):
+        err = self._one_line_error(["simulate", "--n", "383", "--c", "13",
+                                    "--p", "0.02", "--reps", "1000",
+                                    "--seed", seed])
+        assert "--seed must be in [0, 2**128), got " + seed in err
+
     def test_table_ex_nan(self):
         err = self._one_line_error(["table", "--step", "0.01", "--ex", "nan"],
                                    exit_code=2)
@@ -358,9 +396,47 @@ assert main(["simulate", "--n", "383", "--c", "13", "--p", "0.02", "--reps", "10
             out=io.StringIO(), err=io.StringIO()) == 0
 assert "numpy" in sys.modules, "simulate"
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script, str(stream)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_env_with_src(), capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    ALWAYS = {"dhtplan", "dhtplan.cli", "dhtplan.errors"}
+    KERNELS = {"dhtplan.stat_kernels", "dhtplan._backend", "dhtplan._backend.pure"}
+    ENGINE = {"dhtplan.inspection_engine", "dhtplan.plan_solvers",
+              "dhtplan.run_limits"} | KERNELS
+
+    @pytest.mark.parametrize("argv,expected", [
+        (None, {"dhtplan"}),
+        (["sfl", "--p", "0.02"], ALWAYS | {"dhtplan.run_limits"}),
+        (["plan", "--method", "bin", "--p0", "0.02", "--p1", "0.05"],
+         ALWAYS | {"dhtplan.plan_solvers"} | KERNELS),
+        (["oc", "--n", "383", "--c", "13"], ALWAYS | {"dhtplan.verification"} | KERNELS),
+        (["select", "--step", "0.001", "--th", "0.05", "--texec", "3", "--prec", "5e-4"],
+         ALWAYS | {"dhtplan.fuzzy_selector"}),
+        (["table", "--step", "0.03"], ALWAYS | ENGINE),
+        (["inspect", "--levels", "0,0.03,0.06", "--input", "STREAM"], ALWAYS | ENGINE),
+        (["simulate", "--n", "383", "--c", "13", "--p", "0.02", "--reps", "1000"],
+         ALWAYS | {"dhtplan.verification", "numpy"} | KERNELS),
+    ], ids=["import", "sfl", "plan", "oc", "select", "table", "inspect", "simulate"])
+    def test_each_subcommand_loads_only_its_modules(self, tmp_path, argv, expected):
+        stream = tmp_path / "stream.txt"
+        stream.write_text("0\n" * 250)
+        script = """
+import io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import dhtplan
+else:
+    from dhtplan.cli import main
+    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy" or m.split(".")[0] == "dhtplan")))
+"""
+        if argv is not None:
+            argv = [str(stream) if a == "STREAM" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              env=_env_with_src(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) == expected
