@@ -3,23 +3,50 @@
 These are the hot inner loops of the package: discrete CDF term sums,
 single-pass quantile scans, and the plan-search loops, which follow their
 quantiles across n with certified incremental walkers.
+
+Each discrete CDF is one term recurrence with Kahan summation.  Where its
+leading term, q**n or exp(-lam), lies below the normal range, the sum starts
+instead from that term scaled by a power of two, m = q**n * 2**-e with m in
+(1/2, 1], and shrinks by an exact 2**-512 whenever it passes 2**512; the
+total is scaled back by ldexp at the end.  A subnormal leading term would
+carry its rounding into every later term.
 """
 
 import math
 from itertools import chain, count, islice, repeat
-from math import exp, lgamma, log1p
+from math import exp, ldexp, lgamma, log, log1p
 
 from ..errors import SolverError
 
 _NORMAL = 2.0 ** -1022     # smallest normal double
+_LN2 = math.log(2.0)
+_BIG = 2.0 ** 512          # a scaled sum shrinks by _SHRINK once it passes this
+_SHRINK = 2.0 ** -512
+# binom_cdf returns 0.0 once its Chernoff bound is below 2**-1076, half of
+# the 2**-1075 below which ldexp rounds the scaled sum to zero
+_UNDERFLOW = 1076.0 * _LN2
+
+
+def _scaled_lead(x):
+    """(m, e) with m * 2**e = exp(x), m in (1/2, 1], for x below -708.
+
+    x - e log 2 is exact (Sterbenz), so m * 2**e is off from exp(x) by the
+    rounding of e log 2 and of exp: about 2u |x| + 2u relative, u the unit
+    roundoff.
+    """
+    e = int(x / _LN2)
+    return exp(x - e * _LN2), e
 
 
 def binom_cdf(c, n, p):
     """P(X <= c) for X ~ Binomial(n, p).
 
-    Term recurrence in linear space with Kahan summation; switches to
-    log-space terms when the leading term q**n leaves the normal range,
-    where a subnormal q**n would carry its rounding into every term.
+    Term recurrence in linear space with Kahan summation.  Where the
+    leading term q**n leaves the normal range the sum runs from it scaled by
+    a power of two.  There, for c < n p, a Chernoff bound below 2**-1076
+    returns 0.0 at once: the full sum, within a factor 2 of the tail it
+    approximates, would round to 0.0 as well, so the result equals the
+    k = c value of _binom_partials bit for bit either way.
     """
     if c < 0:
         return 0.0
@@ -45,25 +72,43 @@ def binom_cdf(c, n, p):
         if total > 1.0:
             total = 1.0
         return total
-    # log-space: term_k = exp(lchoose(n,k) + k log p + (n-k) log q)
-    lp = math.log(p)
-    lq = math.log(q)
-    lgn = lgamma(n + 1.0)
-    lsum = -math.inf
-    for k in range(c + 1):
-        lt = lgn - lgamma(k + 1.0) - lgamma(n - k + 1.0) + k * lp + (n - k) * lq
-        if lt > lsum:
-            lsum, lt = lt, lsum
-        if lt != -math.inf:
-            lsum += math.log1p(math.exp(lt - lsum))
-    total = math.exp(lsum)
+    x = n * log(q)
+    # P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))) for c < np,
+    # with this q = fl(1 - p) as well.  The margin covers the bound's own
+    # rounding, about 2u n + 4u (|a| + |b|).  With n log(1/q) < 2**48 the
+    # sum is off by less than 1/4 of itself: m by 4u n log(1/q), the terms
+    # up to c < np by 4u c more.
+    if 0 < c < n * p and x > -2.0 ** 48:
+        a = c * log(c / (n * p))
+        b = (n - c) * log((n - c) / (n * q))
+        if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
+            return 0.0
+    term, e = _scaled_lead(x)
+    total = term
+    comp = 0.0
+    ratio = p / q
+    for k in range(c):
+        term = term * ((n - k) / (k + 1.0)) * ratio
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+    total = ldexp(total, e)
     if total > 1.0:
         total = 1.0
     return total
 
 
 def poisson_cdf(c, lam):
-    """P(X <= c) for X ~ Poisson(lam), stable term recurrence."""
+    """P(X <= c) for X ~ Poisson(lam), stable term recurrence.
+
+    Past lam = 700 the sum runs from exp(-lam) scaled by a power of two.
+    """
     if c < 0:
         return 0.0
     if lam <= 0.0:
@@ -81,15 +126,21 @@ def poisson_cdf(c, lam):
         if total > 1.0:
             total = 1.0
         return total
-    llam = math.log(lam)
-    lsum = -math.inf
-    for k in range(c + 1):
-        lt = -lam + k * llam - lgamma(k + 1.0)
-        if lt > lsum:
-            lsum, lt = lt, lsum
-        if lt != -math.inf:
-            lsum += math.log1p(math.exp(lt - lsum))
-    total = math.exp(lsum)
+    term, e = _scaled_lead(-lam)
+    total = term
+    comp = 0.0
+    for k in range(c):
+        term = term * (lam / (k + 1.0))
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+    total = ldexp(total, e)
     if total > 1.0:
         total = 1.0
     return total
@@ -120,18 +171,25 @@ def _binom_partials(n, p):
             total = s
             yield 1.0 if total > 1.0 else total
         return
-    lp = math.log(p)
-    lq = math.log(q)
-    lgn = lgamma(n + 1.0)
-    lsum = -math.inf
-    for k in range(n):
-        lt = lgn - lgamma(k + 1.0) - lgamma(n - k + 1.0) + k * lp + (n - k) * lq
-        if lt > lsum:
-            lsum, lt = lt, lsum
-        if lt != -math.inf:
-            lsum += math.log1p(math.exp(lt - lsum))
-        total = math.exp(lsum)
-        yield 1.0 if total > 1.0 else total
+    term, e = _scaled_lead(n * log(q))
+    total = term
+    comp = 0.0
+    ratio = p / q
+    cdf = ldexp(total, e)
+    yield 1.0 if cdf > 1.0 else cdf
+    for k in range(n - 1):
+        term = term * ((n - k) / (k + 1.0)) * ratio
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+        cdf = ldexp(total, e)
+        yield 1.0 if cdf > 1.0 else cdf
 
 
 def _poisson_partials(lam):
@@ -154,16 +212,24 @@ def _poisson_partials(lam):
             comp = (s - total) - y
             total = s
             yield 1.0 if total > 1.0 else total
-    llam = math.log(lam)
-    lsum = -math.inf
+    term, e = _scaled_lead(-lam)
+    total = term
+    comp = 0.0
+    cdf = ldexp(total, e)
+    yield 1.0 if cdf > 1.0 else cdf
     for k in count():
-        lt = -lam + k * llam - lgamma(k + 1.0)
-        if lt > lsum:
-            lsum, lt = lt, lsum
-        if lt != -math.inf:
-            lsum += math.log1p(math.exp(lt - lsum))
-        total = math.exp(lsum)
-        yield 1.0 if total > 1.0 else total
+        term = term * (lam / (k + 1.0))
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+        cdf = ldexp(total, e)
+        yield 1.0 if cdf > 1.0 else cdf
 
 
 def binom_quantile_ge(n, p, target):
@@ -330,13 +396,11 @@ class _Walk:
 
         P(X <= k) falls as n grows, by a factor exp(-x) at most over steps(x)
         trials; P(X <= k - 1) only falls.  Both are compared with the kernel's
-        error bound at the last count of the range, where it is largest.
+        error bound at the last trial count of the range: it grows with n, so
+        it is largest there.
         """
-        end = min(self.n + limit, self.linear_end)
-        if end <= self.n:
-            return 0
         k = self.k
-        ka, kb = self.linear_bound(end)
+        ka, kb = self.linear_bound(self.n + limit)
         if left and k:
             pmf = self.pmf
             low = self.cdf - pmf
@@ -346,7 +410,7 @@ class _Walk:
         floor = (self.cdf - self.cdf_err) * (1.0 - ka - kb * k) * (1.0 - 2.0 ** -40)
         if not floor > target:
             return 0
-        return min(end - self.n, self.steps(math.log(floor / target)))
+        return min(limit, self.steps(math.log(floor / target)))
 
 
 class _BinomWalk(_Walk):
@@ -356,18 +420,15 @@ class _BinomWalk(_Walk):
     k -> k+1:  P(X = k+1) = P(X = k) (n-k)/(k+1) p/q;  P(X <= k+1) += it
     """
 
-    __slots__ = ("q", "ratio", "lp", "lq", "n_edge", "linear_end")
+    __slots__ = ("q", "ratio", "lq", "ka_n")
 
     def __init__(self, p):
         super().__init__(p)
         q = self.q = 1.0 - p
         self.ratio = p / q
-        self.lp = -math.log(p)
         self.lq = lq = -math.log(q)
+        self.ka_n = 1.0 + 5.0 * lq
         self.ka, self.kb = self.linear_bound(0)
-        # binom_cdf's leading term q**n is normal, so linear, below n_edge
-        self.n_edge = 693.1 / lq if lq > 0.0 else math.inf
-        self.linear_end = math.ceil(self.n_edge) - 1 if lq > 0.0 else _NO_CAP
 
     def move(self, n):
         m = self.n
@@ -375,7 +436,7 @@ class _BinomWalk(_Walk):
             return
         if n - m > self.k + _JUMP:
             self.n = n
-            self._kernel_bound()
+            self.ka = (n * self.ka_n + 6) * _U
             self.reseed(self.k)
             return
         k, cdf, pmf, err, rel = self.k, self.cdf, self.pmf, self.cdf_err, self.pmf_rel
@@ -390,26 +451,14 @@ class _BinomWalk(_Walk):
         if pmf < _MIN_PMF:
             err = math.inf  # a subnormal pmf lost its relative error bound
         self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel = n, cdf, pmf, err, rel
-        if n < self.n_edge:
-            self.ka = (n + 6) * _U  # linear_bound(n), inline on the hot path
-        else:
-            self._kernel_bound()
+        self.ka = (n * self.ka_n + 6) * _U  # linear_bound(n), inline on the hot path
 
     def linear_bound(self, n):
-        # linear branch: term j is off by (n + 2 + 5j) u, the sum by 2u more
-        return (n + 6) * _U, 5 * _U
-
-    def _kernel_bound(self):
-        n = self.n
-        if n < self.n_edge or pow(self.q, float(n)) >= _NORMAL:
-            # the same test binom_cdf makes on its leading term
-            self.ka, self.kb = self.linear_bound(n)
-        else:
-            # log branch: lgamma and the log terms are off by a few u of their
-            # magnitude, and each log-sum-exp step by u |log partial sum|
-            nlq = n * self.lq
-            self.ka = _U * (16.0 * lgamma(n + 1.0) + 17.0 * n + 8.0 * nlq + 36.0)
-            self.kb = _U * (7.0 * self.lp + nlq + 6.0)
+        # term j is off by (n + 2 + 5j) u, n u of it from rounding q; a scaled
+        # leading term m adds 5 n log(1/q) u (log q, n log q and e log 2 each
+        # off by up to 2u of n log(1/q)); the sum by 2u more.  A subnormal
+        # result carries up to 2**-1075 more, absolute, from ldexp.
+        return (n * self.ka_n + 6) * _U, 5 * _U
 
     def steps(self, x):
         # (1 - p)**h >= exp(-x)
@@ -484,14 +533,13 @@ class _PoissonWalk(_Walk):
     k -> k+1:  P(X = k+1) = P(X = k) lam / (k+1);  P(X <= k+1) += it
     """
 
-    __slots__ = ("lam", "tails", "linear_end")
+    __slots__ = ("lam", "tails")
 
     def __init__(self, p):
         super().__init__(p)
         self.lam = 0.0
         self.tails = {}
         self.ka, self.kb = self.linear_bound(0)
-        self.linear_end = int(700.0 / p) - 1
 
     def move(self, n):
         m = self.n
@@ -499,7 +547,7 @@ class _PoissonWalk(_Walk):
             return
         if n - m > self.k + _JUMP:
             self.n, self.lam = n, n * self.p
-            self._kernel_bound()
+            self.ka = (3.0 * self.lam + 7) * _U
             self.reseed(self.k)
             return
         k, cdf, pmf, err, rel, lam = (self.k, self.cdf, self.pmf, self.cdf_err,
@@ -537,22 +585,14 @@ class _PoissonWalk(_Walk):
             err = math.inf  # a subnormal pmf lost its relative error bound
         self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel, self.lam = (
             n, cdf, pmf, err, rel, lam)
-        if lam > 700.0:
-            self._kernel_bound()
+        self.ka = (3.0 * lam + 7) * _U  # linear_bound(n), inline on the hot path
 
     def linear_bound(self, n):
-        # linear branch: term j is off by (2 + 2j) u, the Kahan sum by 2u more
-        return 7 * _U, 2 * _U
-
-    def _kernel_bound(self):
-        lam = self.lam
-        if lam <= 700.0:
-            self.ka, self.kb = self.linear_bound(self.n)
-        else:
-            # log branch, as for Bin; lgamma(k + 1) <= k log(cap + 3)
-            self.ka = _U * (3.0 * lam + 27.0)
-            self.kb = _U * (5.0 * math.log(lam) + 7.0 * math.log(poisson_cap(lam) + 3.0)
-                            + lam + 16.0)
+        # term j is off by (2 + 2j) u; a scaled leading term m adds 2 lam u
+        # (e log 2 is off by up to 2u of lam), with room for n p rounding to
+        # lam; the Kahan sum by 2u more.  A subnormal result carries up to
+        # 2**-1075 more, absolute, from ldexp.
+        return (3.0 * n * self.p + 7) * _U, 2 * _U
 
     def steps(self, x):
         # exp(-(fl((n + h) p) - fl(n p))) >= exp(-x)

@@ -28,20 +28,47 @@ def _tail_value(tail):
     return tail.value if isinstance(tail, TailMass) else TailMass(float(tail)).value
 
 
+#: Largest trial count and mean: past 2**53 a double no longer holds every
+#: integer, and the kernels' term recurrences step through counts as doubles.
+_MAX_COUNT = 2 ** 53
+
+
+def _whole(value, name):
+    """value as an int; DomainError unless it is a finite whole number."""
+    if not (-math.inf < value < math.inf and value == int(value)):
+        raise DomainError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
 def binom_cdf(c, n, p):
-    """P(X <= c) for X ~ Binomial(n, p), exact term summation."""
+    """P(X <= c) for X ~ Binomial(n, p), exact term summation.
+
+    c and n are whole numbers, integral floats such as 10.0 included; a
+    negative count c gives 0.0.
+    """
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must be in [0, 1], got %r" % (p,))
+    if type(n) is not int:
+        n = _whole(n, "trial count n")
+    if not 0 <= n <= _MAX_COUNT:
+        raise DomainError("trial count n must be in [0, 2**53], got %r" % (n,))
+    if type(c) is not int:
+        c = _whole(c, "count c")
     if c > n:
-        raise DomainError("count %r exceeds trial count %r" % (c, n))
-    return _backend.binom_cdf(int(c), int(n), float(p))
+        raise DomainError("count c = %r exceeds trial count n = %r" % (c, n))
+    return _backend.binom_cdf(c, n, float(p))
 
 
 def poisson_cdf(c, lam):
-    """P(X <= c) for X ~ Poisson(lam), stable recurrence."""
-    if lam < 0.0:
-        raise DomainError("lambda must be >= 0, got %r" % (lam,))
-    return _backend.poisson_cdf(int(c), float(lam))
+    """P(X <= c) for X ~ Poisson(lam), stable recurrence.
+
+    c is a whole number; a negative count gives 0.0.
+    """
+    if not (0.0 <= lam <= _MAX_COUNT):
+        raise DomainError("lambda must be in [0, 2**53], got %r" % (lam,))
+    if type(c) is not int:
+        c = _whole(c, "count c")
+    return _backend.poisson_cdf(c, float(lam))
 
 
 def normal_cdf(x):

@@ -243,6 +243,13 @@ class TestErrorBoundary:
                                     "--grid", "nan:1:0.1"])
         assert "finite" in err
 
+    def test_oc_trials_beyond_2_53(self):
+        # float(10**400) overflows; the kernel's domain check must come first
+        for n in ("100000000000000000000", "1" + "0" * 400):
+            err = self._one_line_error(["oc", "--n", n, "--c", "5",
+                                        "--grid", "0:1:0.5"])
+            assert "trial count n" in err
+
     def test_table_rows_below_one(self):
         err = self._one_line_error(["table", "--step", "0.01", "--rows", "-1"])
         assert "--rows" in err

@@ -2,9 +2,10 @@
 
 The certified scans fall back to these kernels, so they are held to the
 bound the benchmark uses: 1e-9 relative wherever scipy reads at least
-1e-250, and 1e-250 absolute below that.  The binomial kernel sums in log
-space wherever its leading term q**n would be subnormal, so no point gets
-more than that.
+1e-250, and 1e-250 absolute below that.  Wherever its leading term q**n, or
+exp(-lam), would be subnormal, a kernel sums from that term scaled by a
+power of two, and the binomial kernel returns 0.0 at once for a tail whose
+Chernoff bound is below 2**-1076; so no point gets more than that bound.
 """
 
 import math
@@ -32,10 +33,10 @@ def poisson_tol(ref):
 
 @st.composite
 def binomials(draw):
-    """(k, n, p) with n <= 20000 and p in [1e-6, 0.5], often on the log branch."""
+    """(k, n, p) with n <= 20000 and p in [1e-6, 0.5], often with q**n subnormal."""
     p = 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
     lq = -math.log1p(-p)
-    # binom_cdf leaves its linear branch once q**n < 2**-1022, n > 708.4 / -log q
+    # binom_cdf scales its leading term once q**n < 2**-1022, n > 708.4 / -log q
     first_log = math.ceil(1022 * math.log(2.0) / lq)
     if first_log <= 20000 and draw(st.booleans()):
         n = draw(st.integers(first_log, 20000))
@@ -65,7 +66,8 @@ def test_binom_cdf(case):
 
 
 def test_binom_cdf_log_branch_is_drawn():
-    # 0.5**20000 underflows, so the branch is reachable within the drawn range
+    # 0.5**20000 underflows, so the scaled branch is reachable within the
+    # drawn range
     assert pow(0.5, 20000.0) == 0.0
     ref = float(stats.binom.cdf(9900, 20000, 0.5))
     assert abs(pure.binom_cdf(9900, 20000, 0.5) - ref) <= binom_tol(ref, 20000, 0.5)
@@ -84,7 +86,7 @@ def test_binom_cdf_subnormal_leading_term():
 
 @st.composite
 def poissons(draw):
-    """(k, lam) with lam up to 3000, past the log-space switch at 700."""
+    """(k, lam) with lam up to 3000, past the switch to a scaled exp(-lam) at 700."""
     lam = draw(st.one_of(st.floats(1e-6, 700.0), st.floats(700.0, 3000.0)))
     k = draw(st.integers(0, int(lam + 12.0 * math.sqrt(lam) + 12.0)))
     return k, lam

@@ -5,6 +5,7 @@ operations as binom_cdf/poisson_cdf, so every comparison here demands exact
 equality with a scan that calls the CDF afresh at every count.
 """
 
+import math
 from itertools import islice
 
 import pytest
@@ -63,7 +64,7 @@ LARGE_TARGETS = (0.025, 0.975)
 BINOM_CASES = [
     (1, 0.5), (2, 0.5), (375, 0.02), (383, 0.05), (7360, 0.015), (550, 0.02),
     (10, 0.0), (10, 1.0), (10, 0.9), (200, 0.001), (82, 0.3),
-    (400, 0.95), (1100, 0.5),  # log branch: 0.05**400 and 0.5**1100 underflow
+    (400, 0.95), (1100, 0.5),  # scaled branch: 0.05**400 and 0.5**1100 underflow
 ]
 
 POISSON_CASES = [1.0, 7.5, 0.0, 38.78, 0.02, 30.0, 700.5, 800.0]
@@ -100,8 +101,63 @@ def test_poisson_quantiles_match_scan(lam):
 
 
 def test_log_branch_is_exercised():
+    """The scaled branch, which replaced the log-space sums, serves these quantiles."""
     assert pow(1.0 - 0.95, 400.0) == 0.0 and pow(0.5, 1100.0) == 0.0
     assert pure.binom_quantile_ge(400, 0.95, 0.5) == 380
+
+
+def nth_partial(partials, k):
+    return next(islice(partials, k, None))
+
+
+@st.composite
+def scaled_binomials(draw):
+    """(k, n, p) with n <= 20000 whose leading term q**n lies below 2**-1022."""
+    p = draw(st.floats(0.036, 1.0, exclude_max=True))
+    # the first n with q**n subnormal or zero, about 708.4 / -log q
+    first = math.floor(1022 * math.log(2.0) / -math.log(1.0 - p))
+    while pow(1.0 - p, float(first)) >= 2.0 ** -1022:
+        first += 1
+    n = draw(st.integers(first, 20000))
+    return draw(st.integers(0, n - 1)), n, p
+
+
+@given(scaled_binomials())
+@settings(max_examples=100, deadline=None)
+def test_scaled_binom_cdf_is_its_partial_sum(case):
+    # binom_cdf's underflow exit too must give the value the full sum gives
+    k, n, p = case
+    assert pure.binom_cdf(k, n, p) == nth_partial(pure._binom_partials(n, p), k)
+
+
+@given(st.floats(700.0, 3000.0, exclude_min=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaled_poisson_cdf_is_its_partial_sum(lam, data):
+    k = data.draw(st.integers(0, pure.poisson_cap(lam)))
+    assert pure.poisson_cdf(k, lam) == nth_partial(pure._poisson_partials(lam), k)
+
+
+def test_scaled_sum_shrinks_many_times():
+    # 0.5**20000 = 2**-20000 and P(X <= 9900) is about 0.079, so the sum runs
+    # from m = 1 up through 2**19996 and shrinks by 2**-512 more than 30 times;
+    # exp(-3000) is about 2**-4328
+    value = pure.binom_cdf(9900, 20000, 0.5)
+    assert math.log2(value) + 20000 > 30 * 512
+    assert value == nth_partial(pure._binom_partials(20000, 0.5), 9900)
+    value = pure.poisson_cdf(3000, 3000.0)
+    assert math.log2(value) + 4328 > 8 * 512
+    assert value == nth_partial(pure._poisson_partials(3000.0), 3000)
+
+
+def test_underflow_exit(monkeypatch):
+    # P(X <= 127) at n = 7360, p = 0.5 is about 2**-6070: the Chernoff bound
+    # returns 0.0 before the leading term is formed, and the full sum rounds
+    # to 0.0 as well
+    assert nth_partial(pure._binom_partials(7360, 0.5), 127) == 0.0
+    leads = []
+    monkeypatch.setattr(pure, "_scaled_lead", lambda x: leads.append(x))
+    assert pure.binom_cdf(127, 7360, 0.5) == 0.0
+    assert leads == []
 
 
 def test_poisson_cap_bounds_both_quantiles():

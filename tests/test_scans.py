@@ -89,8 +89,8 @@ def test_scan_matches_reference(method, p0, p1):
 
 def test_bin_scan_across_the_log_branch():
     # 0.67**n leaves the normal range at n = 1769 and 0.7**n at n = 1987, and
-    # the kernel leaves its linear branch there on both sides; a per-n scipy
-    # scan gives the same (n, L1, l1)
+    # the kernel sums from a scaled leading term past there on both sides; a
+    # per-n scipy scan gives the same (n, L1, l1)
     assert pow(0.67, 1769.0) < 2.0 ** -1022 <= pow(0.67, 1768.0)
     assert pow(0.7, 1987.0) < 2.0 ** -1022 <= pow(0.7, 1986.0)
     assert assert_same_scan(*scan_args("Bin", 0.3, 0.33)) == (True, 3273, 1034, 1028)
@@ -241,20 +241,30 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     assert calls["exact"] <= 4
 
 
-# (k, n, p) with q**n normal (linear branch of binom_cdf), subnormal and
-# underflowed (log branch)
+# (k, n, p) with q**n normal, subnormal and underflowed, the last two summed
+# from a scaled leading term; the last three shrink that sum by 2**-512 16,
+# 39 and 51 times on the way to k
 BINOM_POINTS = [(60, 2641, 0.02), (323, 5790, 0.06), (0, 313, 0.02), (1, 12590, 0.0005),
                 (560, 1800, 0.3), (120, 1830, 0.0625), (9, 21000, 0.0004),
                 (100, 2000, 0.3), (590, 2000, 0.3), (661, 2075, 0.3),
-                (640, 2000, 0.33), (646, 2086, 0.33), (1500, 3000, 0.5)]
-# (k, n, p): Poisson(n p) on both sides of the log-space switch at 700
+                (640, 2000, 0.33), (646, 2086, 0.33), (1500, 3000, 0.5),
+                (1905, 2000, 0.95), (9900, 20000, 0.5), (12050, 20000, 0.6)]
+# (k, n, p): Poisson(n p) on both sides of the switch to a scaled exp(-lam)
+# at 700; the last two shrink the sum 8 and 11 times
 POISSON_POINTS = [(0, 1, 0.02), (95, 767, 0.1), (388, 7004, 0.05), (600, 1399, 0.5),
-                  (874, 1943, 0.45), (1300, 2800, 0.5), (2100, 4000, 0.5)]
+                  (874, 1943, 0.45), (1300, 2800, 0.5), (2100, 4000, 0.5),
+                  (3000, 6000, 0.5), (4050, 8000, 0.5)]
 
 
 def test_kernel_error_bound():
     """The exact kernels' own error bounds, as a walker at n holds them,
-    against 50-digit sums."""
+    against 50-digit sums.
+
+    The bound is relative.  A result below 2**-1022 carries up to 2**-1075
+    more, absolute, from the final ldexp; no point here is that small, and
+    the walkers never rely on it: their targets lie far above 2**-1022, and
+    a running pmf below 2**-960 hands every decision to the exact kernel.
+    """
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     for k, n, p in BINOM_POINTS:

@@ -54,16 +54,39 @@ class TestBinomCdf:
         assert binom_cdf(10, 10, 1.0) == 1.0
 
     def test_log_space_branch(self):
-        # leading term q**n underflows; compare against the exact sum
-        exact = float(binom_cdf_exact(40, 3000, Fraction(1, 2)))
-        got = binom_cdf(40, 3000, 0.5)
-        assert got == pytest.approx(exact, rel=1e-9)
+        """Leading term q**n = 2**-3000 underflows, so the kernel sums from it
+        scaled by 2**3000, in place of the log-space terms it once used.
+
+        P(X <= 1400) is about 2**-12: that sum shrinks by 2**-512 five times.
+        P(X <= 40) is below 2**-2700, so the Chernoff exit returns 0.0, the
+        double nearest the exact sum.
+        """
+        for c in (1400, 40):
+            exact = float(binom_cdf_exact(c, 3000, Fraction(1, 2)))
+            got = binom_cdf(c, 3000, 0.5)
+            assert got == pytest.approx(exact, rel=1e-9)
+        assert got == exact == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             binom_cdf(11, 10, 0.5)
         with pytest.raises(DomainError):
             binom_cdf(1, 10, 1.5)
+        # each names the argument at fault
+        for args, name in [((3, math.inf, 0.5), "trial count n"),
+                           ((3, math.nan, 0.5), "trial count n"),
+                           ((3, 10.5, 0.5), "trial count n"),
+                           ((-3, -1, 0.5), "trial count n"),
+                           ((3, 2**53 + 1, 0.5), "trial count n"),
+                           ((2.7, 10, 0.5), "count c"),
+                           ((math.nan, 10, 0.5), "count c"),
+                           ((-math.inf, 10, 0.5), "count c"),
+                           ((1, 10, math.nan), "p must")]:
+            with pytest.raises(DomainError, match=name):
+                binom_cdf(*args)
+        # integral floats and negative counts are in the domain
+        assert binom_cdf(3.0, 10.0, 0.5) == binom_cdf(3, 10, 0.5) == 0.171875
+        assert binom_cdf(-3, 10, 0.5) == 0.0
 
     @given(st.integers(1, 10), st.floats(0.01, 0.99))
     @settings(max_examples=40)
@@ -101,12 +124,21 @@ class TestPoissonCdf:
         assert poisson_cdf(3, 7.5) == pytest.approx(0.0591, abs=5e-5)
 
     def test_large_lambda_log_branch(self):
+        """exp(-800) is below 2**-1022, so the sum runs from it scaled by a
+        power of two, in place of the log-space terms it once used."""
         got = poisson_cdf(700, 800.0)
         assert got == pytest.approx(poisson_cdf_decimal(700, 800.0), rel=1e-9)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
             poisson_cdf(1, -0.5)
+        for lam in (math.nan, math.inf, 2.0**60):
+            with pytest.raises(DomainError, match="lambda"):
+                poisson_cdf(3, lam)
+        for c in (2.7, math.nan):
+            with pytest.raises(DomainError, match="count c"):
+                poisson_cdf(c, 3.0)
+        assert poisson_cdf(3.0, 3.0) == poisson_cdf(3, 3.0)
 
     def test_poisson_limit_of_binomial(self):
         # p <= 0.01 and n >= 1000: the two families agree to 5e-3
