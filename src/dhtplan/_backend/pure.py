@@ -13,8 +13,8 @@ carry its rounding into every later term.
 """
 
 import math
-from itertools import chain, count, islice, repeat
-from math import exp, ldexp, lgamma, log, log1p
+from itertools import accumulate, chain, count, islice, repeat
+from math import exp, expm1, ldexp, lgamma, log, log1p
 
 from ..errors import SolverError
 
@@ -22,8 +22,8 @@ _NORMAL = 2.0 ** -1022     # smallest normal double
 _LN2 = math.log(2.0)
 _BIG = 2.0 ** 512          # a scaled sum shrinks by _SHRINK once it passes this
 _SHRINK = 2.0 ** -512
-# binom_cdf returns 0.0 once its Chernoff bound is below 2**-1076, half of
-# the 2**-1075 below which ldexp rounds the scaled sum to zero
+# binom_cdf and poisson_cdf return 0.0 once their Chernoff bound is below
+# 2**-1076, half of the 2**-1075 below which ldexp rounds the scaled sum to zero
 _UNDERFLOW = 1076.0 * _LN2
 
 
@@ -108,6 +108,9 @@ def poisson_cdf(c, lam):
     """P(X <= c) for X ~ Poisson(lam), stable term recurrence.
 
     Past lam = 700 the sum runs from exp(-lam) scaled by a power of two.
+    There, for c < lam, a Chernoff bound below 2**-1076 returns 0.0 at once,
+    as in binom_cdf: the full sum would round to 0.0 as well, so the result
+    equals the k = c value of _poisson_partials bit for bit either way.
     """
     if c < 0:
         return 0.0
@@ -126,6 +129,14 @@ def poisson_cdf(c, lam):
         if total > 1.0:
             total = 1.0
         return total
+    # P(X <= c) <= exp(-(lam - c + c log(c/lam))) for c < lam.  The margin
+    # covers the bound's own rounding, about 4u (lam + c + |a|).  With
+    # lam < 2**48 the sum is off by less than 1/4 of itself: m by 2u lam,
+    # the terms up to c < lam by 2u c more.
+    if 0 < c < lam < 2.0 ** 48:
+        a = c * log(c / lam)
+        if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
+            return 0.0
     term, e = _scaled_lead(-lam)
     total = term
     comp = 0.0
@@ -278,7 +289,7 @@ def poisson_cap(lam):
 # discrete_scan and zero_scan need, at every n, the first count whose CDF
 # reaches a target.  Both quantiles are non-decreasing in n, so a walker
 # keeps one count k with running values of P(X <= k) and P(X = k), moves
-# them to the next n by an exact recurrence and then steps k forward.  The
+# them to a later n by an exact convolution and then steps k forward.  The
 # running CDF carries an error bound, first order in the unit roundoff,
 # that grows with every operation; the exact kernel's own error bound at
 # (k, n) is added to it.  A comparison with the target is decided from the
@@ -286,16 +297,57 @@ def poisson_cap(lam):
 # exact kernel otherwise.  The kernel's partial sums are non-decreasing in
 # k, so certifying the count and the one below it fixes the quantile, and
 # every decision, and every plan, is the one the per-n partial sums give.
+#
+# A count changes only about once every 1/p trials, so the scans visit only
+# the n where one could.  After each n a walker's hold bounds how far its
+# CDF can fall, from the pmf at k, and so how many trials certainly keep its
+# count; the scan jumps past them, and the walker crosses the jump of h
+# trials as X_{n+h} = X_n + Y in one convolution with the increment Y.
 
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _NO_CAP = 1 << 62          # Bin quantiles end at n by themselves
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
-_JUMP = 16                 # re-seed, not step, across more than k + _JUMP trials
+_SHORT = 16                # a move of fewer trials goes one trial at a time
+_LEAD = 699.0              # a jump keeps P(Y = 0) >= exp(-_LEAD), a normal double
+_STIRLING = 20             # Stirling's series serves arguments from here on
+_SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
+_ROOM = 4.0                # a hold is worked out only past this many trials' fall
 
 
 def _reaches(value, target, strict):
     return value > target or (value == target and not strict)
+
+
+def _span(r, x, lx):
+    """Largest real h with (exp(lx h) - 1) / x <= r, inf when every h does.
+
+    With lx = log1p(x) this bounds sum_{i<h} (1 + x)**i, the fall over h
+    trials at a per-trial growth factor 1 + x; with lx = x it bounds the
+    integral of exp(x t) over [0, h].
+    """
+    if x == 0.0:
+        return r
+    t = r * x
+    if t <= -1.0:
+        return math.inf
+    return log1p(t) / lx
+
+
+def _stirling(x):
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= _STIRLING.
+
+    Stirling's series to its x**-9 term; the next term is below 1e-17.
+    """
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12 - r2 * (1.0 / 360 - r2 * (1.0 / 1260 - r2 * (1.0 / 1680 - r2 / 1188))))
+
+
+def _suffix_sums(ys):
+    tails = list(accumulate(reversed(ys)))
+    tails.reverse()
+    return tuple(tails)
 
 
 class _Walk:
@@ -307,7 +359,7 @@ class _Walk:
     P(X <= k), with room left for rounding the comparison itself.
     """
 
-    __slots__ = ("p", "n", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka", "kb")
+    __slots__ = ("p", "n", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka", "kb", "piece")
 
     def __init__(self, p):
         # n = 0: all mass at zero failures
@@ -394,29 +446,36 @@ class _Walk:
         """Trial counts past n, at most limit, for which the exact CDF at k
         certainly stays above target and, with left, the one at k - 1 below.
 
-        P(X <= k) falls as n grows, by a factor exp(-x) at most over steps(x)
-        trials; P(X <= k - 1) only falls.  Both are compared with the kernel's
-        error bound at the last trial count of the range: it grows with n, so
-        it is largest there.
+        P(X <= k - 1) only falls as n grows.  P(X <= k) falls by p times the
+        pmf at k per trial, and that pmf grows by at most a fixed factor per
+        trial, so span bounds the fall over h trials by a geometric sum.
+        Both are compared with the kernel's error bound at the last trial
+        count of the range: it grows with n, so it is largest there.
         """
+        pmf = self.pmf
+        if self.cdf - target < _ROOM * self.p * pmf:
+            return 0  # a log costs more than the few trials it could skip
         k = self.k
         ka, kb = self.linear_bound(self.n + limit)
         if left and k:
-            pmf = self.pmf
             low = self.cdf - pmf
             high = low + self.cdf_err + pmf * self.pmf_rel + low * _U
             if not high * (1.0 + ka + kb * (k - 1)) < target:
                 return 0
-        floor = (self.cdf - self.cdf_err) * (1.0 - ka - kb * k) * (1.0 - 2.0 ** -40)
-        if not floor > target:
+        room = (self.cdf - self.cdf_err) * (1.0 - ka - kb * k) * _SAFE - target
+        if not room > 0.0 or not pmf:
             return 0
-        return min(limit, self.steps(math.log(floor / target)))
+        h = self.span(room / (pmf * (1.0 + self.pmf_rel)))
+        if h >= limit:
+            return limit
+        return int(h) if h >= 1.0 else 0
 
 
 class _BinomWalk(_Walk):
     """Binomial(n, p) walker, 0 < p < 1.
 
     n -> n+1:  P(X <= k) -= p P(X = k);  P(X = k) *= q (n+1) / (n+1-k)
+    n -> n+h:  see _jump
     k -> k+1:  P(X = k+1) = P(X = k) (n-k)/(k+1) p/q;  P(X <= k+1) += it
     """
 
@@ -426,22 +485,25 @@ class _BinomWalk(_Walk):
         super().__init__(p)
         q = self.q = 1.0 - p
         self.ratio = p / q
-        self.lq = lq = -math.log(q)
+        self.lq = lq = -log1p(-p)
         self.ka_n = 1.0 + 5.0 * lq
         self.ka, self.kb = self.linear_bound(0)
+        self.piece = int(_LEAD / lq)
 
     def move(self, n):
         m = self.n
         if m == n:
             return
-        if n - m > self.k + _JUMP:
-            self.n = n
-            self.ka = (n * self.ka_n + 6) * _U
-            self.reseed(self.k)
-            return
         k, cdf, pmf, err, rel = self.k, self.cdf, self.pmf, self.cdf_err, self.pmf_rel
         p, q = self.p, self.q
         while m < n:
+            h = n - m
+            if h >= _SHORT:
+                h = min(h, m, self.piece)
+                if h >= _SHORT and (not k or m - k >= _STIRLING - 1):
+                    cdf, pmf, err, rel = self._jump(m, h, cdf, pmf, err, rel)
+                    m += h
+                    continue
             pb = p * pmf
             cdf -= pb
             err += pb * (rel + _U) + _U * cdf
@@ -453,6 +515,47 @@ class _BinomWalk(_Walk):
         self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel = n, cdf, pmf, err, rel
         self.ka = (n * self.ka_n + 6) * _U  # linear_bound(n), inline on the hot path
 
+    def _jump(self, m, h, cdf, pmf, err, rel):
+        """m -> m + h with Y ~ Binomial(h, p), h <= m:
+            P(X <= k) -= sum_i P(X_m = k-i) P(Y > i)
+            P(X = k)  *= C(m+h, k) / C(m, k) q**h, the first factor from
+                          Stirling's series at a = m+1 and b = m+1-k
+        """
+        k, p, lq = self.k, self.p, self.lq
+        lead = h * lq
+        if not k:
+            # P(X <= 0) = P(X = 0), and P(Y > 0) = 1 - q**h is off by 3u
+            s = -pmf * expm1(-lead)
+            pmf *= exp(-lead)
+            cdf -= s
+            err += s * (rel + 5 * _U) + _U * cdf
+            return cdf, pmf, err, rel + (3.0 * lead + 3.0) * _U
+        tails, trel, trunc = _binom_tails(h, p, lead)
+        s = 0.0
+        g = pmf
+        j = k
+        back = self.q / p
+        for above in tails:
+            s += g * above
+            if not j:
+                break
+            g = g * j / (m - j + 1) * back  # P(X_m = j-1) from P(X_m = j)
+            j -= 1
+        cdf -= s
+        err += s * (rel + trel + trunc) + (trunc + _U) * cdf
+        a = m + 1.0
+        b = a - k
+        # (a - 1/2) log1p(h/a) + h log(a + h) - h + the series terms is
+        # lgamma(a + h) - lgamma(a); the two h log terms meet in l2
+        da = (a - 0.5) * log1p(h / a) - (b - 0.5) * log1p(h / b)
+        l2 = log1p(-k / (a + h))
+        c = -h * (l2 + lq)
+        x = da + c + ((_stirling(a + h) - _stirling(a)) - (_stirling(b + h) - _stirling(b)))
+        pmf *= exp(x)
+        # each log1p term is off by 3u of itself, below h; l2 + lq by 3u of
+        # h (lq - l2); the sums by 2u of |x| + 1, and exp and the product by 2u
+        return cdf, pmf, err, rel + (10.0 * h + 3.0 * h * (lq - l2) + 4.0 * abs(c) + 6.0) * _U
+
     def linear_bound(self, n):
         # term j is off by (n + 2 + 5j) u, n u of it from rounding q; a scaled
         # leading term m adds 5 n log(1/q) u (log q, n log q and e log 2 each
@@ -460,9 +563,15 @@ class _BinomWalk(_Walk):
         # result carries up to 2**-1075 more, absolute, from ldexp.
         return (n * self.ka_n + 6) * _U, 5 * _U
 
-    def steps(self, x):
-        # (1 - p)**h >= exp(-x)
-        return int(x / (self.lq * (1.0 + 4 * _U) + 2 * _U))
+    def span(self, x):
+        # trial i past n falls by p b(k; n+i) <= p b(k; n) g**i, with the
+        # ratio g = b(k; n+1) / b(k; n) = q (n+1) / (n+1-k) only falling in n
+        n, k, p = self.n, self.k, self.p
+        a = n + 1.0 - k
+        pa = p * (n + 1.0)
+        d = (k - pa) / a
+        d += 3.0 * _U * (abs(d) + pa / a)  # g - 1, rounded up
+        return _span(x / p * _SAFE, d, log1p(d)) * _SAFE
 
     def cap(self):
         return _NO_CAP
@@ -496,8 +605,34 @@ class _BinomWalk(_Walk):
         return k
 
 
+def _binom_tails(h, p, lead):
+    """P(Y > i) for Y ~ Binomial(h, p), i = 0, 1, ... while it matters.
+
+    lead = h log(1/q) <= _LEAD, so P(Y = 0) = exp(-lead) is normal.  Returns
+    (tails, rel, trunc) as _poisson_tails does.
+    """
+    ratio = p / (1.0 - p)
+    mean = h * p
+    ys = []
+    y = exp(-lead)
+    i = 0
+    trunc = 0.0
+    while i < h:
+        y = y * ((h - i) / (i + 1.0)) * ratio
+        i += 1
+        if i > mean and y < _U / 32.0:
+            # past the mean each term is below the last times rho < 1
+            rho = (h - i) / (i + 1.0) * ratio
+            trunc = 4.0 * y / (1.0 - rho)
+            break
+        ys.append(y)
+    # y0 is off by (3 lead + 1) u, P(Y = i) by 5i u more and a tail sum by
+    # m u more; the convolution's pmf steps, products and sums cost 6m u
+    return _suffix_sums(ys), (3.0 * lead + 12.0 * len(ys) + 16.0) * _U, trunc
+
+
 def _poisson_tails(d):
-    """P(Y > i) for Y ~ Poisson(d), i = 0, 1, ... while it matters; d < 1.
+    """P(Y > i) for Y ~ Poisson(d), i = 0, 1, ... while it matters; d <= _LEAD.
 
     Returns (tails, exp(-d), rel, trunc): the walker's convolution with
     these tails is off by at most rel of itself beyond its pmf's own error,
@@ -513,21 +648,16 @@ def _poisson_tails(d):
         if m > d and y < _U / 32.0:
             break
         ys.append(y)
-    tails = []
-    s = 0.0
-    for t in reversed(ys):
-        s += t
-        tails.append(s)
-    tails.reverse()
     # P(Y = i) is off by (2 + 2i) u and a tail sum by m u more; the
     # convolution's pmf steps, products and sums cost 3m u more
-    return tuple(tails), e0, (6 * m + 4) * _U, 4.0 * y / (1.0 - d / (m + 1.0))
+    return _suffix_sums(ys), e0, (6 * m + 4) * _U, 4.0 * y / (1.0 - d / (m + 1.0))
 
 
 class _PoissonWalk(_Walk):
     """Poisson(n p) walker.
 
-    lam -> lam + d, with d = fl(n p) - fl((n-1) p) exact by Sterbenz:
+    lam -> lam + d, with d = fl(m p) - fl(n p) exact by Sterbenz for
+    n < m <= 2n:
         P(X <= k) -= sum_i P(X = k-i) P(Poisson(d) > i)
         P(X = k)  *= exp(k log1p(d / lam) - d)
     k -> k+1:  P(X = k+1) = P(X = k) lam / (k+1);  P(X <= k+1) += it
@@ -540,27 +670,29 @@ class _PoissonWalk(_Walk):
         self.lam = 0.0
         self.tails = {}
         self.ka, self.kb = self.linear_bound(0)
+        self.piece = max(1, int(_LEAD / p))
 
     def move(self, n):
         m = self.n
         if m == n:
             return
-        if n - m > self.k + _JUMP:
-            self.n, self.lam = n, n * self.p
-            self.ka = (3.0 * self.lam + 7) * _U
-            self.reseed(self.k)
-            return
         k, cdf, pmf, err, rel, lam = (self.k, self.cdf, self.pmf, self.cdf_err,
                                       self.pmf_rel, self.lam)
         p, tails = self.p, self.tails
         while m < n:
-            m += 1
+            h = n - m
+            if h > 1:
+                h = min(h, m, self.piece) or 1
+            m += h
             lam2 = m * p
             d = lam2 - lam
             try:
                 tail, e0, trel, trunc = tails[d]
             except KeyError:
-                tail, e0, trel, trunc = tails[d] = _poisson_tails(d)
+                tail, e0, trel, trunc = _poisson_tails(d)
+                if h < _SHORT:
+                    # short moves take few distinct d: keep their tails
+                    tails[d] = tail, e0, trel, trunc
             if k:
                 s = 0.0
                 g = pmf
@@ -594,10 +726,15 @@ class _PoissonWalk(_Walk):
         # 2**-1075 more, absolute, from ldexp.
         return (3.0 * n * self.p + 7) * _U, 2 * _U
 
-    def steps(self, x):
-        # exp(-(fl((n + h) p) - fl(n p))) >= exp(-x)
-        p = self.p
-        return max(0, int((x - 2 * _U * self.n * p) / (p * (1.0 + 2 * _U))))
+    def span(self, x):
+        # as the mean grows by dt the CDF falls by pmf(k; lam + t) dt, at most
+        # pmf(k; lam) e**(c t) dt with c = k/lam - 1; over h trials the mean
+        # grows by fl((n+h) p) - fl(n p) <= h p (1 + u) + 2u lam
+        lam = self.lam
+        c = self.k / lam - 1.0
+        c += _U * (2.0 * self.k / lam + 1.0)  # rounded up
+        t = _span(x * _SAFE, c, c) * _SAFE
+        return (t - 3.0 * _U * lam) / (self.p * (1.0 + 2.0 * _U))
 
     def cap(self):
         return poisson_cap(self.lam)
@@ -637,7 +774,10 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     (upper quantile at a_half, plus one) and the first count beyond the
     consumer lower limit (lower quantile at b_half, plus one); stop when
     they cross or come within eps*n of each other.  One certified walker
-    per rate follows each count as n grows.
+    per rate follows each count as n grows.  After an n that does not stop
+    the scan, it jumps to the next n at which either count or the eps test
+    could change: the shorter of the two walkers' holds (the lower one's
+    alone while its count is 0), cut where eps*n reaches the gap.
 
     Returns (converged, n, L1, l1) where L1/l1 are the two limit counts at
     the stopping n (l1 = -1 entries never escape: non-convergence returns
@@ -645,15 +785,40 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     """
     walk = _PoissonWalk if use_poisson else _BinomWalk
     upper, lower = walk(p0), walk(p1)
+    upper_first, lower_first = upper.first, lower.first
     target = 1.0 - a_half
-    for n in range(1, max_n + 1):
-        l1 = lower.first(n, b_half, True)
-        if l1 == 0:
-            upper.move(n)  # keep pace: a long catch-up would re-seed from the kernel
+    # a hold is worth working out only where each CDF has room for a few
+    # trials' fall (hold checks this too; here it costs no call).  Above
+    # its quantile a CDF has less room than the pmf there, so from
+    # p1 = 1/_ROOM on no n is skipped
+    fall0, fall1 = _ROOM * p0, _ROOM * p1
+    skips = fall1 < 1.0
+    n = 1
+    while n <= max_n:
+        l1 = lower_first(n, b_half, True)
+        if l1:
+            L1 = upper_first(n, target, False) + 1
+            if L1 <= l1 or abs(L1 - l1) <= eps * n:
+                return True, n, L1, l1
+            if not skips or upper.cdf - target < fall0 * upper.pmf:
+                n += 1
+                continue
+        if not skips or lower.cdf - b_half < fall1 * lower.pmf:
+            n += 1
             continue
-        L1 = upper.first(n, target, False) + 1
-        if L1 <= l1 or abs(L1 - l1) <= eps * n:
-            return True, n, L1, l1
+        skip = lower.hold(b_half, max_n - n, True)
+        if l1 and skip:
+            skip = upper.hold(target, skip, True)
+            gap = L1 - l1
+            if skip and gap <= eps * (n + skip):
+                # the first n' past n at which the eps test passes
+                e = max(n + 1, int(gap / eps))
+                while e > n + 1 and gap <= eps * (e - 1):
+                    e -= 1
+                while not gap <= eps * e:
+                    e += 1
+                skip = e - n - 1
+        n += 1 + skip
     return False, max_n, 0, 0
 
 
@@ -666,7 +831,7 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
     consumer risk within b_tail.  One certified walker follows the median
     and a second one the risk count c - 1.  While both certainly hold, that
     is while m cannot move and the risk cannot reach b_tail, the scan skips
-    those n: each CDF falls by a bounded factor per trial.
+    those n, by the walkers' holds as discrete_scan does.
 
     Returns (converged, n, m, c).
     """

@@ -18,10 +18,14 @@ Method notes
     is the smallest size whose acceptance number keeps the realized
     consumer risk within the full beta tail (no producer risk to split
     against).  Both scans are certified incremental: a walker per quantile
-    carries the CDF and pmf at its count from one n to the next in O(1),
-    with a rounding-error bound, and leaves any comparison that falls
-    inside that bound to the exact kernel.  The plans are therefore those
-    of the exact quantiles recomputed at every n.
+    carries the CDF and pmf at its count from one n to a later one by a
+    convolution, with a rounding-error bound, and leaves any comparison
+    that falls inside that bound to the exact kernel.  A count changes only
+    about once every 1/p trials, and each walker bounds how far its CDF can
+    fall from the pmf at its count, so a scan jumps straight to the next n
+    at which a count or the eps test could change.  The plans are therefore
+    those of the exact quantiles recomputed at every n, at a cost per
+    change of a limit count rather than per n.
 
 ``norm_n``
     Generalized Newton-Raphson on the two-equation system equating the

@@ -160,6 +160,46 @@ def test_underflow_exit(monkeypatch):
     assert leads == []
 
 
+def poisson_edge(lam):
+    """Largest c < lam whose Chernoff exponent lam - c + c log(c/lam) exceeds
+    1076 log 2, or 0: poisson_cdf's underflow exit lies within a count of it."""
+    lo, hi = 0, math.ceil(lam) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if lam - mid + mid * math.log(mid / lam) > 1076 * math.log(2.0):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_poisson_underflow_exit(monkeypatch):
+    # P(X <= 10**6) at lam = 3e6 is about exp(-704000): the sum of 10**6
+    # terms rounds to 0.0, and the Chernoff bound returns it before the
+    # leading term is formed; at lam = 1000 the exit ends at c = 69, and
+    # c = 70 and 71 are summed, to 0.0 and to the first nonzero value
+    assert nth_partial(pure._poisson_partials(3.0e6), 10 ** 6) == 0.0
+    assert poisson_edge(1000.0) == 69
+    partials = list(islice(pure._poisson_partials(1000.0), 72))
+    assert partials[70] == 0.0 < partials[71]
+    leads = []
+    real_lead = pure._scaled_lead
+    monkeypatch.setattr(pure, "_scaled_lead", lambda x: leads.append(x) or real_lead(x))
+    assert pure.poisson_cdf(10 ** 6, 3.0e6) == 0.0
+    assert pure.poisson_cdf(69, 1000.0) == 0.0
+    assert leads == []
+    assert [pure.poisson_cdf(c, 1000.0) for c in (70, 71)] == partials[70:]
+    assert len(leads) == 2
+
+
+@given(st.floats(700.0, 4000.0, exclude_min=True), st.integers(-40, 40))
+@settings(max_examples=80, deadline=None)
+def test_poisson_underflow_exit_is_its_partial_sum(lam, offset):
+    # counts on both sides of where the exit ends give the full sum's value
+    c = max(0, poisson_edge(lam) + offset)
+    assert pure.poisson_cdf(c, lam) == nth_partial(pure._poisson_partials(lam), c)
+
+
 def test_poisson_cap_bounds_both_quantiles():
     # CDF never reaches 2.0, so ge fails past the cap and le stops at cap + 1
     assert poisson_ge_or_none(1.0, 2.0, 71) is scan_poisson_ge(1.0, 2.0, 71) is None

@@ -8,6 +8,7 @@ scans did before; every comparison demands the identical tuple.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,22 +19,29 @@ from dhtplan._backend import pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 
 
+def exact_counts(use_poisson, p0, p1, a_half, b_half, n):
+    """(l1, L1) at n from the exact quantiles; L1 is None while l1 = 0."""
+    if use_poisson:
+        lam1 = n * p1
+        l1 = pure.poisson_quantile_le(lam1, b_half, pure.poisson_cap(lam1)) + 1
+        if not l1:
+            return 0, None
+        lam0 = n * p0
+        return l1, pure.poisson_quantile_ge(lam0, 1.0 - a_half, pure.poisson_cap(lam0)) + 1
+    l1 = pure.binom_quantile_le(n, p1, b_half) + 1
+    if not l1:
+        return 0, None
+    return l1, pure.binom_quantile_ge(n, p0, 1.0 - a_half) + 1
+
+
+def stops(L1, l1, eps, n):
+    return L1 <= l1 or abs(L1 - l1) <= eps * n
+
+
 def reference_discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     for n in range(1, max_n + 1):
-        if use_poisson:
-            lam1 = n * p1
-            lq = pure.poisson_quantile_le(lam1, b_half, pure.poisson_cap(lam1))
-            if lq < 0:
-                continue
-            lam0 = n * p0
-            L1 = pure.poisson_quantile_ge(lam0, 1.0 - a_half, pure.poisson_cap(lam0)) + 1
-        else:
-            lq = pure.binom_quantile_le(n, p1, b_half)
-            if lq < 0:
-                continue
-            L1 = pure.binom_quantile_ge(n, p0, 1.0 - a_half) + 1
-        l1 = lq + 1
-        if L1 <= l1 or abs(L1 - l1) <= eps * n:
+        l1, L1 = exact_counts(use_poisson, p0, p1, a_half, b_half, n)
+        if l1 and stops(L1, l1, eps, n):
             return True, n, L1, l1
     return False, max_n, 0, 0
 
@@ -103,6 +111,12 @@ def test_poisson_scans_across_lambda_700():
     assert converged and n * 0.48 > 700.0
 
 
+def test_zero_scan_with_a_subnormal_tail():
+    # with b_tail = 1e-320 the risk count sits far in the tail; the per-n
+    # reference scan (about a minute) gives the same tuple
+    assert pure.zero_scan(False, 0.3, 1e-320, 20000) == (True, 11987, 3596, 1798)
+
+
 @given(st.sampled_from(["Bin", "Poiss"]), st.floats(0.0, 0.45), st.floats(1.1, 3.0),
        st.sampled_from([0.05, 0.01, 0.2]), st.sampled_from([0.05, 1e-4, 0.3]),
        st.sampled_from([None, 0.01, 1e-4]), st.integers(2, 600))
@@ -154,19 +168,48 @@ def assert_within_bound(w):
         assert abs(low - w.exact(k - 1)) <= bound
 
 
+def checking(walk, log):
+    """walk, checked against the exact kernel after every move and every
+    count it returns, with those counts logged as (p, n, k)."""
+
+    class Checked(walk):
+        __slots__ = ()
+
+        def move(self, n):
+            super().move(n)
+            assert_within_bound(self)
+
+        def first(self, n, target, strict):
+            k = super().first(n, target, strict)
+            assert_within_bound(self)
+            log.append((self.p, n, k))
+            return k
+
+    return Checked
+
+
 def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
-    walk = pure._PoissonWalk if use_poisson else pure._BinomWalk
-    upper, lower = walk(p0), walk(p1)
-    for n in range(1, max_n + 1):
-        l1 = lower.first(n, b_half, True)
-        assert_within_bound(lower)
-        if l1 == 0:
-            upper.move(n)
-            continue
-        L1 = upper.first(n, 1.0 - a_half, False) + 1
-        assert_within_bound(upper)
-        if L1 <= l1 or abs(L1 - l1) <= eps * n:
-            return
+    """discrete_scan, jump for jump, with every walker move checked against
+    the exact kernel and every n it skips against the exact quantiles there."""
+    log = []
+    with mock.patch.object(pure, "_BinomWalk", checking(pure._BinomWalk, log)), \
+            mock.patch.object(pure, "_PoissonWalk", checking(pure._PoissonWalk, log)):
+        converged, last, _, _ = pure.discrete_scan(use_poisson, p0, p1, a_half, b_half,
+                                                   eps, max_n)
+    held = {}  # evaluated n -> [l1, L1]
+    for p, n, k in log:
+        if p == p1:
+            held[n] = [k, None]
+        else:
+            held[n][1] = k + 1
+    evaluated = sorted(held)
+    assert evaluated[-1] == last or not converged
+    for n, after in zip(evaluated, evaluated[1:] + [last + 1 if converged else max_n + 1]):
+        l1, L1 = held[n]
+        for m in range(n + 1, after):
+            assert exact_counts(use_poisson, p0, p1, a_half, b_half, m) == (l1, L1), m
+            assert not (l1 and stops(L1, l1, eps, m)), m
+    return len(evaluated)
 
 
 def walk_zero(use_poisson, p1, b_tail, max_n):
@@ -204,13 +247,84 @@ def test_running_cdf_within_bound_past_the_linear_branch():
     walk_zero(True, 0.49, 1e-50, 5000)
 
 
+def test_discrete_scan_skips_most_n():
+    # the counts change about once every 1/p trials, so most n are skipped
+    assert walk_discrete(*scan_args("Bin", 0.015, 0.02)[1]) < 600   # of n = 5790
+    assert walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1]) < 400  # of n = 3171
+
+
+@given(st.sampled_from([pure._BinomWalk, pure._PoissonWalk]), st.floats(0.0005, 0.45),
+       st.integers(1, 2000), st.integers(0, 2000),
+       st.sampled_from([0.5, 0.975, 0.025, 0.9999, 1e-4]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hold_keeps_the_exact_quantile(walk, p, n0, dn, target, left):
+    # a walker that took one jump holds its count; at no n in the held range
+    # may the exact CDF at k reach the target, nor (with left) the one at k - 1
+    w = walk(p)
+    w.first(n0, target, False)
+    n = n0 + dn
+    k = w.first(n, target, False)
+    held = w.hold(target, 5000, left)
+    exact = pure.binom_cdf if walk is pure._BinomWalk else (
+        lambda j, m, p: pure.poisson_cdf(j, m * p))
+    for m in range(n + 1, n + held + 1):
+        assert exact(k, m, p) > target, (m, held)
+        if left and k:
+            assert exact(k - 1, m, p) < target, (m, held)
+
+
+@pytest.mark.parametrize("walk", [pure._BinomWalk, pure._PoissonWalk])
+def test_hold_checks_the_count_below(walk):
+    # at the 0.975 quantile k of n = 1000, P(X <= k - 1) is far above 0.5:
+    # the count stays above 0.5 for a while, but it is no quantile of 0.5
+    w = walk(0.02)
+    k = w.first(1000, 0.975, False)
+    assert w.exact(k - 1) > 0.5
+    assert w.hold(0.5, 1000, False) > 0
+    assert w.hold(0.5, 1000, True) == 0
+
+
+# (n, p) around the scans' regimes: q**n subnormal at (3273, 0.3) and
+# (2000, 0.33), lam > 700 at (1943, 0.45) and (5049, 0.33)
+JUMP_POINTS = [(2641, 0.02), (5790, 0.06), (3273, 0.3), (2000, 0.33), (1943, 0.45),
+               (5049, 0.33), (21000, 0.0004), (40, 0.1)]
+
+
+@pytest.mark.parametrize("walk", [pure._BinomWalk, pure._PoissonWalk])
+@pytest.mark.parametrize("h", [2, 9, 40, 300, 3000])
+def test_one_jump_within_bound(walk, h):
+    # a walker re-seeded at (k, n) crosses h trials in one move; k is the
+    # median halfway through, so its pmf stays normal at both ends
+    for n, p in JUMP_POINTS:
+        k = min(n, pure.binom_quantile_ge(n + h // 2, p, 0.5))
+        w = walk(p)
+        w.move(n)
+        w.reseed(k)
+        w.move(n + h)
+        assert w.n == n + h and w.pmf >= pure._MIN_PMF, (n, p)
+        assert_within_bound(w)
+
+
+@given(st.sampled_from(["Bin", "Poiss"]), st.floats(0.0005, 0.02), st.floats(1.2, 4.0),
+       st.booleans(), st.sampled_from([0.05, 0.1, 0.01]), st.sampled_from([0.05, 0.1, 1e-3]),
+       st.sampled_from([None, 0.01, 0.03]), st.integers(600, 4000))
+@settings(max_examples=20, deadline=None)
+def test_scans_sweep_long_jumps(method, p1, ratio, zero, alpha, beta, eps, max_n):
+    # small rates, where the scans skip hundreds of n at a time
+    p0 = 0.0 if zero else p1 / ratio
+    assert_same_scan(*scan_args(method, p0, p1, alpha, beta, eps, max_n))
+
+
 @pytest.mark.parametrize("method,p0,p1,n", [("Bin", 0.05, 0.06, 5790),
                                             ("Poiss", 0.05, 0.06, 7004)])
 def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     # a scan that re-sums from k = 0 at each n computes the leading term
-    # q**n, or exp(-lam), at every n; the walkers compute it only to re-seed
+    # q**n, or exp(-lam), at every n; the walkers compute it only to re-seed.
+    # A jump's increment Y ~ Poisson(d) has a leading term exp(-d) of its
+    # own, and d may equal some m p: the count leaves out the tails helpers
     calls = {"lead": 0, "exact": 0}
     leading = {-(m * p) for p in (p0, p1) for m in range(2, n + 1)}
+    increment = []
 
     def counted_pow(*args):
         calls["lead"] += 1
@@ -222,8 +336,17 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
 
         @staticmethod
         def exp(x):
-            calls["lead"] += x in leading
+            calls["lead"] += x in leading and not increment
             return math.exp(x)
+
+    def uncounted(fn):
+        def wrapper(*args):
+            increment.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                increment.pop()
+        return wrapper
 
     def counted(fn):
         def wrapper(*args):
@@ -233,6 +356,8 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
 
     monkeypatch.setattr(pure, "pow", counted_pow, raising=False)
     monkeypatch.setattr(pure, "math", CountedMath())
+    for name in ("_poisson_tails", "_binom_tails"):
+        monkeypatch.setattr(pure, name, uncounted(getattr(pure, name)))
     for name in ("binom_cdf", "poisson_cdf", "binom_quantile_ge", "binom_quantile_le",
                  "poisson_quantile_ge", "poisson_quantile_le"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
@@ -265,12 +390,25 @@ def test_kernel_error_bound():
     the walkers never rely on it: their targets lie far above 2**-1022, and
     a running pmf below 2**-960 hands every decision to the exact kernel.
     """
+    assert_kernel_error_bound(1)
+
+
+def test_kernel_error_bound_after_a_jump():
+    """The same bounds at n when the walker reached n by a jump of 300
+    trials; the walker, re-seeded at k before the jump, also carries its
+    running CDF within its own bound of the 50-digit value."""
+    assert_kernel_error_bound(300)
+
+
+def assert_kernel_error_bound(last):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     for k, n, p in BINOM_POINTS:
         w = pure._BinomWalk(p)
-        w.move(n - 1)
-        w.move(n)  # one step, as a scan takes it
+        w.move(max(0, n - last))
+        if last > 1 and k <= w.n:
+            w.reseed(k)
+        w.move(n)  # one step or one jump, as a scan takes it
         exact = pure.binom_cdf(k, n, p)
         P = mpmath.mpf(p)
         term = total = (1 - P) ** n
@@ -278,10 +416,16 @@ def test_kernel_error_bound():
             term = term * (n - j) / (j + 1) * P / (1 - P)
             total += term
         assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
+        if last > 1 and w.k == k:
+            assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
     for k, n, p in POISSON_POINTS:
         w = pure._PoissonWalk(p)
-        w.move(n - 1)
+        w.move(max(0, n - last))
+        if last > 1 and w.n:
+            w.reseed(k)
         w.move(n)
         exact = pure.poisson_cdf(k, w.lam)
         total = mpmath.gammainc(k + 1, w.lam, regularized=True)
         assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
+        if last > 1 and w.k == k:
+            assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
