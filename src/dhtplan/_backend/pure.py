@@ -4,12 +4,14 @@ These are the hot inner loops of the package: discrete CDF term sums,
 single-pass quantile scans, and the plan-search loops, which follow their
 quantiles across n with certified incremental walkers.
 
-Each discrete CDF is one term recurrence with Kahan summation.  Where its
+Both discrete CDFs are one term recurrence with Kahan summation, run by
+_term_sum and, one partial sum per count, by _term_partials.  Where the
 leading term, q**n or exp(-lam), lies below the normal range, the sum starts
 instead from that term scaled by a power of two, m = q**n * 2**-e with m in
 (1/2, 1], and shrinks by an exact 2**-512 whenever it passes 2**512; the
 total is scaled back by ldexp at the end.  A subnormal leading term would
-carry its rounding into every later term.
+carry its rounding into every later term.  In the normal range e = 0: a sum
+of probabilities never reaches 2**512, and ldexp by 0 is exact.
 """
 
 import math
@@ -38,12 +40,62 @@ def _scaled_lead(x):
     return exp(x - e * _LN2), e
 
 
-def binom_cdf(c, n, p):
-    """P(X <= c) for X ~ Binomial(n, p).
+def _term_sum(term, e, c, a, da, ratio):
+    """Kahan sum of term_0 .. term_c times 2**e, clipped at 1.0.
 
-    Term recurrence in linear space with Kahan summation.  Where the
-    leading term q**n leaves the normal range the sum runs from it scaled by
-    a power of two.  There, for c < n p, a Chernoff bound below 2**-1076
+    term_k = term_{k-1} (a / k) ratio, after which a falls by da:
+    Binomial(n, p) is a = n, da = 1, ratio = p/q and Poisson(lam) is
+    a = lam, da = 0, ratio = 1.  a and k are exact doubles below 2**53,
+    the largest count stat_kernels lets through.
+    """
+    total = term
+    comp = 0.0
+    for k in range(1, c + 1):
+        term = term * (a / k) * ratio
+        a -= da
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+    total = ldexp(total, e)
+    return 1.0 if total > 1.0 else total
+
+
+def _term_partials(term, e, a, da, ratio):
+    """Yield _term_sum(term, e, c, a, da, ratio) for c = 0, 1, ... from one
+    running sum: the same operations, so each value equals it bit for bit.
+    The generator never ends.
+    """
+    total = term
+    comp = 0.0
+    cdf = ldexp(total, e)
+    yield 1.0 if cdf > 1.0 else cdf
+    for k in count(1):
+        term = term * (a / k) * ratio
+        a -= da
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if total > _BIG:
+            total *= _SHRINK
+            comp *= _SHRINK
+            term *= _SHRINK
+            e += 512
+        cdf = ldexp(total, e)
+        yield 1.0 if cdf > 1.0 else cdf
+
+
+def binom_cdf(c, n, p):
+    """P(X <= c) for X ~ Binomial(n, p), by _term_sum from q**n.
+
+    Where q**n leaves the normal range the sum runs from it scaled by a
+    power of two.  There, for c < n p, a Chernoff bound below 2**-1076
     returns 0.0 at once: the full sum, within a factor 2 of the tail it
     approximates, would round to 0.0 as well, so the result equals the
     k = c value of _binom_partials bit for bit either way.
@@ -59,19 +111,7 @@ def binom_cdf(c, n, p):
     q = 1.0 - p
     t0 = pow(q, float(n))
     if t0 >= _NORMAL:
-        total = t0
-        comp = 0.0
-        term = t0
-        ratio = p / q
-        for k in range(c):
-            term = term * ((n - k) / (k + 1.0)) * ratio
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        if total > 1.0:
-            total = 1.0
-        return total
+        return _term_sum(t0, 0, c, float(n), 1.0, p / q)
     x = n * log(q)
     # P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))) for c < np,
     # with this q = fl(1 - p) as well.  The margin covers the bound's own
@@ -84,28 +124,11 @@ def binom_cdf(c, n, p):
         if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
             return 0.0
     term, e = _scaled_lead(x)
-    total = term
-    comp = 0.0
-    ratio = p / q
-    for k in range(c):
-        term = term * ((n - k) / (k + 1.0)) * ratio
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-    total = ldexp(total, e)
-    if total > 1.0:
-        total = 1.0
-    return total
+    return _term_sum(term, e, c, float(n), 1.0, p / q)
 
 
 def poisson_cdf(c, lam):
-    """P(X <= c) for X ~ Poisson(lam), stable term recurrence.
+    """P(X <= c) for X ~ Poisson(lam), by _term_sum from exp(-lam).
 
     Past lam = 700 the sum runs from exp(-lam) scaled by a power of two.
     There, for c < lam, a Chernoff bound below 2**-1076 returns 0.0 at once,
@@ -117,18 +140,7 @@ def poisson_cdf(c, lam):
     if lam <= 0.0:
         return 1.0
     if lam <= 700.0:
-        term = math.exp(-lam)
-        total = term
-        comp = 0.0
-        for k in range(c):
-            term = term * (lam / (k + 1.0))
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        if total > 1.0:
-            total = 1.0
-        return total
+        return _term_sum(exp(-lam), 0, c, lam, 0.0, 1.0)
     # P(X <= c) <= exp(-(lam - c + c log(c/lam))) for c < lam.  The margin
     # covers the bound's own rounding, about 4u (lam + c + |a|).  With
     # lam < 2**48 the sum is off by less than 1/4 of itself: m by 2u lam,
@@ -138,109 +150,25 @@ def poisson_cdf(c, lam):
         if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
             return 0.0
     term, e = _scaled_lead(-lam)
-    total = term
-    comp = 0.0
-    for k in range(c):
-        term = term * (lam / (k + 1.0))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-    total = ldexp(total, e)
-    if total > 1.0:
-        total = 1.0
-    return total
+    return _term_sum(term, e, c, lam, 0.0, 1.0)
 
 
 def _binom_partials(n, p):
-    """Yield binom_cdf(k, n, p) for k = 0 .. n-1 from one running sum.
-
-    Same terms, same order and same operations as binom_cdf, so each value
-    equals binom_cdf(k, n, p) bit for bit while the whole pass costs O(n).
-    """
+    """Iterator over binom_cdf(k, n, p) for k = 0 .. n-1, bit for bit, in O(n)."""
     if p <= 0.0 or p >= 1.0:
-        yield from repeat(1.0 if p <= 0.0 else 0.0, n)
-        return
+        return repeat(1.0 if p <= 0.0 else 0.0, n)
     q = 1.0 - p
     t0 = pow(q, float(n))
-    if t0 >= _NORMAL:
-        total = t0
-        comp = 0.0
-        term = t0
-        ratio = p / q
-        yield 1.0 if total > 1.0 else total
-        for k in range(n - 1):
-            term = term * ((n - k) / (k + 1.0)) * ratio
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            yield 1.0 if total > 1.0 else total
-        return
-    term, e = _scaled_lead(n * log(q))
-    total = term
-    comp = 0.0
-    ratio = p / q
-    cdf = ldexp(total, e)
-    yield 1.0 if cdf > 1.0 else cdf
-    for k in range(n - 1):
-        term = term * ((n - k) / (k + 1.0)) * ratio
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-        cdf = ldexp(total, e)
-        yield 1.0 if cdf > 1.0 else cdf
+    term, e = (t0, 0) if t0 >= _NORMAL else _scaled_lead(n * log(q))
+    return islice(_term_partials(term, e, float(n), 1.0, p / q), n)
 
 
 def _poisson_partials(lam):
-    """Yield poisson_cdf(k, lam) for k = 0, 1, ... from one running sum.
-
-    Same terms, same order and same operations as poisson_cdf, so each value
-    equals poisson_cdf(k, lam) bit for bit.  The generator never ends.
-    """
+    """Endless iterator over poisson_cdf(k, lam) for k = 0, 1, ..., bit for bit."""
     if lam <= 0.0:
-        yield from repeat(1.0)
-    if lam <= 700.0:
-        term = math.exp(-lam)
-        total = term
-        comp = 0.0
-        yield 1.0 if total > 1.0 else total
-        for k in count():
-            term = term * (lam / (k + 1.0))
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            yield 1.0 if total > 1.0 else total
-    term, e = _scaled_lead(-lam)
-    total = term
-    comp = 0.0
-    cdf = ldexp(total, e)
-    yield 1.0 if cdf > 1.0 else cdf
-    for k in count():
-        term = term * (lam / (k + 1.0))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-        cdf = ldexp(total, e)
-        yield 1.0 if cdf > 1.0 else cdf
+        return repeat(1.0)
+    term, e = (exp(-lam), 0) if lam <= 700.0 else _scaled_lead(-lam)
+    return _term_partials(term, e, lam, 0.0, 1.0)
 
 
 def binom_quantile_ge(n, p, target):
@@ -268,7 +196,7 @@ def poisson_quantile_ge(lam, target, cap):
     for k, cdf in enumerate(islice(_poisson_partials(lam), cap + 1)):
         if cdf >= target:
             return k
-    raise SolverError("poisson quantile scan exceeded cap %d at lambda=%g" % (cap, lam))
+    raise _past_cap(cap, lam)
 
 
 def poisson_quantile_le(lam, tail, cap):
@@ -280,8 +208,16 @@ def poisson_quantile_le(lam, tail, cap):
 
 
 def poisson_cap(lam):
-    """Count past which a Poisson quantile scan gives up: lam + 20 sqrt(lam) + 50."""
+    """Count past which a quantile scan at mean lam gives up: lam + 20 sqrt(lam) + 50.
+
+    A Binomial with mean lam has a variance below lam, so its quantiles up
+    to any target below 1 - 1e-30 lie under this cap as the Poisson ones do.
+    """
     return int(lam + 20.0 * math.sqrt(lam) + 50.0)
+
+
+def _past_cap(cap, mean):
+    return SolverError("quantile scan exceeded cap %d at mean %g" % (cap, mean))
 
 
 # Certified incremental scans
@@ -306,7 +242,6 @@ def poisson_cap(lam):
 
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
-_NO_CAP = 1 << 62          # Bin quantiles end at n by themselves
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
 _SHORT = 16                # a move of fewer trials goes one trial at a time
 _LEAD = 699.0              # a jump keeps P(Y = 0) >= exp(-_LEAD), a normal double
@@ -371,9 +306,9 @@ class _Walk:
     def first(self, n, target, strict):
         """Smallest count whose exact CDF at n is >= target (> target when strict).
 
-        n must not decrease between calls.  A Poisson walker stops at cap + 2
-        when strict and raises SolverError past cap otherwise, as the exact
-        quantiles do.
+        n must not decrease between calls.  The count stops at cap + 2 when
+        strict and raises SolverError past cap otherwise, as the exact
+        Poisson quantiles do.
         """
         self.move(n)
         k, cdf, err, ka, kb = self.k, self.cdf, self.cdf_err, self.ka, self.kb
@@ -403,9 +338,9 @@ class _Walk:
             if cdf + bound >= target:
                 # too close to call: the exact kernel decides, and on a
                 # shortfall the exact quantile, so no walk costs O(K) per step
-                if _reaches(self.exact(k), target, strict):
-                    break
-                return self.reseed(self.exact_first(target, strict))
+                if not _reaches(self.exact(k), target, strict):
+                    k = self.reseed(self.exact_first(target, strict))
+                break
             self.step()
             k += 1
         if k == k0 and k > 0:
@@ -417,10 +352,12 @@ class _Walk:
             if low + bound >= target and _reaches(self.exact(k - 1), target, strict):
                 k = self.reseed(self.exact_first(target, strict))
         if k > cap and not strict:
-            # only a Poisson walker has a cap, and its mean is n * p
-            raise SolverError("poisson quantile scan exceeded cap %d at lambda=%g"
-                              % (cap, self.n * self.p))
+            raise _past_cap(cap, self.n * self.p)
         return k
+
+    def cap(self):
+        """Count past which first gives up, from the mean n p as poisson_cap."""
+        return poisson_cap(self.n * self.p)
 
     def cdf_at_most(self, n, j, tail):
         """Whether the exact CDF at count j and trial count n is <= tail."""
@@ -572,9 +509,6 @@ class _BinomWalk(_Walk):
         d = (k - pa) / a
         d += 3.0 * _U * (abs(d) + pa / a)  # g - 1, rounded up
         return _span(x / p * _SAFE, d, log1p(d)) * _SAFE
-
-    def cap(self):
-        return _NO_CAP
 
     def step(self):
         k = self.k
@@ -736,9 +670,6 @@ class _PoissonWalk(_Walk):
         t = _span(x * _SAFE, c, c) * _SAFE
         return (t - 3.0 * _U * lam) / (self.p * (1.0 + 2.0 * _U))
 
-    def cap(self):
-        return poisson_cap(self.lam)
-
     def step(self):
         k = self.k
         pmf = self.pmf * (self.lam / (k + 1.0))
@@ -751,7 +682,7 @@ class _PoissonWalk(_Walk):
         return poisson_cdf(k, self.lam)
 
     def exact_first(self, target, strict):
-        cap = poisson_cap(self.lam)
+        cap = self.cap()
         if strict:
             return poisson_quantile_le(self.lam, target, cap) + 1
         return poisson_quantile_ge(self.lam, target, cap)

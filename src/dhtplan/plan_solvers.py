@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from . import _backend
 from .errors import DegenerateSpecError, DomainError, NoConvergenceError, SolverError
-from .stat_kernels import TailMass, z_value
+from .stat_kernels import TailMass, _whole, z_value
 
 #: Default convergence tolerances per method.
 EPS_BIN = 0.0019
@@ -90,6 +90,9 @@ class TestSpec:
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise DomainError("epsilon must be finite and positive, got %r"
                               % (self.epsilon,))
+        if type(self.max_n) is not int:
+            # frozen: an integral float such as 1e5 is stored as its int
+            object.__setattr__(self, "max_n", _whole(self.max_n, "max_n"))
         if self.max_n < 2:
             raise DomainError("max_n must be >= 2")
 

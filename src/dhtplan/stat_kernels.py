@@ -1,9 +1,8 @@
 """Numerically careful probability primitives.
 
 Checked entry points to the binomial and Poisson CDF kernels in
-``_backend`` (which also holds the discrete quantiles the plan scans use),
-plus the standard-normal CDF and quantile used by the normal-approximation
-solvers.
+``_backend``, plus the standard-normal CDF and the upper-tail quantile used
+by the normal-approximation solvers.
 """
 
 import math
@@ -95,12 +94,9 @@ _INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 
 
 def _normal_inv(u):
+    """Normal quantile at u in (1/2, 1): the central and upper regions only."""
     a, b, c, d = _INV_A, _INV_B, _INV_C, _INV_D
-    if u < 0.02425:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif u <= 0.97575:
+    if u <= 0.97575:
         q = u - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
@@ -124,4 +120,7 @@ def z_value(tail, paper_compat=False):
     t = _tail_value(tail)
     if paper_compat and t == 0.05:
         return 1.64
-    return _normal_inv(1.0 - t)
+    u = 1.0 - t
+    if u == 1.0:
+        raise DomainError("tail mass %r is at most 2**-54: 1 - tail rounds to 1" % (t,))
+    return _normal_inv(u)

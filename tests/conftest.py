@@ -3,7 +3,9 @@
 Hypothesis draws its examples from a fixed seed per test and keeps no
 example database, so every run of the suite tries the same inputs.  Its
 remaining cache, of the constants it reads from the source, goes to the
-temporary directory, so a run writes nothing into the checkout.
+temporary directory.  pyproject.toml turns off pytest's own cache and the
+pytest-benchmark plugin, so a run writes nothing into the checkout beyond
+Python's bytecode caches, which git ignores.
 """
 
 import os

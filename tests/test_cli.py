@@ -43,6 +43,19 @@ class TestPlan:
         assert out == ""
         assert "best gap" in err
 
+    @pytest.mark.parametrize("method,alpha,words", [
+        ("bin", "1e-15", "exceeded cap"), ("poiss", "1e-15", "exceeded cap"),
+        ("norm-n", "1e-17", "tail mass 1e-17")])
+    def test_tiny_alpha_exit_two(self, method, alpha, words):
+        # Bin and Poiss: 1 - alpha/2 lies above every partial sum the kernels
+        # reach, so the scan gives up at the cap (Bin used to scan every
+        # count up to n at every n); Norm_N: 1 - alpha rounds to 1.0
+        code, out, err = run(["plan", "--method", method, "--p0", "0.02",
+                              "--p1", "0.05", "--alpha", alpha])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and words in err and err.count("\n") == 1
+
     def test_bad_rate_order_exit_one(self):
         code, _, err = run(["plan", "--method", "bin",
                             "--p0", "0.05", "--p1", "0.02"])

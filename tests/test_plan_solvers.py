@@ -203,6 +203,16 @@ class TestPlanProperties:
         with pytest.raises(DomainError, match="epsilon"):
             TestSpec(0.02, 0.05, epsilon=eps)
 
+    @pytest.mark.parametrize("max_n", [math.nan, math.inf, -math.inf, 2.5])
+    def test_max_n_must_be_a_whole_number(self, max_n):
+        with pytest.raises(DomainError, match="max_n"):
+            TestSpec(0.02, 0.05, max_n=max_n)
+
+    def test_integral_max_n_is_kept_as_int(self):
+        spec = TestSpec(0.02, 0.05, max_n=1e5)
+        assert type(spec.max_n) is int and spec.max_n == 100_000
+        assert solve(spec, "Norm_I").n == solve(TestSpec(0.02, 0.05), "Norm_I").n
+
     def test_cross_method_threshold_coherence(self):
         # the four methods answer the same question; their thresholds for a
         # given pair stay within 0.005 of one another

@@ -111,6 +111,31 @@ def nth_partial(partials, k):
 
 
 @st.composite
+def normal_binomials(draw):
+    """(k, n, p) with n <= 3000 whose leading term q**n is a normal double."""
+    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    top = 3000
+    while pow(1.0 - p, float(top)) < 2.0 ** -1022:
+        top = min(top - 1, int(1022 * math.log(2.0) / -math.log(1.0 - p)))
+    n = draw(st.integers(1, top))
+    return draw(st.integers(0, n - 1)), n, p
+
+
+@given(normal_binomials())
+@settings(max_examples=100, deadline=None)
+def test_normal_range_binom_cdf_is_its_partial_sum(case):
+    k, n, p = case
+    assert pure.binom_cdf(k, n, p) == nth_partial(pure._binom_partials(n, p), k)
+
+
+@given(st.floats(0.0, 700.0, exclude_min=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_normal_range_poisson_cdf_is_its_partial_sum(lam, data):
+    k = data.draw(st.integers(0, pure.poisson_cap(lam)))
+    assert pure.poisson_cdf(k, lam) == nth_partial(pure._poisson_partials(lam), k)
+
+
+@st.composite
 def scaled_binomials(draw):
     """(k, n, p) with n <= 20000 whose leading term q**n lies below 2**-1022."""
     p = draw(st.floats(0.036, 1.0, exclude_max=True))

@@ -157,6 +157,14 @@ def test_poisson_walker_keeps_the_cap():
     assert pure._PoissonWalk(0.1).first(10, 2.0, True) == cap + 2
 
 
+def test_binomial_walker_keeps_the_cap():
+    # the Poisson cap at the mean n p = 1, far below n = 1000
+    cap = pure.poisson_cap(1000 * 0.001)
+    with pytest.raises(SolverError, match="exceeded cap %d" % cap):
+        pure._BinomWalk(0.001).first(1000, 2.0, False)
+    assert pure._BinomWalk(0.001).first(1000, 2.0, True) == cap + 2
+
+
 def assert_within_bound(w):
     """The running CDF at k and at k - 1 against the exact kernel."""
     k = w.k

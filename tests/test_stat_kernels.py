@@ -252,6 +252,12 @@ class TestNormal:
         with pytest.raises(DomainError):
             z_value(0.0)
 
+    def test_z_tail_below_double_resolution(self):
+        # 1 - 1e-17 rounds to 1.0, whose normal quantile is infinite
+        with pytest.raises(DomainError, match="tail"):
+            z_value(1e-17)
+        assert z_value(2.0 ** -53) == pytest.approx(8.2095, abs=1e-4)
+
     @given(st.floats(0.001, 0.499))
     @settings(max_examples=100)
     def test_roundtrip(self, tail):
