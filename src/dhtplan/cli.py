@@ -33,6 +33,10 @@ _METHOD_FLAGS = {"bin": "Bin", "poiss": "Poiss", "norm-n": "Norm_N", "norm-i": "
 
 #: the most points an ``oc --grid`` may ask for
 _MAX_GRID_POINTS = 10**6
+#: the largest ``oc --c``: each point sums up to c binomial terms
+_MAX_OC_C = 10**6
+#: the most uniforms one ``simulate`` call may draw (n times reps)
+_MAX_SIMULATE_DRAWS = 10**10
 
 
 def _fmt(v):
@@ -263,6 +267,9 @@ def cmd_oc(args, out, err):
     if args.c < 1 or args.c > args.n:
         err.write("error: need 1 <= c <= n\n")
         return EXIT_USAGE
+    if args.c > _MAX_OC_C:
+        err.write("error: --c must be at most %d, got %d\n" % (_MAX_OC_C, args.c))
+        return EXIT_USAGE
     emit = _Emitter("csv" if args.format == "kv" else args.format,
                     "dhtplan.oc", out)
     for p in grid:
@@ -278,6 +285,11 @@ def cmd_simulate(args, out, err):
         return EXIT_USAGE
     if not 0 <= args.seed < 2**128:  # the Philox key is 128 bits
         err.write("error: --seed must be in [0, 2**128), got %d\n" % args.seed)
+        return EXIT_USAGE
+    # n past 2**63 - 1 is left to monte_carlo_accept too
+    if args.n <= 2**63 - 1 and args.n * args.reps > _MAX_SIMULATE_DRAWS:
+        err.write("error: --n times --reps must be at most %d draws, got %d\n"
+                  % (_MAX_SIMULATE_DRAWS, args.n * args.reps))
         return EXIT_USAGE
     plan = types.SimpleNamespace(n=args.n, c=args.c)
     try:

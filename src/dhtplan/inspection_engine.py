@@ -18,13 +18,17 @@ one event per step, all sharing the trial index that triggered it, and no
 ``continue`` event follows an escalation.
 
 ``run_stream`` is the one implementation of this rule: a loop over plain
-counters, O(1) per outcome, that hands each transition to an optional event
-sink instead of storing a log.  ``InspectionState`` holds the counters and
+counters that hands each transition to an optional event sink instead of
+storing a log.  Each outcome is converted and counted in C, and the loop
+body runs once per failure, not once per outcome.  ``InspectionState`` holds the counters and
 the verdict only.  ``observe`` runs it on a single outcome, and ``replay``
 re-drives it from an event log.
 """
 
+import sys
 from dataclasses import dataclass
+from itertools import count, islice
+from operator import itemgetter
 
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
@@ -131,6 +135,13 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     (the partial counts are preserved).  Each transition is passed to
     ``sink`` as an ``Event`` when a sink is given; without one no event is
     built.  A non-empty stream on a terminal state raises ``StateError``.
+
+    Every outcome goes through ``int()`` and is checked, but once a level's
+    counts are settled a success can only count a trial and end the run.
+    So each level draws from one C pipeline, capped at the trial where its
+    cumulative n is met, that hands this loop only the nonzero values with
+    their trial indices: Python work is O(1) per failure, plus one
+    ``continue`` event per skipped success when a sink is given.
     """
     if state is None:
         state = InspectionState()
@@ -138,39 +149,77 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     status, accepted_level, accepted_t_h = state.status, state.accepted_level, state.accepted_t_h
     plans, limits = ladder.plans, ladder.run_limits
     last = len(plans) - 1
-    n, c, r = plans[level].n, plans[level].c, limits[level]
-    for outcome in outcomes:
-        if status != CONTINUE:
+    outcomes = iter(outcomes)
+    if status != CONTINUE:
+        for _ in outcomes:
             raise StateError("cannot observe after terminal status %r" % (status,))
-        value = int(outcome)
-        if value == FAILURE:
-            failures += 1
-            run += 1
-        elif value == SUCCESS:
-            run = 0
-        else:
-            raise DomainError("outcome value must be 0 or 1")
-        trials += 1
-        escalated = False
-        while failures >= c or run > r:
-            if level == last:
-                status = REJECTED
-                break
+    while status == CONTINUE:
+        entered = level
+        n, c, r = plans[level].n, plans[level].c, limits[level]
+        # the last trial this pipeline may draw (islice takes at most maxsize)
+        stop = min(max(n, trials + 1), trials + sys.maxsize)
+        trial_no = count(trials + 1)
+        steps = zip(map(int, islice(outcomes, stop - trials)), trial_no)
+        if failures < c and r >= 0:
+            steps = filter(itemgetter(0), steps)  # here a success only counts
+        try:
+            for value, t in steps:
+                skipped, trials = range(trials + 1, t), t
+                if skipped:
+                    run = 0
+                    if sink is not None:
+                        for k in skipped:
+                            sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
+                if value == FAILURE:
+                    failures += 1
+                    run += 1
+                elif value == SUCCESS:
+                    run = 0
+                else:
+                    raise DomainError("outcome value must be 0 or 1")
+                while failures >= c or run > r:
+                    if level == last:
+                        status = REJECTED
+                        break
+                    if sink is not None:
+                        sink(Event(t, value, level, failures, run,
+                                   "escalate_failures" if failures >= c else "escalate_run"))
+                    level += 1
+                    n, c, r = plans[level].n, plans[level].c, limits[level]
+                if status == CONTINUE and t >= n:
+                    status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
+                if status != CONTINUE:
+                    if sink is not None:
+                        sink(Event(t, value, level, failures, run,
+                                   "accept" if status == ACCEPTED else "reject"))
+                    break
+                if level != entered:
+                    break  # no continue event after an escalation; new pipeline
+                if sink is not None:
+                    sink(Event(t, value, level, failures, run, CONTINUE))
+        except BaseException:
+            # if the pipeline raised, the outcome at the count's next value
+            # failed to be drawn or converted and the successes before it
+            # were seen; if the loop body raised, the range is empty
             if sink is not None:
-                sink(Event(trials, value, level, failures, run,
-                           "escalate_failures" if failures >= c else "escalate_run"))
-            level += 1
-            n, c, r = plans[level].n, plans[level].c, limits[level]
-            escalated = True
-        if status == CONTINUE and trials >= n:
-            status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
-        if status != CONTINUE:
+                for k in range(trials + 1, next(trial_no)):
+                    sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
+            raise
+        if status != CONTINUE or level != entered:
+            continue
+        # the pipeline ran dry: trials up to its count's next value were drawn
+        end = next(trial_no) - 1
+        if end > trials:
+            first, trials, run = trials + 1, end, 0
+            if end >= n:
+                status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
             if sink is not None:
-                sink(Event(trials, value, level, failures, run,
-                           "accept" if status == ACCEPTED else "reject"))
-            break
-        if sink is not None and not escalated:
-            sink(Event(trials, value, level, failures, run, "continue"))
+                for k in range(first, end if status == ACCEPTED else end + 1):
+                    sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
+                if status == ACCEPTED:
+                    sink(Event(end, SUCCESS, level, failures, 0, "accept"))
+        if end < stop:
+            break  # the stream ended
     return InspectionState(level_index=level, trials=trials, failures=failures, run=run,
                            status=status, accepted_level=accepted_level,
                            accepted_t_h=accepted_t_h)

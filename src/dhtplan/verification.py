@@ -16,7 +16,7 @@ from .stat_kernels import binom_cdf
 #: z for the reported 99% confidence half-width.
 _Z99 = 2.5758293035489004
 
-#: rows of uniforms drawn per chunk (bounds peak memory, never the result)
+#: uniforms drawn per chunk (bounds peak memory, never the result)
 _CHUNK_DRAWS = 4_000_000
 
 
@@ -108,8 +108,11 @@ def monte_carlo_accept(plan, p_true, reps, seed):
     done = 0
     while done < reps:
         rows = min(rows_per_chunk, reps - done)
-        u = gen.random((rows, n))
-        fails = np.count_nonzero(u < p_true, axis=1)
+        fails = 0
+        # a lot longer than a chunk (then rows == 1) is drawn in pieces
+        for start in range(0, n, _CHUNK_DRAWS):
+            u = gen.random((rows, min(_CHUNK_DRAWS, n - start)))
+            fails = fails + np.count_nonzero(u < p_true, axis=1)
         accepted += int(np.count_nonzero(fails <= c - 1))
         done += rows
     rate = accepted / reps

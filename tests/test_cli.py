@@ -1,8 +1,10 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -44,17 +46,25 @@ class TestPlan:
         assert "best gap" in err
 
     @pytest.mark.parametrize("method,alpha,words", [
-        ("bin", "1e-15", "exceeded cap"), ("poiss", "1e-15", "exceeded cap"),
-        ("norm-n", "1e-17", "tail mass 1e-17")])
+        ("bin", "1e-15", "exceeded cap"), ("poiss", "1e-15", "exceeded cap")])
     def test_tiny_alpha_exit_two(self, method, alpha, words):
-        # Bin and Poiss: 1 - alpha/2 lies above every partial sum the kernels
-        # reach, so the scan gives up at the cap (Bin used to scan every
-        # count up to n at every n); Norm_N: 1 - alpha rounds to 1.0
+        # 1 - alpha/2 lies above every partial sum the kernels reach, so the
+        # scan gives up at the cap (Bin used to scan every count up to n at
+        # every n)
         code, out, err = run(["plan", "--method", method, "--p0", "0.02",
                               "--p1", "0.05", "--alpha", alpha])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and words in err and err.count("\n") == 1
+
+    def test_tiny_alpha_norm_n_plans(self):
+        # 1 - 1e-17 rounds to 1.0, but z is inverted from the tail itself:
+        # z = 8.4937932, so n = ((z s0 + 1.64 s1) / 0.03)**2 = 2657.6 -> 2658
+        # with s = sqrt(p q), and c = ceil(t_h n) = ceil(114.45)
+        code, out, err = run(["plan", "--method", "norm-n", "--p0", "0.02",
+                              "--p1", "0.05", "--alpha", "1e-17"])
+        assert (code, err) == (0, "")
+        assert "n=2658" in out and "c=115" in out
 
     def test_bad_rate_order_exit_one(self):
         code, _, err = run(["plan", "--method", "bin",
@@ -143,6 +153,54 @@ class TestInspect:
         code, out, _ = run(self.ARGS + ["--input", str(path)])
         assert code == 0
         assert "accepted" in out
+
+
+def _stream_text(seed, rate, lines, bad_line=None):
+    """A seeded 0/1 outcome file, with the token "x" at bad_line if given."""
+    rng = random.Random(seed)
+    rows = ["1" if rng.random() < rate else "0" for _ in range(lines)]
+    if bad_line is not None:
+        rows[bad_line - 1] = "x"
+    return "".join(row + "\n" for row in rows)
+
+
+# (file arguments, exit code, sha256 of stdout per format) for `inspect
+# --levels 0,0.03,0.06`, recorded with the engine that ran the transition
+# rule on every outcome in turn
+INSPECT_GOLDEN = {
+    "accepting": ((11, 0.01, 600), 0, {
+        "kv": "0365a51b7d1da411141b342d8583790dff5ef10a783502284e0c83cb96cfbefb",
+        "csv": "1558e05ea7ac8f2138037a0bcda90db7c0261bc0094751e9a4a474f67ec1873c",
+        "jsonl": "03bd8702e6ef8effd4199a112dbf87089678a05ebce91a2b32a76406cbdcd1e1"}),
+    "rejecting": ((12, 0.12, 600), 3, {
+        "kv": "3989f7f40ecf97f5054b0aaa9a5cce91885c305934d27409a33311c0e99e9674",
+        "csv": "dfe3a18582311a098c2e777eb5ad5ecf40b76a9c5e544b67b907326261e5d49f",
+        "jsonl": "643a249353cb3b218cc7bf5a092b59356adb76aa0bc2a4eaaae6e1eed1a092bd"}),
+    "inconclusive": ((13, 0.03, 150), 4, {
+        "kv": "a80ef5471a6094efbb4ec4c98de0fb2605c3d8adc3101f1644aaa2b69cee0c68",
+        "csv": "89a5a9942930531f16f31dfb67ca0086d71a153e92a84f3bee8c1681267aae01",
+        "jsonl": "5ea87e836468a8a969d2125426999521264c191d5d040803e92e0031bb3e5819"}),
+    "malformed_at_line_7": ((14, 0.2, 40, 7), 1, {
+        "kv": "bd19417a6840030e56731ac23bd4201dd1464f33fba8301cabb1052f33b1ee64",
+        "csv": "a2687e0f18729bd5f7cfc528266c310b403fc059e6a8e80f6d553471ff8935b9",
+        "jsonl": "f627ad72e41d666a215d488fa4c49de53390a9e94aca207daa70f555c876a98d"}),
+}
+
+
+class TestInspectGolden:
+    @pytest.mark.parametrize("fmt", ["kv", "csv", "jsonl"])
+    @pytest.mark.parametrize("name", sorted(INSPECT_GOLDEN))
+    def test_output_is_byte_identical(self, monkeypatch, name, fmt):
+        file_args, exit_code, digests = INSPECT_GOLDEN[name]
+        code, out, err = run(["--format", fmt] + TestInspect.ARGS,
+                             stdin_text=_stream_text(*file_args), monkeypatch=monkeypatch)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+        if exit_code == 1:
+            # the records of lines 1-6 come before the error, the last a success
+            assert err == "error: malformed token 'x' at line 7\n"
+            records = [line for line in out.splitlines() if "continue" in line]
+            assert len(records) == 6
 
 
 class TestSmallCommands:
@@ -313,6 +371,22 @@ class TestErrorBoundary:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == ("error: grid step 1e-300 gives more than "
                                "1000000 points\n")
+
+    def test_oc_huge_c_returns_at_once(self):
+        # each point would sum 5e10 binomial terms
+        proc = subprocess.run(
+            [sys.executable, "-m", "dhtplan.cli", "oc", "--n", "100000000000",
+             "--c", "50000000000", "--grid", "0.5:0.5:0.1"],
+            env=_env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: --c must be at most 1000000, got 50000000000\n"
+
+    def test_simulate_too_many_draws(self):
+        # 10**13 uniforms would not fit in memory, let alone in time
+        err = self._one_line_error(["simulate", "--n", "100000000000", "--c", "5",
+                                    "--p", "0.1", "--reps", "100", "--seed", "1"])
+        assert err == ("error: --n times --reps must be at most 10000000000 draws, "
+                       "got 10000000000000\n")
 
     @pytest.mark.parametrize("c", ["0", "384"])
     def test_simulate_c_outside_one_to_n(self, c):

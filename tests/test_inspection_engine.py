@@ -1,14 +1,67 @@
 """Inspection engine tests: ladder construction, transition semantics,
-event-sourcing determinism, and cumulative-count invariants."""
+event-sourcing determinism, cumulative-count invariants, and agreement with
+the per-outcome reference model."""
 
 import hashlib
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhtplan import (DomainError, InspectionState, LadderError, StateError,
                      build_ladder, inspection_engine, observe, replay, run_stream)
-from dhtplan.inspection_engine import ACCEPTED, CONTINUE, REJECTED
+from dhtplan.inspection_engine import (ACCEPTED, CONTINUE, FAILURE, REJECTED, SUCCESS,
+                                       Event)
+
+
+def reference_run_stream(ladder, outcomes, state=None, sink=None):
+    """Oracle: the transition rule applied to every outcome in turn, as
+    ``run_stream`` ran it before successes were skipped in C."""
+    if state is None:
+        state = InspectionState()
+    level, trials, failures, run = state.level_index, state.trials, state.failures, state.run
+    status, accepted_level, accepted_t_h = state.status, state.accepted_level, state.accepted_t_h
+    plans, limits = ladder.plans, ladder.run_limits
+    last = len(plans) - 1
+    n, c, r = plans[level].n, plans[level].c, limits[level]
+    for outcome in outcomes:
+        if status != CONTINUE:
+            raise StateError("cannot observe after terminal status %r" % (status,))
+        value = int(outcome)
+        if value == FAILURE:
+            failures += 1
+            run += 1
+        elif value == SUCCESS:
+            run = 0
+        else:
+            raise DomainError("outcome value must be 0 or 1")
+        trials += 1
+        escalated = False
+        while failures >= c or run > r:
+            if level == last:
+                status = REJECTED
+                break
+            if sink is not None:
+                sink(Event(trials, value, level, failures, run,
+                           "escalate_failures" if failures >= c else "escalate_run"))
+            level += 1
+            n, c, r = plans[level].n, plans[level].c, limits[level]
+            escalated = True
+        if status == CONTINUE and trials >= n:
+            status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
+        if status != CONTINUE:
+            if sink is not None:
+                sink(Event(trials, value, level, failures, run,
+                           "accept" if status == ACCEPTED else "reject"))
+            break
+        if sink is not None and not escalated:
+            sink(Event(trials, value, level, failures, run, "continue"))
+    return InspectionState(level_index=level, trials=trials, failures=failures, run=run,
+                           status=status, accepted_level=accepted_level,
+                           accepted_t_h=accepted_t_h)
 
 
 def _run_recorded(ladder, outcomes):
@@ -151,6 +204,99 @@ class TestRunStream:
         state = run_stream(step3_ladder, outcomes)
         assert state.status == ACCEPTED
         assert len(list(outcomes)) == 5  # nothing past the verdict was drawn
+
+
+#: Inputs that int() rejects or maps off {0, 1}, and some it maps onto it.
+ODD_VALUES = (2, -1, "x", None, "", 1.9, 0.7, "1", np.int64(1), np.float64(0.3),
+              np.bool_(True))
+
+
+def _drive(engine, ladder, stream, state, with_sink, raise_at, as_list):
+    """Run one engine; returns (final state or exception, event log, number
+    of elements drawn from the generator)."""
+    events, drawn = [], [0]
+
+    def source():
+        for i, value in enumerate(stream):
+            if i == raise_at:
+                raise DomainError("malformed token at line %d" % (i + 1))
+            drawn[0] += 1
+            yield value
+
+    try:
+        result = repr(engine(ladder, list(stream) if as_list else source(), state,
+                             events.append if with_sink else None))
+    except Exception as exc:  # the exception is the result
+        result = (type(exc), str(exc))
+    return result, repr(events), drawn[0]
+
+
+@st.composite
+def engine_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.06, 0.12, 0.3]))
+    stream = [int(rng.random() < rate) for _ in range(draw(st.integers(0, 700)))]
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, 699),
+                                              st.sampled_from(ODD_VALUES)), max_size=2)):
+        if pos < len(stream):
+            stream[pos] = value
+    kind = draw(st.sampled_from(["fresh", "resumed", "made"]))
+    if kind == "resumed":
+        state = [int(rng.random() < rate) for _ in range(draw(st.integers(0, 500)))]
+    elif kind == "made":
+        # user-made counters, trials past a level's n and terminal ones included
+        state = InspectionState(level_index=draw(st.integers(0, 1)),
+                                trials=draw(st.integers(0, 800)),
+                                failures=draw(st.integers(0, 25)),
+                                run=draw(st.integers(0, 8)),
+                                status=draw(st.sampled_from([CONTINUE] * 4 + [ACCEPTED])))
+    else:
+        state = None
+    raise_at = draw(st.one_of(st.just(-1), st.integers(0, len(stream))))
+    return (draw(st.integers(0, 2)), stream, state, draw(st.booleans()), raise_at,
+            draw(st.booleans()))
+
+
+class TestAgainstReferenceModel:
+    @settings(max_examples=400, deadline=None)
+    @given(engine_cases())
+    def test_same_states_events_exceptions_and_reads(self, step3_ladder, newton_ladder,
+                                                     case):
+        which, stream, state, with_sink, raise_at, as_list = case
+        # the third ladder's run limit of -1 makes every outcome at level 0
+        # escalate, a success included
+        ladder = (step3_ladder, newton_ladder,
+                  replace(newton_ladder, run_limits=(-1, 6)))[which]
+        if isinstance(state, list):  # resume from a state the model reached
+            state = reference_run_stream(ladder, state)
+        args = (ladder, stream, state, with_sink, raise_at, as_list)
+        assert _drive(run_stream, *args) == _drive(reference_run_stream, *args)
+
+    def test_failure_driven_reject_reads_no_further(self, newton_ladder):
+        # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7 of 57
+        outcomes = iter([0] + [1] * 7 + [0] * 49)
+        state = run_stream(newton_ladder, outcomes)
+        assert (state.status, state.trials) == (REJECTED, 8)
+        assert len(list(outcomes)) == 49
+
+    def test_accept_on_entry_reads_no_further(self, newton_ladder):
+        # the 13th failure escalates past level 1's n = 289: accepted at 351
+        outcomes = iter(([0] * 26 + [1]) * 13 + [1] * 30)
+        state = run_stream(newton_ladder, outcomes)
+        assert (state.status, state.accepted_level, state.trials) == (ACCEPTED, 1, 351)
+        assert len(list(outcomes)) == 30
+
+    def test_successes_before_a_raising_source_are_logged(self, step3_ladder):
+        def source():
+            yield from [0, 0, 1, 0, 0]
+            raise DomainError("malformed token 'y' at line 6")
+
+        events = []
+        with pytest.raises(DomainError, match="line 6"):
+            run_stream(step3_ladder, source(), sink=events.append)
+        assert [(e.trial, e.outcome, e.run, e.transition) for e in events] == [
+            (1, 0, 0, "continue"), (2, 0, 0, "continue"), (3, 1, 1, "continue"),
+            (4, 0, 0, "continue"), (5, 0, 0, "continue")]
 
 
 class TestEventSourcing:

@@ -253,10 +253,20 @@ class TestNormal:
             z_value(0.0)
 
     def test_z_tail_below_double_resolution(self):
-        # 1 - 1e-17 rounds to 1.0, whose normal quantile is infinite
-        with pytest.raises(DomainError, match="tail"):
-            z_value(1e-17)
+        # 1 - 1e-17 rounds to 1.0, but the tail is inverted from t itself
+        assert z_value(1e-17) == pytest.approx(8.493793224109599, abs=1e-9)
         assert z_value(2.0 ** -53) == pytest.approx(8.2095, abs=1e-4)
+
+    def test_z_small_tails_against_mpmath(self):
+        # root of erfc(z / sqrt 2) / 2 = t at 40 digits, on a log grid of t
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in range(121):
+                t = 0.49 * (1e-300 / 0.49) ** (k / 120)
+                exact = mpmath.findroot(
+                    lambda z: mpmath.erfc(z / mpmath.sqrt(2)) / 2 - t,
+                    mpmath.sqrt(-2 * mpmath.log(t)) - mpmath.mpf(0.5))
+                assert abs(z_value(t) - float(exact)) < 1e-9, t
 
     @given(st.floats(0.001, 0.499))
     @settings(max_examples=100)

@@ -104,6 +104,11 @@ class TestMonteCarlo:
         assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
         monkeypatch.setattr(verification, "_CHUNK_DRAWS", 10**9)
         assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
+        # lots longer than a chunk, drawn in pieces of 191 + 191 + 1 and of
+        # 100 + 100 + 100 + 83 draws
+        for chunk in (191, 100):
+            monkeypatch.setattr(verification, "_CHUNK_DRAWS", chunk)
+            assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
 
     def test_first_lots_are_a_shorter_run(self, monkeypatch):
         # lot i is draws [i*n, (i+1)*n) of the seed's Philox stream, so a
