@@ -30,6 +30,7 @@ EXIT_REJECT = 3
 EXIT_INCONCLUSIVE = 4
 
 _METHOD_FLAGS = {"bin": "Bin", "poiss": "Poiss", "norm-n": "Norm_N", "norm-i": "Norm_I"}
+_TOKENS = {"0": 0, "1": 1}
 
 #: the most points an ``oc --grid`` may ask for
 _MAX_GRID_POINTS = 10**6
@@ -151,14 +152,15 @@ def cmd_table(args, out, err):
 
 
 def _read_outcomes(source):
-    """Yield (line_number, outcome) from 0/1 tokens, one per line."""
+    """Yield the outcome of each 0/1 token, one per line; blank lines skip."""
     for i, line in enumerate(source, start=1):
         tok = line.strip()
         if not tok:
             continue
-        if tok not in ("0", "1"):
+        value = _TOKENS.get(tok)
+        if value is None:
             raise DomainError("malformed token %r at line %d" % (tok, i))
-        yield int(tok)
+        yield value
 
 
 def cmd_inspect(args, out, err):

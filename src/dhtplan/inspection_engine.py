@@ -19,16 +19,17 @@ one event per step, all sharing the trial index that triggered it, and no
 
 ``run_stream`` is the one implementation of this rule: a loop over plain
 counters that hands each transition to an optional event sink instead of
-storing a log.  Each outcome is converted and counted in C, and the loop
-body runs once per failure, not once per outcome.  ``InspectionState`` holds the counters and
-the verdict only.  ``observe`` runs it on a single outcome, and ``replay``
-re-drives it from an event log.
+storing a log.  Each outcome is checked by one dict lookup (a value equal
+to 0 or 1 is a hit; any other goes through ``int()`` and must give 0 or 1)
+and counted in C, and while a success can only count a trial the loop body
+runs once per failure, not once per outcome.  ``InspectionState`` holds
+the counters and the verdict only.  ``observe`` runs it on a single
+outcome, and ``replay`` re-drives it from an event log.
 """
 
 import sys
 from dataclasses import dataclass
-from itertools import count, islice
-from operator import itemgetter
+from itertools import compress, count, islice, repeat
 
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
@@ -36,6 +37,22 @@ from .run_limits import DEFAULT_EX, SflQuery, sfl_r
 
 SUCCESS = 0
 FAILURE = 1
+
+
+class _Outcomes(dict):
+    """The outcome check: a value equal to 0 or 1 is a hash hit giving the
+    plain int; any other goes through ``int()``, and a miss is never stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        value = int(value)
+        if value != SUCCESS and value != FAILURE:
+            raise DomainError("outcome value must be 0 or 1")
+        return value
+
+
+_OUTCOMES = _Outcomes({SUCCESS: SUCCESS, FAILURE: FAILURE})
 
 
 @dataclass(frozen=True)
@@ -136,12 +153,17 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     ``sink`` as an ``Event`` when a sink is given; without one no event is
     built.  A non-empty stream on a terminal state raises ``StateError``.
 
-    Every outcome goes through ``int()`` and is checked, but once a level's
-    counts are settled a success can only count a trial and end the run.
-    So each level draws from one C pipeline, capped at the trial where its
-    cumulative n is met, that hands this loop only the nonzero values with
-    their trial indices: Python work is O(1) per failure, plus one
-    ``continue`` event per skipped success when a sink is given.
+    Every outcome is checked by one dict lookup: a value equal to 0 or 1
+    (``1.0``, ``True``, ``np.int64(1)``, ``Decimal(1)``) gives that plain
+    int without calling ``int()``; any other goes through ``int()`` and
+    raises ``DomainError`` off {0, 1}.  An unhashable value raises ``TypeError`` at its position, so
+    ``bytearray(b"1")`` and a writable ``memoryview``, which ``int()``
+    parses, are refused.  While a level's failures and run limit leave room,
+    a success can only count a trial and end the run, so each level draws
+    from one C pipeline, capped at the trial where its cumulative n is met,
+    that hands this loop only the failures' trial indices: Python work is
+    O(1) per failure, plus one ``continue`` event per skipped success when a
+    sink is given.
     """
     if state is None:
         state = InspectionState()
@@ -159,9 +181,12 @@ def run_stream(ladder, outcomes, state=None, sink=None):
         # the last trial this pipeline may draw (islice takes at most maxsize)
         stop = min(max(n, trials + 1), trials + sys.maxsize)
         trial_no = count(trials + 1)
-        steps = zip(map(int, islice(outcomes, stop - trials)), trial_no)
-        if failures < c and r >= 0:
-            steps = filter(itemgetter(0), steps)  # here a success only counts
+        values = map(_OUTCOMES.__getitem__, islice(outcomes, stop - trials))
+        if failures < c and r >= 0:  # here a success only counts
+            # compress draws the count before the value: it runs one ahead
+            steps, lag = zip(repeat(FAILURE), compress(trial_no, values)), 1
+        else:
+            steps, lag = zip(values, trial_no), 0
         try:
             for value, t in steps:
                 skipped, trials = range(trials + 1, t), t
@@ -173,10 +198,8 @@ def run_stream(ladder, outcomes, state=None, sink=None):
                 if value == FAILURE:
                     failures += 1
                     run += 1
-                elif value == SUCCESS:
-                    run = 0
                 else:
-                    raise DomainError("outcome value must be 0 or 1")
+                    run = 0
                 while failures >= c or run > r:
                     if level == last:
                         status = REJECTED
@@ -199,16 +222,17 @@ def run_stream(ladder, outcomes, state=None, sink=None):
                     sink(Event(t, value, level, failures, run, CONTINUE))
         except BaseException:
             # if the pipeline raised, the outcome at the count's next value
-            # failed to be drawn or converted and the successes before it
-            # were seen; if the loop body raised, the range is empty
+            # (less the lag) failed to be drawn or checked and the successes
+            # before it were seen; if the loop body raised, the range is empty
             if sink is not None:
-                for k in range(trials + 1, next(trial_no)):
+                for k in range(trials + 1, next(trial_no) - lag):
                     sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
             raise
         if status != CONTINUE or level != entered:
             continue
-        # the pipeline ran dry: trials up to its count's next value were drawn
-        end = next(trial_no) - 1
+        # the pipeline ran dry: trials before its count's next value (less
+        # the lag) were drawn
+        end = next(trial_no) - 1 - lag
         if end > trials:
             first, trials, run = trials + 1, end, 0
             if end >= n:

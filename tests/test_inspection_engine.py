@@ -5,6 +5,8 @@ the per-outcome reference model."""
 import hashlib
 import random
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,6 +299,65 @@ class TestAgainstReferenceModel:
         assert [(e.trial, e.outcome, e.run, e.transition) for e in events] == [
             (1, 0, 0, "continue"), (2, 0, 0, "continue"), (3, 1, 1, "continue"),
             (4, 0, 0, "continue"), (5, 0, 0, "continue")]
+
+
+class _StrictOne(int):
+    """Equal to 1, but refuses int(): counted only if 0/1 take the lookup."""
+
+    def __int__(self):
+        raise AssertionError("int() called on an outcome equal to 1")
+
+
+def _three_ladders(step3_ladder, newton_ladder):
+    # the third makes every level-0 outcome escalate, so each one, a success
+    # included, reaches the loop body as its checked value
+    return step3_ladder, newton_ladder, replace(newton_ladder, run_limits=(-1, 6))
+
+
+class TestOutcomeCheck:
+    @pytest.mark.parametrize("value", [1.0, True, np.int8(1), np.bool_(False),
+                                       Decimal(1), Fraction(1)], ids=repr)
+    def test_values_equal_to_0_or_1_give_plain_ints(self, step3_ladder, newton_ladder,
+                                                    value):
+        rng = random.Random(7)
+        for ladder in _three_ladders(step3_ladder, newton_ladder):
+            stream = [value if rng.random() < 0.3 else int(rng.random() < 0.05)
+                      for _ in range(400)]
+            events, expected = [], []
+            state = run_stream(ladder, stream, sink=events.append)
+            assert state == reference_run_stream(ladder, stream, sink=expected.append)
+            assert events == expected
+            assert {type(e.outcome) for e in events} == {int}
+
+    def test_odd_values_leave_the_table_alone(self, step3_ladder, newton_ladder):
+        for ladder in _three_ladders(step3_ladder, newton_ladder):
+            for value in ODD_VALUES:
+                try:
+                    run_stream(ladder, [0, 1, value, 0], sink=[].append)
+                except (DomainError, TypeError, ValueError):
+                    pass
+        table = inspection_engine._OUTCOMES
+        assert table == {0: 0, 1: 1}
+        assert [type(k) for k in table] == [int, int]
+
+    def test_an_int_equal_to_1_is_a_failure_without_int(self, step3_ladder,
+                                                         newton_ladder):
+        for ladder in _three_ladders(step3_ladder, newton_ladder):
+            state, events = observe(InspectionState(), ladder, _StrictOne(1))
+            assert (state.trials, state.failures) == (1, 1)
+            assert type(events[0].outcome) is int
+
+    @pytest.mark.parametrize("bad", [[1], bytearray(b"1")], ids=repr)
+    @pytest.mark.parametrize("pos", [0, 2, 5])
+    def test_unhashable_raises_type_error_at_its_position(self, step3_ladder, bad, pos):
+        head = [0, 0, 1, 0, 0, 0][:pos]
+        outcomes = iter(head + [bad, 0, 1])
+        events = []
+        with pytest.raises(TypeError):
+            run_stream(step3_ladder, outcomes, sink=events.append)
+        assert [(e.trial, e.outcome, e.transition) for e in events] == [
+            (k, v, "continue") for k, v in enumerate(head, start=1)]
+        assert list(outcomes) == [0, 1]  # nothing after it was drawn
 
 
 class TestEventSourcing:

@@ -410,30 +410,30 @@ def test_kernel_error_bound_after_a_jump():
 
 def assert_kernel_error_bound(last):
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-    for k, n, p in BINOM_POINTS:
-        w = pure._BinomWalk(p)
-        w.move(max(0, n - last))
-        if last > 1 and k <= w.n:
-            w.reseed(k)
-        w.move(n)  # one step or one jump, as a scan takes it
-        exact = pure.binom_cdf(k, n, p)
-        P = mpmath.mpf(p)
-        term = total = (1 - P) ** n
-        for j in range(k):
-            term = term * (n - j) / (j + 1) * P / (1 - P)
-            total += term
-        assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
-        if last > 1 and w.k == k:
-            assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
-    for k, n, p in POISSON_POINTS:
-        w = pure._PoissonWalk(p)
-        w.move(max(0, n - last))
-        if last > 1 and w.n:
-            w.reseed(k)
-        w.move(n)
-        exact = pure.poisson_cdf(k, w.lam)
-        total = mpmath.gammainc(k + 1, w.lam, regularized=True)
-        assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
-        if last > 1 and w.k == k:
-            assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
+    with mpmath.workdps(50):
+        for k, n, p in BINOM_POINTS:
+            w = pure._BinomWalk(p)
+            w.move(max(0, n - last))
+            if last > 1 and k <= w.n:
+                w.reseed(k)
+            w.move(n)  # one step or one jump, as a scan takes it
+            exact = pure.binom_cdf(k, n, p)
+            P = mpmath.mpf(p)
+            term = total = (1 - P) ** n
+            for j in range(k):
+                term = term * (n - j) / (j + 1) * P / (1 - P)
+                total += term
+            assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
+            if last > 1 and w.k == k:
+                assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
+        for k, n, p in POISSON_POINTS:
+            w = pure._PoissonWalk(p)
+            w.move(max(0, n - last))
+            if last > 1 and w.n:
+                w.reseed(k)
+            w.move(n)
+            exact = pure.poisson_cdf(k, w.lam)
+            total = mpmath.gammainc(k + 1, w.lam, regularized=True)
+            assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
+            if last > 1 and w.k == k:
+                assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
