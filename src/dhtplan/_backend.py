@@ -18,7 +18,7 @@ import math
 from itertools import accumulate, chain, count, islice, repeat
 from math import exp, expm1, ldexp, lgamma, log, log1p
 
-from ..errors import SolverError
+from .errors import SolverError
 
 _NORMAL = 2.0 ** -1022     # smallest normal double
 _LN2 = math.log(2.0)

@@ -19,17 +19,19 @@ one event per step, all sharing the trial index that triggered it, and no
 
 ``run_stream`` is the one implementation of this rule: a loop over plain
 counters that hands each transition to an optional event sink instead of
-storing a log.  Each outcome is checked by one dict lookup (a value equal
-to 0 or 1 is a hit; any other goes through ``int()`` and must give 0 or 1)
-and counted in C, and while a success can only count a trial the loop body
-runs once per failure, not once per outcome.  ``InspectionState`` holds
-the counters and the verdict only.  ``observe`` runs it on a single
+storing a log.  A ladder refuses a plan with c < 1 and a run limit below
+0, and ``run_stream`` refuses a continuing state already past its level's
+limits with ``StateError``, so only a failure can escalate.  Each outcome
+is checked by one dict lookup (a value equal to 0 or 1 is a hit; any other
+goes through ``int()`` and must give 0 or 1) and counted in C, and the loop
+body runs once per failure, not once per outcome.  ``InspectionState``
+holds the counters and the verdict only.  ``observe`` runs it on a single
 outcome, and ``replay`` re-drives it from an event log.
 """
 
 import sys
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice
 
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
@@ -71,6 +73,11 @@ class LevelLadder:
                 raise LadderError(
                     "plan threshold %g escapes its level pair (%g, %g)"
                     % (plan.t_h, lo, hi))
+            if plan.c < 1:
+                raise LadderError("the plan for level pair (%g, %g) has c = %d and can "
+                                  "never accept" % (lo, hi, plan.c))
+        if any(r < 0 for r in self.run_limits):
+            raise LadderError("run limits must be at least 0")
         if any(b < a for a, b in zip(self.run_limits, self.run_limits[1:])):
             raise LadderError("run limits must be non-decreasing")
 
@@ -151,19 +158,20 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     while the status is still ``continue`` yields an inconclusive state
     (the partial counts are preserved).  Each transition is passed to
     ``sink`` as an ``Event`` when a sink is given; without one no event is
-    built.  A non-empty stream on a terminal state raises ``StateError``.
+    built.  A non-empty stream on a terminal state raises ``StateError``,
+    and so does a continuing state whose failures or run already breach its
+    level's c or run limit, before anything is drawn.
 
     Every outcome is checked by one dict lookup: a value equal to 0 or 1
     (``1.0``, ``True``, ``np.int64(1)``, ``Decimal(1)``) gives that plain
     int without calling ``int()``; any other goes through ``int()`` and
-    raises ``DomainError`` off {0, 1}.  An unhashable value raises ``TypeError`` at its position, so
-    ``bytearray(b"1")`` and a writable ``memoryview``, which ``int()``
-    parses, are refused.  While a level's failures and run limit leave room,
-    a success can only count a trial and end the run, so each level draws
-    from one C pipeline, capped at the trial where its cumulative n is met,
-    that hands this loop only the failures' trial indices: Python work is
-    O(1) per failure, plus one ``continue`` event per skipped success when a
-    sink is given.
+    raises ``DomainError`` off {0, 1}.  An unhashable value raises
+    ``TypeError`` at its position, so ``bytearray(b"1")`` and a writable
+    ``memoryview``, which ``int()`` parses, are refused.  A success can only
+    count a trial and end the run, so each level draws from one C pipeline,
+    capped at the trial where its cumulative n is met, that hands this loop
+    only the failures' trial indices: Python work is O(1) per failure, plus
+    one ``continue`` event per skipped success when a sink is given.
     """
     if state is None:
         state = InspectionState()
@@ -175,37 +183,32 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     if status != CONTINUE:
         for _ in outcomes:
             raise StateError("cannot observe after terminal status %r" % (status,))
+    elif failures >= plans[level].c or run > limits[level]:
+        raise StateError("state is past level %d's limits: failures %d (c = %d), run %d "
+                         "(r = %d)" % (level, failures, plans[level].c, run, limits[level]))
     while status == CONTINUE:
         entered = level
         n, c, r = plans[level].n, plans[level].c, limits[level]
         # the last trial this pipeline may draw (islice takes at most maxsize)
         stop = min(max(n, trials + 1), trials + sys.maxsize)
         trial_no = count(trials + 1)
-        values = map(_OUTCOMES.__getitem__, islice(outcomes, stop - trials))
-        if failures < c and r >= 0:  # here a success only counts
-            # compress draws the count before the value: it runs one ahead
-            steps, lag = zip(repeat(FAILURE), compress(trial_no, values)), 1
-        else:
-            steps, lag = zip(values, trial_no), 0
+        fails = compress(trial_no, map(_OUTCOMES.__getitem__, islice(outcomes, stop - trials)))
         try:
-            for value, t in steps:
-                skipped, trials = range(trials + 1, t), t
-                if skipped:
+            for t in fails:
+                first, trials = trials + 1, t
+                if first < t:
                     run = 0
                     if sink is not None:
-                        for k in skipped:
+                        for k in range(first, t):
                             sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
-                if value == FAILURE:
-                    failures += 1
-                    run += 1
-                else:
-                    run = 0
+                failures += 1
+                run += 1
                 while failures >= c or run > r:
                     if level == last:
                         status = REJECTED
                         break
                     if sink is not None:
-                        sink(Event(t, value, level, failures, run,
+                        sink(Event(t, FAILURE, level, failures, run,
                                    "escalate_failures" if failures >= c else "escalate_run"))
                     level += 1
                     n, c, r = plans[level].n, plans[level].c, limits[level]
@@ -213,37 +216,29 @@ def run_stream(ladder, outcomes, state=None, sink=None):
                     status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
                 if status != CONTINUE:
                     if sink is not None:
-                        sink(Event(t, value, level, failures, run,
+                        sink(Event(t, FAILURE, level, failures, run,
                                    "accept" if status == ACCEPTED else "reject"))
                     break
                 if level != entered:
                     break  # no continue event after an escalation; new pipeline
                 if sink is not None:
-                    sink(Event(t, value, level, failures, run, CONTINUE))
-        except BaseException:
-            # if the pipeline raised, the outcome at the count's next value
-            # (less the lag) failed to be drawn or checked and the successes
-            # before it were seen; if the loop body raised, the range is empty
-            if sink is not None:
-                for k in range(trials + 1, next(trial_no) - lag):
-                    sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
-            raise
-        if status != CONTINUE or level != entered:
-            continue
-        # the pipeline ran dry: trials before its count's next value (less
-        # the lag) were drawn
-        end = next(trial_no) - 1 - lag
-        if end > trials:
-            first, trials, run = trials + 1, end, 0
-            if end >= n:
-                status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
-            if sink is not None:
-                for k in range(first, end if status == ACCEPTED else end + 1):
-                    sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
-                if status == ACCEPTED:
-                    sink(Event(end, SUCCESS, level, failures, 0, "accept"))
-        if end < stop:
-            break  # the stream ended
+                    sink(Event(t, FAILURE, level, failures, run, CONTINUE))
+        finally:
+            # compress draws the count before each value, so the count has run
+            # one past ``end``, the last trial drawn; unless the loop body broke
+            # or raised, the trials after the last failure were successes
+            end = next(trial_no) - 2
+            if end > trials:
+                first, trials, run = trials + 1, end, 0
+                if end >= n:
+                    status, accepted_level, accepted_t_h = ACCEPTED, level, plans[level].t_h
+                if sink is not None:
+                    for k in range(first, end if status == ACCEPTED else end + 1):
+                        sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
+                    if status == ACCEPTED:
+                        sink(Event(end, SUCCESS, level, failures, 0, "accept"))
+        if status == CONTINUE and level == entered:
+            break  # the stream ran dry
     return InspectionState(level_index=level, trials=trials, failures=failures, run=run,
                            status=status, accepted_level=accepted_level,
                            accepted_t_h=accepted_t_h)

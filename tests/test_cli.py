@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dhtplan import TestSpec, solve
 from dhtplan.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +67,23 @@ class TestPlan:
         assert (code, err) == (0, "")
         assert "n=2658" in out and "c=115" in out
 
+    def test_exact_z_mode(self):
+        # the exact z quantiles size n=385 where the paper's rounded ones give 383
+        code, out, _ = run(["--format", "jsonl", "plan", "--method", "norm-n",
+                            "--p0", "0.02", "--p1", "0.05", "--z-mode", "exact"])
+        assert code == 0
+        rec = json.loads(out)
+        plan = solve(TestSpec(0.02, 0.05, paper_compat_z=False), "Norm_N")
+        assert (rec["n"], rec["c"], rec["t_h"]) == (plan.n, plan.c, plan.t_h)
+        assert (plan.n, plan.c) == (385, 13)
+
+    def test_max_n_stops_the_scan(self):
+        code, out, err = run(["plan", "--method", "bin", "--p0", "0.015",
+                              "--p1", "0.02", "--max-n", "1000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("no convergence: Bin scan reached max_n=1000")
+        assert err.count("\n") == 1
+
     def test_bad_rate_order_exit_one(self):
         code, _, err = run(["plan", "--method", "bin",
                             "--p0", "0.05", "--p1", "0.02"])
@@ -103,6 +121,16 @@ class TestTable:
         n, c, t_h, r = int(rows[1][0]), int(rows[1][1]), float(rows[1][2]), int(rows[1][3])
         assert (n, c, r) == (288, 20, 6)
         assert t_h == pytest.approx(0.0694, abs=0.004)
+
+    @pytest.mark.parametrize("flags,first_row", [([], (628, 3)),
+                                                 (["--first-method", "poiss"], (630, 3))],
+                             ids=["bin", "poiss"])
+    def test_first_method(self, flags, first_row):
+        code, out, _ = run(["--format", "csv", "table", "--step", "0.01", "--rows", "2"]
+                           + flags)
+        assert code == 0
+        n, c = out.strip().splitlines()[2].split(",")[:2]
+        assert (int(n), int(c)) == first_row
 
     def test_zero_step_exit_one(self):
         code, _, err = run(["table", "--step", "0"])
@@ -362,6 +390,14 @@ class TestErrorBoundary:
         err = self._one_line_error(["inspect", "--levels", "0,nan"], exit_code=2)
         assert "p1 must be a finite rate, got nan" in err
 
+    def test_inspect_plan_that_can_never_accept(self, tmp_path):
+        # the first pair's Norm_I plan is (n, c) = (5032, 0)
+        path = tmp_path / "stream.txt"
+        path.write_text("0\n1\n0\n")
+        err = self._one_line_error(["inspect", "--levels", "0.00001,0.0005,0.001",
+                                    "--input", str(path)], exit_code=2)
+        assert "(1e-05, 0.0005) has c = 0 and can never accept" in err
+
     def test_oc_grid_too_fine_returns_at_once(self):
         # the points are counted, not built: a 1e300-point grid must not hang
         proc = subprocess.run(
@@ -496,7 +532,7 @@ assert "numpy" in sys.modules, "simulate"
         assert proc.returncode == 0, proc.stderr
 
     ALWAYS = {"dhtplan", "dhtplan.cli", "dhtplan.errors"}
-    KERNELS = {"dhtplan.stat_kernels", "dhtplan._backend", "dhtplan._backend.pure"}
+    KERNELS = {"dhtplan.stat_kernels", "dhtplan._backend"}
     ENGINE = {"dhtplan.inspection_engine", "dhtplan.plan_solvers",
               "dhtplan.run_limits"} | KERNELS
 

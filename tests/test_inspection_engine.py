@@ -29,6 +29,9 @@ def reference_run_stream(ladder, outcomes, state=None, sink=None):
     plans, limits = ladder.plans, ladder.run_limits
     last = len(plans) - 1
     n, c, r = plans[level].n, plans[level].c, limits[level]
+    if status == CONTINUE and (failures >= c or run > r):
+        raise StateError("state is past level %d's limits: failures %d (c = %d), run %d "
+                         "(r = %d)" % (level, failures, c, run, r))
     for outcome in outcomes:
         if status != CONTINUE:
             raise StateError("cannot observe after terminal status %r" % (status,))
@@ -114,6 +117,15 @@ class TestBuildLadder:
     def test_no_convergence_names_pair(self):
         with pytest.raises(LadderError, match=r"0\.2.*0\.4"):
             build_ladder([0.2, 0.4], epsilon=1e-6)
+
+    def test_plan_that_can_never_accept_names_pair(self):
+        # the first pair's Norm_I plan is (n, c) = (5032, 0)
+        with pytest.raises(LadderError, match=r"\(1e-05, 0\.0005\).*never accept"):
+            build_ladder([1e-05, 0.0005, 0.001])
+
+    def test_negative_run_limit(self, newton_ladder):
+        with pytest.raises(LadderError, match="run limits must be at least 0"):
+            replace(newton_ladder, run_limits=(-1, 6))
 
 
 class TestObserve:
@@ -207,6 +219,15 @@ class TestRunStream:
         assert state.status == ACCEPTED
         assert len(list(outcomes)) == 5  # nothing past the verdict was drawn
 
+    @pytest.mark.parametrize("state", [InspectionState(failures=13), InspectionState(run=6)],
+                             ids=["failures", "run"])
+    def test_state_past_its_level_limits(self, newton_ladder, state):
+        # level 0 has c = 13 and r = 5
+        outcomes = iter([0, 1, 0])
+        with pytest.raises(StateError, match="past level 0's limits"):
+            run_stream(newton_ladder, outcomes, state)
+        assert list(outcomes) == [0, 1, 0]  # nothing was drawn
+
 
 #: Inputs that int() rejects or maps off {0, 1}, and some it maps onto it.
 ODD_VALUES = (2, -1, "x", None, "", 1.9, 0.7, "1", np.int64(1), np.float64(0.3),
@@ -255,7 +276,7 @@ def engine_cases(draw):
     else:
         state = None
     raise_at = draw(st.one_of(st.just(-1), st.integers(0, len(stream))))
-    return (draw(st.integers(0, 2)), stream, state, draw(st.booleans()), raise_at,
+    return (draw(st.integers(0, 1)), stream, state, draw(st.booleans()), raise_at,
             draw(st.booleans()))
 
 
@@ -265,10 +286,7 @@ class TestAgainstReferenceModel:
     def test_same_states_events_exceptions_and_reads(self, step3_ladder, newton_ladder,
                                                      case):
         which, stream, state, with_sink, raise_at, as_list = case
-        # the third ladder's run limit of -1 makes every outcome at level 0
-        # escalate, a success included
-        ladder = (step3_ladder, newton_ladder,
-                  replace(newton_ladder, run_limits=(-1, 6)))[which]
+        ladder = (step3_ladder, newton_ladder)[which]
         if isinstance(state, list):  # resume from a state the model reached
             state = reference_run_stream(ladder, state)
         args = (ladder, stream, state, with_sink, raise_at, as_list)
@@ -308,19 +326,13 @@ class _StrictOne(int):
         raise AssertionError("int() called on an outcome equal to 1")
 
 
-def _three_ladders(step3_ladder, newton_ladder):
-    # the third makes every level-0 outcome escalate, so each one, a success
-    # included, reaches the loop body as its checked value
-    return step3_ladder, newton_ladder, replace(newton_ladder, run_limits=(-1, 6))
-
-
 class TestOutcomeCheck:
     @pytest.mark.parametrize("value", [1.0, True, np.int8(1), np.bool_(False),
                                        Decimal(1), Fraction(1)], ids=repr)
     def test_values_equal_to_0_or_1_give_plain_ints(self, step3_ladder, newton_ladder,
                                                     value):
         rng = random.Random(7)
-        for ladder in _three_ladders(step3_ladder, newton_ladder):
+        for ladder in (step3_ladder, newton_ladder):
             stream = [value if rng.random() < 0.3 else int(rng.random() < 0.05)
                       for _ in range(400)]
             events, expected = [], []
@@ -330,7 +342,7 @@ class TestOutcomeCheck:
             assert {type(e.outcome) for e in events} == {int}
 
     def test_odd_values_leave_the_table_alone(self, step3_ladder, newton_ladder):
-        for ladder in _three_ladders(step3_ladder, newton_ladder):
+        for ladder in (step3_ladder, newton_ladder):
             for value in ODD_VALUES:
                 try:
                     run_stream(ladder, [0, 1, value, 0], sink=[].append)
@@ -342,7 +354,7 @@ class TestOutcomeCheck:
 
     def test_an_int_equal_to_1_is_a_failure_without_int(self, step3_ladder,
                                                          newton_ladder):
-        for ladder in _three_ladders(step3_ladder, newton_ladder):
+        for ladder in (step3_ladder, newton_ladder):
             state, events = observe(InspectionState(), ladder, _StrictOne(1))
             assert (state.trials, state.failures) == (1, 1)
             assert type(events[0].outcome) is int

@@ -12,7 +12,7 @@ from itertools import islice
 
 import pytest
 
-from dhtplan._backend import pure
+from dhtplan import _backend as pure
 
 # (c, n, p, binom_cdf(c, n, p).hex())
 BINOM = [

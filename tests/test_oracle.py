@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhtplan._backend import pure
+from dhtplan import _backend as pure
 
 stats = pytest.importorskip("scipy.stats")
 special = pytest.importorskip("scipy.special")

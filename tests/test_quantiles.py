@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtplan import SolverError, TestSpec, solve
-from dhtplan._backend import pure
+from dhtplan import _backend as pure
 
 
 def scan_binom_ge(n, p, target):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtplan import SolverError, TestSpec, solve
-from dhtplan._backend import pure
+from dhtplan import _backend as pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 
 

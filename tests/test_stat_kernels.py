@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dhtplan import (DomainError, SolverError, TailMass, binom_cdf, normal_cdf,
                      poisson_cdf, z_value)
-from dhtplan._backend import pure
+from dhtplan import _backend as pure
 
 getcontext().prec = 60
 
