@@ -16,7 +16,7 @@ of probabilities never reaches 2**512, and ldexp by 0 is exact.
 
 import math
 from itertools import accumulate, chain, count, islice, repeat
-from math import exp, expm1, ldexp, lgamma, log, log1p
+from math import exp, ldexp, log, log1p
 
 from .errors import SolverError
 
@@ -234,18 +234,30 @@ def _past_cap(cap, mean):
 # k, so certifying the count and the one below it fixes the quantile, and
 # every decision, and every plan, is the one the per-n partial sums give.
 #
+# One walker serves both families, which differ only in data.  Binomial(n, p)
+# and Poisson(n p) both run the term recurrence of _term_sum from a parameter
+# a, P(X = 0) = exp(-a rate) and P(X = j) = P(X = j-1) (a - (j-1) da) / j ratio:
+# the Binomial with a = n, da = 1, ratio = p/q and rate = log(1/q), the
+# Poisson with a = n p, da = 0 and ratio = rate = 1.  One trial adds size = 1
+# or p to a.  Both are closed under convolution: across h trials
+# X_{n+h} = X_n + Y, with Y of the same family at parameter d, the growth of
+# a.  So one loop moves the walker, with g_i = P(X_n = k - i) stepped down
+# by the recurrence:
+#     P(X <= k) -= sum_i g_i P(Y > i),    P(X = k) = sum_i g_i P(Y = i).
+# The sums stop at the last i = M where P(Y = i) still matters; what they
+# leave out of either is at most P(X_n <= k) P(Y > M), which the CDF's
+# error bound carries as it is and the pmf's relative error divided by it.
+#
 # A count changes only about once every 1/p trials, so the scans visit only
 # the n where one could.  After each n a walker's hold bounds how far its
 # CDF can fall, from the pmf at k, and so how many trials certainly keep its
-# count; the scan jumps past them, and the walker crosses the jump of h
-# trials as X_{n+h} = X_n + Y in one convolution with the increment Y.
+# count; the scan jumps past them, and the walker crosses them in one move.
 
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
-_SHORT = 16                # a move of fewer trials goes one trial at a time
-_LEAD = 699.0              # a jump keeps P(Y = 0) >= exp(-_LEAD), a normal double
-_STIRLING = 20             # Stirling's series serves arguments from here on
+_SHORT = 16                # the increments of moves shorter than this are kept
+_LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal double
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
 
@@ -269,24 +281,44 @@ def _span(r, x, lx):
     return log1p(t) / lx
 
 
-def _stirling(x):
-    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= _STIRLING.
+def _increments(d, rate, da, ratio, kb):
+    """P(Y = i) and P(Y > i) for i = 0 .. M, Y the increment of one move:
+    Binomial(d, p) or Poisson(d), whose P(Y = 0) = exp(-d rate) is normal.
 
-    Stirling's series to its x**-9 term; the next term is below 1e-17.
+    Returns (P(Y = 0), P(Y > 0), steps, rel, trunc), steps the pairs for
+    i = 1 .. M: the walker's two sums over them are off by at most rel of
+    themselves beyond the running pmf's own error, and P(Y > M), left out
+    of them, is below trunc.
     """
-    r = 1.0 / x
-    r2 = r * r
-    return r * (1.0 / 12 - r2 * (1.0 / 360 - r2 * (1.0 / 1260 - r2 * (1.0 / 1680 - r2 / 1188))))
-
-
-def _suffix_sums(ys):
-    tails = list(accumulate(reversed(ys)))
+    lead = d * rate
+    y0 = y = exp(-lead)
+    ys = []
+    a = d
+    i = 1.0
+    tiny = _U / 32.0
+    while True:
+        y = y * (a / i) * ratio  # P(Y = i)
+        a -= da
+        i += 1.0
+        # the terms past y fall by ratios of at most a / i ratio: once that
+        # is below 1 and y negligible, they sum to at most y / (1 - a / i ratio)
+        if y < tiny and a / i * ratio < 1.0:
+            break
+        ys.append(y)
+    tails = list(accumulate(reversed(ys), initial=0.0))
     tails.reverse()
-    return tuple(tails)
+    m = len(ys)
+    # P(Y = i) is off by (3 lead + 1) u + i kb, a tail sum by m u more; the
+    # convolution's steps down cost i kb, its products and sums (m + 1) u.
+    # A list, not tuple(zip(...)): CPython would keep each freed tuple of up
+    # to 20 pairs on a free list that tuple() of an iterator never draws from
+    return (y0, tails[0], list(zip(ys, tails[1:])),
+            (3.0 * lead + 16.0 + 2.0 * m) * _U + 2.0 * m * kb, 4.0 * y / (1.0 - a / i * ratio))
 
 
 class _Walk:
-    """One count k of a failure-count distribution, followed as n grows.
+    """One count k of Binomial(n, p), or Poisson(n p) when poisson, followed
+    as n grows, 0 < p < 1.
 
     cdf and pmf are running values of P(X <= k) and P(X = k); cdf_err
     bounds |cdf - P(X <= k)| and pmf_rel the relative error of pmf.  At the
@@ -294,14 +326,34 @@ class _Walk:
     P(X <= k), with room left for rounding the comparison itself.
     """
 
-    __slots__ = ("p", "n", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka", "kb", "piece")
+    __slots__ = ("p", "poisson", "size", "da", "ratio", "rate", "ka_a", "ka_0", "kb",
+                 "piece", "moves", "n", "a", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka")
 
-    def __init__(self, p):
+    def __init__(self, p, poisson):
+        self.p, self.poisson = p, poisson
+        if poisson:
+            self.size, self.da, self.ratio, self.rate = p, 0.0, 1.0, 1.0
+            # kernel term j is off by (2 + 2j) u; a scaled leading term adds
+            # 2 a u (e log 2 is off by up to 2u of a), with room for n p
+            # rounding to a; the Kahan sum by 2u more
+            self.ka_a, self.ka_0, self.kb = 3.0, 7.0, 2.0 * _U
+        else:
+            self.size, self.da, self.ratio = 1.0, 1.0, p / (1.0 - p)
+            self.rate = lq = -log1p(-p)
+            # kernel term j is off by (n + 2 + 5j) u, n u of it from rounding
+            # q; a scaled leading term adds 5 n log(1/q) u (log q, n log q and
+            # e log 2 each off by up to 2u of n log(1/q)); the sum by 2u more
+            self.ka_a, self.ka_0, self.kb = 1.0 + 5.0 * lq, 6.0, 5.0 * _U
+        # a subnormal kernel result carries up to 2**-1075 more, absolute,
+        # from ldexp; kb is also the relative error of one recurrence step
+        self.piece = max(1, int(_LEAD / (self.size * self.rate)))
+        self.moves = {}
         # n = 0: all mass at zero failures
-        self.p = p
         self.n = self.k = 0
+        self.a = 0.0
         self.cdf = self.pmf = 1.0
         self.cdf_err = self.pmf_rel = 0.0
+        self.ka = self.linear_bound(0)[0]
 
     def first(self, n, target, strict):
         """Smallest count whose exact CDF at n is >= target (> target when strict).
@@ -383,11 +435,11 @@ class _Walk:
         """Trial counts past n, at most limit, for which the exact CDF at k
         certainly stays above target and, with left, the one at k - 1 below.
 
-        P(X <= k - 1) only falls as n grows.  P(X <= k) falls by p times the
-        pmf at k per trial, and that pmf grows by at most a fixed factor per
-        trial, so span bounds the fall over h trials by a geometric sum.
-        Both are compared with the kernel's error bound at the last trial
-        count of the range: it grows with n, so it is largest there.
+        P(X <= k - 1) only falls as n grows.  P(X <= k) falls with the pmf at
+        k, which grows by at most a fixed factor per trial, so span bounds
+        the fall over h trials.  Both are compared with the kernel's error
+        bound at the last trial count of the range: it grows with n, so it
+        is largest there.
         """
         pmf = self.pmf
         if self.cdf - target < _ROOM * self.p * pmf:
@@ -407,294 +459,131 @@ class _Walk:
             return limit
         return int(h) if h >= 1.0 else 0
 
+    def linear_bound(self, n):
+        """(ka, kb) of the kernel's error bound at trial count n."""
+        return (n * self.size * self.ka_a + self.ka_0) * _U, self.kb
 
-class _BinomWalk(_Walk):
-    """Binomial(n, p) walker, 0 < p < 1.
+    def span(self, r):
+        """Real trial count past n over which the CDF at k falls by at most
+        r times the pmf there.
 
-    n -> n+1:  P(X <= k) -= p P(X = k);  P(X = k) *= q (n+1) / (n+1-k)
-    n -> n+h:  see _jump
-    k -> k+1:  P(X = k+1) = P(X = k) (n-k)/(k+1) p/q;  P(X <= k+1) += it
-    """
-
-    __slots__ = ("q", "ratio", "lq", "ka_n")
-
-    def __init__(self, p):
-        super().__init__(p)
-        q = self.q = 1.0 - p
-        self.ratio = p / q
-        self.lq = lq = -log1p(-p)
-        self.ka_n = 1.0 + 5.0 * lq
-        self.ka, self.kb = self.linear_bound(0)
-        self.piece = int(_LEAD / lq)
+        Per unit of a the CDF falls by w = p / size times the pmf at k: by
+        p pmf(k; n + i) at each whole trial for the Binomial, continuously
+        for the Poisson.  Per unit of a the pmf grows by at most a factor
+        (1 + c da)**(1/da), e**c at da = 0, with c = (k - w (a + da)) /
+        (a + da - k da), which only falls as a grows: q (n+1) / (n+1-k) - 1
+        for the Binomial and k / a - 1 for the Poisson.  So span sums a
+        geometric series for the one and integrates an exponential for the
+        other.  Over h trials a grows by at most h size (1 + 2u) + 3u a, as
+        fl(n p) rounds.
+        """
+        a, k, da = self.a, self.k, self.da
+        w = self.p / self.size
+        top = a + da
+        c = (k - w * top) / (top - k * da)
+        c += 3.0 * _U * (abs(c) + w * top / (top - k * da))  # rounded up
+        t = _span(r / w * _SAFE, c, log1p(c * da) / da if da else c) * _SAFE
+        return (t - 3.0 * _U * a) / (self.size * (1.0 + 2.0 * _U))
 
     def move(self, n):
+        """Carry cdf and pmf from the current trial count to n, by a convolution
+        with each increment Y of at most piece trials."""
         m = self.n
         if m == n:
             return
-        k, cdf, pmf, err, rel = self.k, self.cdf, self.pmf, self.cdf_err, self.pmf_rel
-        p, q = self.p, self.q
+        k, cdf, pmf, err, rel, a = (self.k, self.cdf, self.pmf, self.cdf_err,
+                                    self.pmf_rel, self.a)
+        size, da, ratio, moves = self.size, self.da, self.ratio, self.moves
         while m < n:
             h = n - m
-            if h >= _SHORT:
-                h = min(h, m, self.piece)
-                if h >= _SHORT and (not k or m - k >= _STIRLING - 1):
-                    cdf, pmf, err, rel = self._jump(m, h, cdf, pmf, err, rel)
-                    m += h
-                    continue
-            pb = p * pmf
-            cdf -= pb
-            err += pb * (rel + _U) + _U * cdf
-            m += 1
-            pmf = pmf * q * m / (m - k)
-            rel += 4 * _U
-        if pmf < _MIN_PMF:
-            err = math.inf  # a subnormal pmf lost its relative error bound
-        self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel = n, cdf, pmf, err, rel
-        self.ka = (n * self.ka_n + 6) * _U  # linear_bound(n), inline on the hot path
-
-    def _jump(self, m, h, cdf, pmf, err, rel):
-        """m -> m + h with Y ~ Binomial(h, p), h <= m:
-            P(X <= k) -= sum_i P(X_m = k-i) P(Y > i)
-            P(X = k)  *= C(m+h, k) / C(m, k) q**h, the first factor from
-                          Stirling's series at a = m+1 and b = m+1-k
-        """
-        k, p, lq = self.k, self.p, self.lq
-        lead = h * lq
-        if not k:
-            # P(X <= 0) = P(X = 0), and P(Y > 0) = 1 - q**h is off by 3u
-            s = -pmf * expm1(-lead)
-            pmf *= exp(-lead)
+            if h > 1:
+                h = min(h, self.piece)
+            a2 = (m + h) * size
+            d = a2 - a
+            if h > m and a2 - d != a:
+                # d was rounded; a move of h <= m trials keeps it exact, as
+                # fl(m p) >= fl((m + h) p) / 2 (Sterbenz)
+                h = m
+                a2 = (m + h) * size
+                d = a2 - a
+            m += h
+            try:
+                y, above, steps, trel, trunc = moves[d]
+            except KeyError:
+                known = _increments(d, self.rate, da, ratio, self.kb)
+                if h < _SHORT:
+                    # short moves take few distinct d: keep their increments
+                    moves[d] = known
+                y, above, steps, trel, trunc = known
+            s = pmf * above
+            t = pmf * y
+            g = pmf
+            j = k + 0.0  # a float, for float arithmetic in the loop
+            b = a - (j - 1.0) * da  # P(X = j-1) = P(X = j) j / (b ratio)
+            for y, above in steps:
+                if not j:
+                    break
+                g = g * j / (b * ratio)
+                b += da
+                j -= 1.0
+                s += g * above
+                t += g * y
+            # left out: at most P(X_m <= k) P(Y > M) of the CDF's fall and
+            # of the pmf, less than trunc times the CDF before the move
+            rel += trel
+            err += s * rel + trunc * cdf + _U * (cdf - s)
+            if t < _MIN_PMF:
+                err = math.inf  # a subnormal pmf lost its relative error bound
+            else:
+                rel += cdf * trunc / t
             cdf -= s
-            err += s * (rel + 5 * _U) + _U * cdf
-            return cdf, pmf, err, rel + (3.0 * lead + 3.0) * _U
-        tails, trel, trunc = _binom_tails(h, p, lead)
-        s = 0.0
-        g = pmf
-        j = k
-        back = self.q / p
-        for above in tails:
-            s += g * above
-            if not j:
-                break
-            g = g * j / (m - j + 1) * back  # P(X_m = j-1) from P(X_m = j)
-            j -= 1
-        cdf -= s
-        err += s * (rel + trel + trunc) + (trunc + _U) * cdf
-        a = m + 1.0
-        b = a - k
-        # (a - 1/2) log1p(h/a) + h log(a + h) - h + the series terms is
-        # lgamma(a + h) - lgamma(a); the two h log terms meet in l2
-        da = (a - 0.5) * log1p(h / a) - (b - 0.5) * log1p(h / b)
-        l2 = log1p(-k / (a + h))
-        c = -h * (l2 + lq)
-        x = da + c + ((_stirling(a + h) - _stirling(a)) - (_stirling(b + h) - _stirling(b)))
-        pmf *= exp(x)
-        # each log1p term is off by 3u of itself, below h; l2 + lq by 3u of
-        # h (lq - l2); the sums by 2u of |x| + 1, and exp and the product by 2u
-        return cdf, pmf, err, rel + (10.0 * h + 3.0 * h * (lq - l2) + 4.0 * abs(c) + 6.0) * _U
-
-    def linear_bound(self, n):
-        # term j is off by (n + 2 + 5j) u, n u of it from rounding q; a scaled
-        # leading term m adds 5 n log(1/q) u (log q, n log q and e log 2 each
-        # off by up to 2u of n log(1/q)); the sum by 2u more.  A subnormal
-        # result carries up to 2**-1075 more, absolute, from ldexp.
-        return (n * self.ka_n + 6) * _U, 5 * _U
-
-    def span(self, x):
-        # trial i past n falls by p b(k; n+i) <= p b(k; n) g**i, with the
-        # ratio g = b(k; n+1) / b(k; n) = q (n+1) / (n+1-k) only falling in n
-        n, k, p = self.n, self.k, self.p
-        a = n + 1.0 - k
-        pa = p * (n + 1.0)
-        d = (k - pa) / a
-        d += 3.0 * _U * (abs(d) + pa / a)  # g - 1, rounded up
-        return _span(x / p * _SAFE, d, log1p(d)) * _SAFE
+            pmf = t
+            a = a2
+        self.n, self.a, self.cdf, self.pmf, self.cdf_err, self.pmf_rel = (
+            n, a, cdf, pmf, err, rel)
+        self.ka = (a * self.ka_a + self.ka_0) * _U  # linear_bound(n), inline on the hot path
 
     def step(self):
         k = self.k
-        pmf = self.pmf * ((self.n - k) / (k + 1.0)) * self.ratio
-        rel = self.pmf_rel + 5 * _U
+        pmf = self.pmf * ((self.a - k * self.da) / (k + 1.0)) * self.ratio
+        rel = self.pmf_rel + self.kb
         cdf = self.cdf + pmf
         self.cdf_err += pmf * rel + _U * cdf
         self.k, self.cdf, self.pmf, self.pmf_rel = k + 1, cdf, pmf, rel
 
     def exact(self, k):
+        if self.poisson:
+            return poisson_cdf(k, self.a)
         return binom_cdf(k, self.n, self.p)
 
     def exact_first(self, target, strict):
+        if self.poisson:
+            cap = self.cap()
+            if strict:
+                return poisson_quantile_le(self.a, target, cap) + 1
+            return poisson_quantile_ge(self.a, target, cap)
         if strict:
             return binom_quantile_le(self.n, self.p, target) + 1
         return binom_quantile_ge(self.n, self.p, target)
 
     def reseed(self, k):
-        n, p = self.n, self.p
-        lgn = lgamma(n + 1.0)
-        lp, l1p = -math.log(p), -math.log1p(-p)
+        a, da, ratio = self.a, self.da, self.ratio
         self.k = k
-        self.cdf = cdf = binom_cdf(k, n, p)
-        self.pmf = math.exp(lgn - lgamma(k + 1.0) - lgamma(n - k + 1.0)
-                            - k * lp - (n - k) * l1p)
-        self.pmf_rel = _U * (18.0 * lgn + 7.0 * (k * lp + (n - k) * l1p) + 20.0 * n + 32.0)
-        self.cdf_err = cdf * (self.ka + self.kb * k) if self.pmf >= _MIN_PMF else math.inf
-        return k
-
-
-def _binom_tails(h, p, lead):
-    """P(Y > i) for Y ~ Binomial(h, p), i = 0, 1, ... while it matters.
-
-    lead = h log(1/q) <= _LEAD, so P(Y = 0) = exp(-lead) is normal.  Returns
-    (tails, rel, trunc) as _poisson_tails does.
-    """
-    ratio = p / (1.0 - p)
-    mean = h * p
-    ys = []
-    y = exp(-lead)
-    i = 0
-    trunc = 0.0
-    while i < h:
-        y = y * ((h - i) / (i + 1.0)) * ratio
-        i += 1
-        if i > mean and y < _U / 32.0:
-            # past the mean each term is below the last times rho < 1
-            rho = (h - i) / (i + 1.0) * ratio
-            trunc = 4.0 * y / (1.0 - rho)
-            break
-        ys.append(y)
-    # y0 is off by (3 lead + 1) u, P(Y = i) by 5i u more and a tail sum by
-    # m u more; the convolution's pmf steps, products and sums cost 6m u
-    return _suffix_sums(ys), (3.0 * lead + 12.0 * len(ys) + 16.0) * _U, trunc
-
-
-def _poisson_tails(d):
-    """P(Y > i) for Y ~ Poisson(d), i = 0, 1, ... while it matters; d <= _LEAD.
-
-    Returns (tails, exp(-d), rel, trunc): the walker's convolution with
-    these tails is off by at most rel of itself beyond its pmf's own error,
-    plus trunc times P(X <= k) for the terms left out.
-    """
-    e0 = math.exp(-d)
-    ys = []
-    y = e0
-    m = 0
-    while True:
-        m += 1
-        y = y * d / m
-        if m > d and y < _U / 32.0:
-            break
-        ys.append(y)
-    # P(Y = i) is off by (2 + 2i) u and a tail sum by m u more; the
-    # convolution's pmf steps, products and sums cost 3m u more
-    return _suffix_sums(ys), e0, (6 * m + 4) * _U, 4.0 * y / (1.0 - d / (m + 1.0))
-
-
-class _PoissonWalk(_Walk):
-    """Poisson(n p) walker.
-
-    lam -> lam + d, with d = fl(m p) - fl(n p) exact by Sterbenz for
-    n < m <= 2n:
-        P(X <= k) -= sum_i P(X = k-i) P(Poisson(d) > i)
-        P(X = k)  *= exp(k log1p(d / lam) - d)
-    k -> k+1:  P(X = k+1) = P(X = k) lam / (k+1);  P(X <= k+1) += it
-    """
-
-    __slots__ = ("lam", "tails")
-
-    def __init__(self, p):
-        super().__init__(p)
-        self.lam = 0.0
-        self.tails = {}
-        self.ka, self.kb = self.linear_bound(0)
-        self.piece = max(1, int(_LEAD / p))
-
-    def move(self, n):
-        m = self.n
-        if m == n:
-            return
-        k, cdf, pmf, err, rel, lam = (self.k, self.cdf, self.pmf, self.cdf_err,
-                                      self.pmf_rel, self.lam)
-        p, tails = self.p, self.tails
-        while m < n:
-            h = n - m
-            if h > 1:
-                h = min(h, m, self.piece) or 1
-            m += h
-            lam2 = m * p
-            d = lam2 - lam
-            try:
-                tail, e0, trel, trunc = tails[d]
-            except KeyError:
-                tail, e0, trel, trunc = _poisson_tails(d)
-                if h < _SHORT:
-                    # short moves take few distinct d: keep their tails
-                    tails[d] = tail, e0, trel, trunc
-            if k:
-                s = 0.0
-                g = pmf
-                j = k
-                for above in tail:
-                    s += g * above
-                    g = g * j / lam      # P(X = j-1) from P(X = j); 0 past j = 0
-                    j -= 1
-                kl = k * log1p(d / lam)
-                x = kl - d
-                pmf *= exp(x)
-                rel_step = _U * (4.0 * kl + abs(x) + 3.0)
-            else:
-                s = pmf * tail[0] if tail else 0.0
-                pmf *= e0
-                rel_step = 3 * _U
-            cdf -= s
-            err += s * (rel + trel + trunc) + (trunc + _U) * cdf
-            rel += rel_step
-            lam = lam2
-        if pmf < _MIN_PMF:
-            err = math.inf  # a subnormal pmf lost its relative error bound
-        self.n, self.cdf, self.pmf, self.cdf_err, self.pmf_rel, self.lam = (
-            n, cdf, pmf, err, rel, lam)
-        self.ka = (3.0 * lam + 7) * _U  # linear_bound(n), inline on the hot path
-
-    def linear_bound(self, n):
-        # term j is off by (2 + 2j) u; a scaled leading term m adds 2 lam u
-        # (e log 2 is off by up to 2u of lam), with room for n p rounding to
-        # lam; the Kahan sum by 2u more.  A subnormal result carries up to
-        # 2**-1075 more, absolute, from ldexp.
-        return (3.0 * n * self.p + 7) * _U, 2 * _U
-
-    def span(self, x):
-        # as the mean grows by dt the CDF falls by pmf(k; lam + t) dt, at most
-        # pmf(k; lam) e**(c t) dt with c = k/lam - 1; over h trials the mean
-        # grows by fl((n+h) p) - fl(n p) <= h p (1 + u) + 2u lam
-        lam = self.lam
-        c = self.k / lam - 1.0
-        c += _U * (2.0 * self.k / lam + 1.0)  # rounded up
-        t = _span(x * _SAFE, c, c) * _SAFE
-        return (t - 3.0 * _U * lam) / (self.p * (1.0 + 2.0 * _U))
-
-    def step(self):
-        k = self.k
-        pmf = self.pmf * (self.lam / (k + 1.0))
-        rel = self.pmf_rel + 2 * _U
-        cdf = self.cdf + pmf
-        self.cdf_err += pmf * rel + _U * cdf
-        self.k, self.cdf, self.pmf, self.pmf_rel = k + 1, cdf, pmf, rel
-
-    def exact(self, k):
-        return poisson_cdf(k, self.lam)
-
-    def exact_first(self, target, strict):
-        cap = self.cap()
-        if strict:
-            return poisson_quantile_le(self.lam, target, cap) + 1
-        return poisson_quantile_ge(self.lam, target, cap)
-
-    def reseed(self, k):
-        lam = self.lam
-        llam, lgk = math.log(lam), lgamma(k + 1.0)
-        self.k = k
-        self.cdf = cdf = poisson_cdf(k, lam)
-        self.pmf = math.exp(-lam + k * llam - lgk)
-        self.pmf_rel = _U * (2.0 * lam + 5.0 * k * abs(llam) + 7.0 * lgk + 10.0 * k + 17.0)
-        self.cdf_err = cdf * (self.ka + self.kb * k) if self.pmf >= _MIN_PMF else math.inf
+        self.cdf = cdf = self.exact(k)
+        # P(X = k) by the kernels' recurrence, from exp(-x) scaled as they scale it
+        x = a * self.rate
+        term, e = (exp(-x), 0) if x <= 700.0 else _scaled_lead(-x)
+        for j in range(1, k + 1):
+            term = term * (a / j) * ratio
+            a -= da
+            if term > _BIG:
+                term *= _SHRINK
+                e += 512
+        self.pmf = pmf = ldexp(term, e)
+        # x is off by 2u of itself, the scaled exp(-x) by (2x + 2) u more
+        # and each step by kb
+        self.pmf_rel = (4.0 * x + 3.0) * _U + k * self.kb
+        self.cdf_err = cdf * (self.ka + self.kb * k) if pmf >= _MIN_PMF else math.inf
         return k
 
 
@@ -714,8 +603,7 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     the stopping n (l1 = -1 entries never escape: non-convergence returns
     converged=False with the last examined n).
     """
-    walk = _PoissonWalk if use_poisson else _BinomWalk
-    upper, lower = walk(p0), walk(p1)
+    upper, lower = _Walk(p0, use_poisson), _Walk(p1, use_poisson)
     upper_first, lower_first = upper.first, lower.first
     target = 1.0 - a_half
     # a hold is worth working out only where each CDF has room for a few
@@ -766,8 +654,7 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
 
     Returns (converged, n, m, c).
     """
-    walk = _PoissonWalk if use_poisson else _BinomWalk
-    median, risk = walk(p1), walk(p1)
+    median, risk = _Walk(p1, use_poisson), _Walk(p1, use_poisson)
     n = 1
     while n <= max_n:
         m = median.first(n, 0.5, False)

@@ -137,11 +137,12 @@ def cmd_table(args, out, err):
     if args.rows < 1:
         err.write("error: --rows must be >= 1\n")
         return EXIT_USAGE
-    levels = [round(args.step * i, 12) for i in range(args.rows + 1)]
-    if levels[-1] >= 0.5:
+    # the last level, tested before any level is built
+    if round(args.step * args.rows, 12) >= 0.5:
         err.write("error: %d rows at step %g exceed the 0.5 rate ceiling\n"
                   % (args.rows, args.step))
         return EXIT_USAGE
+    levels = [round(args.step * i, 12) for i in range(args.rows + 1)]
     ladder = _ladder_from_args(args, levels, err)
     if ladder is None:
         return EXIT_COMPUTE

@@ -17,10 +17,11 @@ Method notes
     threshold is placed midway between zero and the consumer median and n
     is the smallest size whose acceptance number keeps the realized
     consumer risk within the full beta tail (no producer risk to split
-    against).  Both scans are certified incremental: a walker per quantile
-    carries the CDF and pmf at its count from one n to a later one by a
-    convolution, with a rounding-error bound, and leaves any comparison
-    that falls inside that bound to the exact kernel.  A count changes only
+    against).  Both scans are certified incremental, by one walker for
+    both methods: a walker per quantile carries the CDF and the pmf at its
+    count from one n to a later one by one convolution with the increment
+    over those trials, with a bound on their rounding error, and leaves
+    any comparison that falls inside that bound to the exact kernel.  A count changes only
     about once every 1/p trials, and each walker bounds how far its CDF can
     fall from the pmf at its count, so a scan jumps straight to the next n
     at which a count or the eps test could change.  The plans are therefore

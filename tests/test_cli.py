@@ -417,6 +417,22 @@ class TestErrorBoundary:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: --c must be at most 1000000, got 50000000000\n"
 
+    def test_table_too_many_rows_returns_at_once(self):
+        # the row count is tested before any level is built: 10**12 levels
+        # would not fit in memory, so the child may not map more than 2 GB
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "dhtplan.cli", "table", "--step", "0.01",
+             "--rows", "1000000000000"],
+            env=_env_with_src(), capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_memory)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: 1000000000000 rows at step 0.01 exceed the 0.5 "
+                               "rate ceiling\n")
+
     def test_simulate_too_many_draws(self):
         # 10**13 uniforms would not fit in memory, let alone in time
         err = self._one_line_error(["simulate", "--n", "100000000000", "--c", "5",

@@ -267,17 +267,32 @@ def engine_cases(draw):
     if kind == "resumed":
         state = [int(rng.random() < rate) for _ in range(draw(st.integers(0, 500)))]
     elif kind == "made":
-        # user-made counters, trials past a level's n and terminal ones included
-        state = InspectionState(level_index=draw(st.integers(0, 1)),
-                                trials=draw(st.integers(0, 800)),
-                                failures=draw(st.integers(0, 25)),
-                                run=draw(st.integers(0, 8)),
-                                status=draw(st.sampled_from([CONTINUE] * 4 + [ACCEPTED])))
+        # user-made counters, trials past a level's n and terminal ones
+        # included; made_state fits them to the ladder drawn below
+        state = (draw(st.integers(0, 1)), draw(st.integers(0, 800)),
+                 draw(st.integers(0, 2**16)), draw(st.integers(0, 2**16)),
+                 draw(st.sampled_from([CONTINUE] * 4 + [ACCEPTED])),
+                 draw(st.sampled_from([False] * 9 + [True])))
     else:
         state = None
     raise_at = draw(st.one_of(st.just(-1), st.integers(0, len(stream))))
     return (draw(st.integers(0, 1)), stream, state, draw(st.booleans()), raise_at,
             draw(st.booleans()))
+
+
+def made_state(ladder, level, trials, f, r, status, past):
+    """A hand-made state at level: failures below the level's c and a run
+    of at most min(r, failures), or, when past, failures at c or beyond or
+    a run beyond r, which a continuing state refuses."""
+    c, limit = ladder.plans[level].c, ladder.run_limits[level]
+    failures = f % c
+    run = r % (min(limit, failures) + 1)
+    if past and f % 2:
+        failures = c + f % 3
+    elif past:
+        run = limit + 1 + r % 3
+    return InspectionState(level_index=level, trials=trials, failures=failures, run=run,
+                           status=status)
 
 
 class TestAgainstReferenceModel:
@@ -289,6 +304,8 @@ class TestAgainstReferenceModel:
         ladder = (step3_ladder, newton_ladder)[which]
         if isinstance(state, list):  # resume from a state the model reached
             state = reference_run_stream(ladder, state)
+        elif isinstance(state, tuple):
+            state = made_state(ladder, *state)
         args = (ladder, stream, state, with_sink, raise_at, as_list)
         assert _drive(run_stream, *args) == _drive(reference_run_stream, *args)
 

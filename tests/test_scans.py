@@ -139,30 +139,36 @@ def test_exact_fallback_gives_the_same_scans(monkeypatch):
             assert_same_scan(*scan_args(method, p0, p1))
 
 
-@pytest.mark.parametrize("walk", [pure._BinomWalk, pure._PoissonWalk])
-def test_walker_falls_back_when_the_quantile_moves_down(walk):
-    w = walk(0.05)
+# the walker's two families: poisson=False follows Binomial(n, p) and
+# poisson=True Poisson(n p); the ids name the Binomial and the Poisson walker
+FAMILIES = pytest.mark.parametrize("poisson", [False, True],
+                                   ids=["_BinomWalk", "_PoissonWalk"])
+
+
+@FAMILIES
+def test_walker_falls_back_when_the_quantile_moves_down(poisson):
+    w = pure._Walk(0.05, poisson)
     w.first(400, 0.975, False)
     k = w.first(401, 0.5, False)
-    if walk is pure._BinomWalk:
-        assert k == pure.binom_quantile_ge(401, 0.05, 0.5)
-    else:
+    if poisson:
         assert k == pure.poisson_quantile_ge(401 * 0.05, 0.5, pure.poisson_cap(401 * 0.05))
+    else:
+        assert k == pure.binom_quantile_ge(401, 0.05, 0.5)
 
 
 def test_poisson_walker_keeps_the_cap():
     cap = pure.poisson_cap(10 * 0.1)
     with pytest.raises(SolverError, match="exceeded cap %d" % cap):
-        pure._PoissonWalk(0.1).first(10, 2.0, False)
-    assert pure._PoissonWalk(0.1).first(10, 2.0, True) == cap + 2
+        pure._Walk(0.1, True).first(10, 2.0, False)
+    assert pure._Walk(0.1, True).first(10, 2.0, True) == cap + 2
 
 
 def test_binomial_walker_keeps_the_cap():
     # the Poisson cap at the mean n p = 1, far below n = 1000
     cap = pure.poisson_cap(1000 * 0.001)
     with pytest.raises(SolverError, match="exceeded cap %d" % cap):
-        pure._BinomWalk(0.001).first(1000, 2.0, False)
-    assert pure._BinomWalk(0.001).first(1000, 2.0, True) == cap + 2
+        pure._Walk(0.001, False).first(1000, 2.0, False)
+    assert pure._Walk(0.001, False).first(1000, 2.0, True) == cap + 2
 
 
 def assert_within_bound(w):
@@ -176,11 +182,11 @@ def assert_within_bound(w):
         assert abs(low - w.exact(k - 1)) <= bound
 
 
-def checking(walk, log):
-    """walk, checked against the exact kernel after every move and every
-    count it returns, with those counts logged as (p, n, k)."""
+def checking(log):
+    """The walker, checked against the exact kernel after every move and
+    every count it returns, with those counts logged as (p, n, k)."""
 
-    class Checked(walk):
+    class Checked(pure._Walk):
         __slots__ = ()
 
         def move(self, n):
@@ -200,8 +206,7 @@ def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     """discrete_scan, jump for jump, with every walker move checked against
     the exact kernel and every n it skips against the exact quantiles there."""
     log = []
-    with mock.patch.object(pure, "_BinomWalk", checking(pure._BinomWalk, log)), \
-            mock.patch.object(pure, "_PoissonWalk", checking(pure._PoissonWalk, log)):
+    with mock.patch.object(pure, "_Walk", checking(log)):
         converged, last, _, _ = pure.discrete_scan(use_poisson, p0, p1, a_half, b_half,
                                                    eps, max_n)
     held = {}  # evaluated n -> [l1, L1]
@@ -222,8 +227,7 @@ def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
 
 def walk_zero(use_poisson, p1, b_tail, max_n):
     """zero_scan at every n, with each hold checked against the n it spans."""
-    walk = pure._PoissonWalk if use_poisson else pure._BinomWalk
-    median, risk = walk(p1), walk(p1)
+    median, risk = pure._Walk(p1, use_poisson), pure._Walk(p1, use_poisson)
     held = {}
     for n in range(1, max_n + 1):
         m = median.first(n, 0.5, False)
@@ -261,31 +265,29 @@ def test_discrete_scan_skips_most_n():
     assert walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1]) < 400  # of n = 3171
 
 
-@given(st.sampled_from([pure._BinomWalk, pure._PoissonWalk]), st.floats(0.0005, 0.45),
-       st.integers(1, 2000), st.integers(0, 2000),
+@given(st.booleans(), st.floats(0.0005, 0.45), st.integers(1, 2000), st.integers(0, 2000),
        st.sampled_from([0.5, 0.975, 0.025, 0.9999, 1e-4]), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_hold_keeps_the_exact_quantile(walk, p, n0, dn, target, left):
+def test_hold_keeps_the_exact_quantile(poisson, p, n0, dn, target, left):
     # a walker that took one jump holds its count; at no n in the held range
     # may the exact CDF at k reach the target, nor (with left) the one at k - 1
-    w = walk(p)
+    w = pure._Walk(p, poisson)
     w.first(n0, target, False)
     n = n0 + dn
     k = w.first(n, target, False)
     held = w.hold(target, 5000, left)
-    exact = pure.binom_cdf if walk is pure._BinomWalk else (
-        lambda j, m, p: pure.poisson_cdf(j, m * p))
+    exact = (lambda j, m, p: pure.poisson_cdf(j, m * p)) if poisson else pure.binom_cdf
     for m in range(n + 1, n + held + 1):
         assert exact(k, m, p) > target, (m, held)
         if left and k:
             assert exact(k - 1, m, p) < target, (m, held)
 
 
-@pytest.mark.parametrize("walk", [pure._BinomWalk, pure._PoissonWalk])
-def test_hold_checks_the_count_below(walk):
+@FAMILIES
+def test_hold_checks_the_count_below(poisson):
     # at the 0.975 quantile k of n = 1000, P(X <= k - 1) is far above 0.5:
     # the count stays above 0.5 for a while, but it is no quantile of 0.5
-    w = walk(0.02)
+    w = pure._Walk(0.02, poisson)
     k = w.first(1000, 0.975, False)
     assert w.exact(k - 1) > 0.5
     assert w.hold(0.5, 1000, False) > 0
@@ -298,14 +300,15 @@ JUMP_POINTS = [(2641, 0.02), (5790, 0.06), (3273, 0.3), (2000, 0.33), (1943, 0.4
                (5049, 0.33), (21000, 0.0004), (40, 0.1)]
 
 
-@pytest.mark.parametrize("walk", [pure._BinomWalk, pure._PoissonWalk])
-@pytest.mark.parametrize("h", [2, 9, 40, 300, 3000])
-def test_one_jump_within_bound(walk, h):
-    # a walker re-seeded at (k, n) crosses h trials in one move; k is the
-    # median halfway through, so its pmf stays normal at both ends
+@FAMILIES
+@pytest.mark.parametrize("h", [1, 2, 9, 15, 40, 300, 3000])
+def test_one_jump_within_bound(poisson, h):
+    # a walker re-seeded at (k, n) crosses h trials in one move, a single
+    # convolution up to the piece of about 700 / p trials; k is the median
+    # halfway through, so its pmf stays normal at both ends
     for n, p in JUMP_POINTS:
         k = min(n, pure.binom_quantile_ge(n + h // 2, p, 0.5))
-        w = walk(p)
+        w = pure._Walk(p, poisson)
         w.move(n)
         w.reseed(k)
         w.move(n + h)
@@ -328,8 +331,8 @@ def test_scans_sweep_long_jumps(method, p1, ratio, zero, alpha, beta, eps, max_n
 def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     # a scan that re-sums from k = 0 at each n computes the leading term
     # q**n, or exp(-lam), at every n; the walkers compute it only to re-seed.
-    # A jump's increment Y ~ Poisson(d) has a leading term exp(-d) of its
-    # own, and d may equal some m p: the count leaves out the tails helpers
+    # A move's increment Y has a leading term exp(-d rate) of its own, and
+    # d may equal some m p: the count leaves out the increment helper
     calls = {"lead": 0, "exact": 0}
     leading = {-(m * p) for p in (p0, p1) for m in range(2, n + 1)}
     increment = []
@@ -364,8 +367,8 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
 
     monkeypatch.setattr(pure, "pow", counted_pow, raising=False)
     monkeypatch.setattr(pure, "math", CountedMath())
-    for name in ("_poisson_tails", "_binom_tails"):
-        monkeypatch.setattr(pure, name, uncounted(getattr(pure, name)))
+    monkeypatch.setattr(pure, "exp", CountedMath.exp)
+    monkeypatch.setattr(pure, "_increments", uncounted(pure._increments))
     for name in ("binom_cdf", "poisson_cdf", "binom_quantile_ge", "binom_quantile_le",
                  "poisson_quantile_ge", "poisson_quantile_le"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
@@ -412,7 +415,7 @@ def assert_kernel_error_bound(last):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for k, n, p in BINOM_POINTS:
-            w = pure._BinomWalk(p)
+            w = pure._Walk(p, False)
             w.move(max(0, n - last))
             if last > 1 and k <= w.n:
                 w.reseed(k)
@@ -427,13 +430,13 @@ def assert_kernel_error_bound(last):
             if last > 1 and w.k == k:
                 assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
         for k, n, p in POISSON_POINTS:
-            w = pure._PoissonWalk(p)
+            w = pure._Walk(p, True)
             w.move(max(0, n - last))
             if last > 1 and w.n:
                 w.reseed(k)
             w.move(n)
-            exact = pure.poisson_cdf(k, w.lam)
-            total = mpmath.gammainc(k + 1, w.lam, regularized=True)
+            exact = pure.poisson_cdf(k, w.a)
+            total = mpmath.gammainc(k + 1, w.a, regularized=True)
             assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
             if last > 1 and w.k == k:
                 assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
