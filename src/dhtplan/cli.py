@@ -36,7 +36,8 @@ _TOKENS = {"0": 0, "1": 1}
 _MAX_GRID_POINTS = 10**6
 #: the largest ``oc --c``: each point sums up to c binomial terms
 _MAX_OC_C = 10**6
-#: the most uniforms one ``simulate`` call may draw (n times reps)
+#: the most trials one ``simulate`` call may simulate (n times reps); each
+#: lot is one binomial draw, so this bounds the trials asked for, not memory
 _MAX_SIMULATE_DRAWS = 10**10
 
 

@@ -1,9 +1,11 @@
 """Exact and Monte Carlo validation of sampling plans.
 
 The exact side evaluates binomial tails directly; the Monte Carlo side
-simulates whole lots of Bernoulli outcomes from a counter-based generator
-(Philox), so per-rep draws occupy fixed positions in the key stream and the
-result is bit-identical however the work is chunked.  numpy is imported
+draws each lot's failure count as one Binomial(n, p) variate from a
+counter-based generator (Philox), so lot i is the i-th variate of the
+seed's stream and the result is bit-identical however the lots are
+blocked.  The count is sampled by numpy's BTPE/inversion algorithm, not
+from the exact CDF, so the check is independent of it.  numpy is imported
 only when a simulation runs.
 """
 
@@ -11,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .stat_kernels import binom_cdf
+from .stat_kernels import _whole, binom_cdf
 
 #: z for the reported 99% confidence half-width.
 _Z99 = 2.5758293035489004
 
-#: uniforms drawn per chunk (bounds peak memory, never the result)
-_CHUNK_DRAWS = 4_000_000
+#: lots drawn per block (bounds peak memory, never the result)
+_BLOCK_LOTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -84,36 +86,33 @@ def _wilson_half_width(k, reps):
 def monte_carlo_accept(plan, p_true, reps, seed):
     """Simulate reps lots of n Bernoulli(p_true) outcomes.
 
-    Returns (acceptance rate, 99% CI half-width).  Rep i consumes draws
-    [i*n, (i+1)*n) of the Philox stream keyed by the seed, so the output
-    does not depend on chunking and repeats exactly for the same seed.
-    A seed is required: ``None`` would draw a fresh key on every call.
+    Returns (acceptance rate, 99% CI half-width).  A lot is accepted when
+    its failure count, drawn as one Binomial(n, p_true) variate, is at most
+    c - 1.  Lot i is the i-th variate of the Philox stream keyed by the
+    seed, so the output does not depend on blocking, the first k lots of a
+    run are a k-lot run, and the same seed repeats exactly.  A seed is
+    required: ``None`` would draw a fresh key on every call.  n and c are
+    whole numbers, integral floats such as 383.0 included.
     """
     if seed is None:
         raise DomainError("seed is required; None would not repeat")
     if reps < 100:
-        raise DomainError("reps must be >= 100 for a usable estimate")
+        raise DomainError("reps must be >= 100 for a usable estimate, got %r"
+                          % (reps,))
     if not (0.0 <= p_true <= 1.0):
-        raise DomainError("p_true must be in [0, 1]")
-    n, c = plan.n, plan.c
+        raise DomainError("p_true must be in [0, 1], got %r" % (p_true,))
+    n = _whole(plan.n, "trial count n")
+    c = _whole(plan.c, "count c")
     if n < 1:
         raise DomainError("n must be >= 1, got %r" % (n,))
-    if n > 2**63 - 1:  # a numpy array dimension is an int64
+    if n > 2**63 - 1:  # numpy draws the count as an int64
         raise DomainError("n must be <= 2**63 - 1, got %r" % (n,))
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    rows_per_chunk = max(1, _CHUNK_DRAWS // n)
     accepted = 0
-    done = 0
-    while done < reps:
-        rows = min(rows_per_chunk, reps - done)
-        fails = 0
-        # a lot longer than a chunk (then rows == 1) is drawn in pieces
-        for start in range(0, n, _CHUNK_DRAWS):
-            u = gen.random((rows, min(_CHUNK_DRAWS, n - start)))
-            fails = fails + np.count_nonzero(u < p_true, axis=1)
+    for done in range(0, reps, _BLOCK_LOTS):
+        fails = gen.binomial(n, p_true, size=min(_BLOCK_LOTS, reps - done))
         accepted += int(np.count_nonzero(fails <= c - 1))
-        done += rows
     rate = accepted / reps
     return rate, _wilson_half_width(accepted, reps)

@@ -369,6 +369,11 @@ class TestErrorBoundary:
                                     "--c", "3", "--p", "0.1"], exit_code=2)
         assert "2**63 - 1" in err
 
+    def test_simulate_rate_nan(self):
+        err = self._one_line_error(["simulate", "--n", "383", "--c", "13",
+                                    "--p", "nan"], exit_code=2)
+        assert err == "error: p_true must be in [0, 1], got nan\n"
+
     def test_table_step_nan(self):
         err = self._one_line_error(["table", "--step", "nan"])
         assert "--step" in err and "nan" in err
@@ -434,7 +439,7 @@ class TestErrorBoundary:
                                "rate ceiling\n")
 
     def test_simulate_too_many_draws(self):
-        # 10**13 uniforms would not fit in memory, let alone in time
+        # the limit is on trials simulated, n times reps, not on lots
         err = self._one_line_error(["simulate", "--n", "100000000000", "--c", "5",
                                     "--p", "0.1", "--reps", "100", "--seed", "1"])
         assert err == ("error: --n times --reps must be at most 10000000000 draws, "

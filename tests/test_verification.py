@@ -100,25 +100,29 @@ class TestMonteCarlo:
     def test_chunking_does_not_change_results(self, monkeypatch):
         plan = _plan(383, 13)
         ref = monte_carlo_accept(plan, 0.02, 3000, 7)
-        monkeypatch.setattr(verification, "_CHUNK_DRAWS", 1000)
-        assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
-        monkeypatch.setattr(verification, "_CHUNK_DRAWS", 10**9)
-        assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
-        # lots longer than a chunk, drawn in pieces of 191 + 191 + 1 and of
-        # 100 + 100 + 100 + 83 draws
-        for chunk in (191, 100):
-            monkeypatch.setattr(verification, "_CHUNK_DRAWS", chunk)
+        for block in (1, 7, 1000, 10**9):
+            monkeypatch.setattr(verification, "_BLOCK_LOTS", block)
             assert monte_carlo_accept(plan, 0.02, 3000, 7) == ref
 
     def test_first_lots_are_a_shorter_run(self, monkeypatch):
-        # lot i is draws [i*n, (i+1)*n) of the seed's Philox stream, so a
-        # k-lot run sees the first k lots of a longer one
-        monkeypatch.setattr(verification, "_CHUNK_DRAWS", 1000 * 383)
-        u = np.random.Generator(np.random.Philox(key=3)).random((5000, 383))
-        fails = np.count_nonzero(u < 0.05, axis=1)
+        # lot i is the i-th Binomial(n, p) variate of the seed's Philox
+        # stream, so a k-lot run sees the first k lots of a longer one
+        monkeypatch.setattr(verification, "_BLOCK_LOTS", 1000)
+        fails = np.random.Generator(np.random.Philox(key=3)).binomial(
+            383, 0.05, 5000)
         for reps in (100, 999, 1001, 5000):
             rate, _ = monte_carlo_accept(_plan(383, 13), 0.05, reps, 3)
             assert round(rate * reps) == np.count_nonzero(fails[:reps] <= 12)
+
+    @pytest.mark.parametrize("n,p,c", [
+        (10**9, 1e-9, 2), (10**14, 1e-14, 1), (2**62, 1e-18, 5),
+        (1000, 0.999, 995), (10**7, 0.5, 5 * 10**6)])
+    def test_extreme_regimes_against_scipy(self, n, p, c):
+        # lots far too long to draw outcome by outcome, against scipy's CDF
+        stats = pytest.importorskip("scipy.stats")
+        rate, hw = monte_carlo_accept(types.SimpleNamespace(n=n, c=c), p,
+                                      200_000, 1)
+        assert abs(rate - stats.binom.cdf(c - 1, n, p)) <= 3 * hw
 
     def test_agreement_with_exact(self):
         plan = _plan(383, 13)
@@ -132,6 +136,27 @@ class TestMonteCarlo:
     def test_trial_count_floor(self):
         with pytest.raises(DomainError, match="n must be >= 1"):
             monte_carlo_accept(types.SimpleNamespace(n=0, c=1), 0.1, 1000, 0)
+
+    @pytest.mark.parametrize("n,c,message", [
+        (383.7, 13, "trial count n must be a whole number, got 383.7"),
+        (383, 13.5, "count c must be a whole number, got 13.5"),
+        (math.inf, 13, "trial count n must be a whole number, got inf")])
+    def test_whole_counts_only(self, n, c, message):
+        with pytest.raises(DomainError, match=message):
+            monte_carlo_accept(types.SimpleNamespace(n=n, c=c), 0.02, 1000, 7)
+
+    def test_integral_float_counts(self):
+        whole = monte_carlo_accept(_plan(383, 13), 0.02, 1000, 7)
+        floats = types.SimpleNamespace(n=383.0, c=13.0)
+        assert monte_carlo_accept(floats, 0.02, 1000, 7) == whole
+
+    @pytest.mark.parametrize("p,reps,message", [
+        (math.nan, 1000, r"p_true must be in \[0, 1\], got nan"),
+        (1.5, 1000, r"p_true must be in \[0, 1\], got 1.5"),
+        (0.1, 99, "reps must be >= 100 for a usable estimate, got 99")])
+    def test_errors_name_the_value(self, p, reps, message):
+        with pytest.raises(DomainError, match=message):
+            monte_carlo_accept(_plan(383, 13), p, reps, 7)
 
     def test_seed_required(self):
         with pytest.raises(DomainError, match="seed"):
