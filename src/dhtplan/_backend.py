@@ -11,7 +11,8 @@ instead from that term scaled by a power of two, m = q**n * 2**-e with m in
 (1/2, 1], and shrinks by an exact 2**-512 whenever it passes 2**512; the
 total is scaled back by ldexp at the end.  A subnormal leading term would
 carry its rounding into every later term.  In the normal range e = 0: a sum
-of probabilities never reaches 2**512, and ldexp by 0 is exact.
+of probabilities never reaches 2**512, so neither the rescale nor ldexp
+runs, and _term_sum also sums one numpy array of such leads at once.
 """
 
 import math
@@ -41,12 +42,18 @@ def _scaled_lead(x):
 
 
 def _term_sum(term, e, c, a, da, ratio):
-    """Kahan sum of term_0 .. term_c times 2**e, clipped at 1.0.
+    """Kahan sum of term_0 .. term_c times 2**e; the caller clips at 1.0.
 
     term_k = term_{k-1} (a / k) ratio, after which a falls by da:
     Binomial(n, p) is a = n, da = 1, ratio = p/q and Poisson(lam) is
     a = lam, da = 0, ratio = 1.  a and k are exact doubles below 2**53,
     the largest count stat_kernels lets through.
+
+    With e = 0 the sum is of probabilities, never near 2**512, so neither
+    the rescale nor ldexp runs (e only rises toward 0).  term and ratio may
+    then be numpy arrays of normal-range leads and their ratios: every step
+    is one IEEE operation per element, so each element equals its scalar
+    run bit for bit.
     """
     total = term
     comp = 0.0
@@ -57,13 +64,14 @@ def _term_sum(term, e, c, a, da, ratio):
         s = total + y
         comp = (s - total) - y
         total = s
-        if total > _BIG:
+        if e and total > _BIG:
             total *= _SHRINK
             comp *= _SHRINK
             term *= _SHRINK
             e += 512
-    total = ldexp(total, e)
-    return 1.0 if total > 1.0 else total
+    if e:
+        total = ldexp(total, e)
+    return total
 
 
 def _term_partials(term, e, a, da, ratio):
@@ -109,22 +117,21 @@ def binom_cdf(c, n, p):
     if p >= 1.0:
         return 0.0
     q = 1.0 - p
-    t0 = pow(q, float(n))
-    if t0 >= _NORMAL:
-        return _term_sum(t0, 0, c, float(n), 1.0, p / q)
-    x = n * log(q)
-    # P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))) for c < np,
-    # with this q = fl(1 - p) as well.  The margin covers the bound's own
-    # rounding, about 2u n + 4u (|a| + |b|).  With n log(1/q) < 2**48 the
-    # sum is off by less than 1/4 of itself: m by 4u n log(1/q), the terms
-    # up to c < np by 4u c more.
-    if 0 < c < n * p and x > -2.0 ** 48:
-        a = c * log(c / (n * p))
-        b = (n - c) * log((n - c) / (n * q))
-        if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
-            return 0.0
-    term, e = _scaled_lead(x)
-    return _term_sum(term, e, c, float(n), 1.0, p / q)
+    term, e = pow(q, float(n)), 0
+    if term < _NORMAL:
+        x = n * log(q)
+        # P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))) for c < np,
+        # with this q = fl(1 - p) as well.  The margin covers the bound's own
+        # rounding, about 2u n + 4u (|a| + |b|).  With n log(1/q) < 2**48 the
+        # sum is off by less than 1/4 of itself: m by 4u n log(1/q), the terms
+        # up to c < np by 4u c more.
+        if 0 < c < n * p and x > -2.0 ** 48:
+            a = c * log(c / (n * p))
+            b = (n - c) * log((n - c) / (n * q))
+            if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
+                return 0.0
+        term, e = _scaled_lead(x)
+    return min(_term_sum(term, e, c, float(n), 1.0, p / q), 1.0)
 
 
 def poisson_cdf(c, lam):
@@ -140,17 +147,18 @@ def poisson_cdf(c, lam):
     if lam <= 0.0:
         return 1.0
     if lam <= 700.0:
-        return _term_sum(exp(-lam), 0, c, lam, 0.0, 1.0)
-    # P(X <= c) <= exp(-(lam - c + c log(c/lam))) for c < lam.  The margin
-    # covers the bound's own rounding, about 4u (lam + c + |a|).  With
-    # lam < 2**48 the sum is off by less than 1/4 of itself: m by 2u lam,
-    # the terms up to c < lam by 2u c more.
-    if 0 < c < lam < 2.0 ** 48:
-        a = c * log(c / lam)
-        if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
-            return 0.0
-    term, e = _scaled_lead(-lam)
-    return _term_sum(term, e, c, lam, 0.0, 1.0)
+        term, e = exp(-lam), 0
+    else:
+        # P(X <= c) <= exp(-(lam - c + c log(c/lam))) for c < lam.  The margin
+        # covers the bound's own rounding, about 4u (lam + c + |a|).  With
+        # lam < 2**48 the sum is off by less than 1/4 of itself: m by 2u lam,
+        # the terms up to c < lam by 2u c more.
+        if 0 < c < lam < 2.0 ** 48:
+            a = c * log(c / lam)
+            if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
+                return 0.0
+        term, e = _scaled_lead(-lam)
+    return min(_term_sum(term, e, c, lam, 0.0, 1.0), 1.0)
 
 
 def _binom_partials(n, p):

@@ -1,17 +1,23 @@
 """Exact and Monte Carlo validation of sampling plans.
 
-The exact side evaluates binomial tails directly; the Monte Carlo side
-draws each lot's failure count as one Binomial(n, p) variate from a
-counter-based generator (Philox), so lot i is the i-th variate of the
-seed's stream and the result is bit-identical however the lots are
-blocked.  The count is sampled by numpy's BTPE/inversion algorithm, not
-from the exact CDF, so the check is independent of it.  numpy is imported
-only when a simulation runs.
+The exact side evaluates binomial tails directly.  An OC curve sums the
+terms of all its points whose leading term q**n is a normal double in one
+run of the kernel's term loop, _term_sum, over numpy arrays; each element
+equals its scalar binom_cdf bit for bit, and every other point takes that
+scalar call.  The Monte Carlo side draws each lot's failure count as one
+Binomial(n, p) variate from a counter-based generator (Philox), so lot i is
+the i-th variate of the seed's stream and the result is bit-identical
+however the lots are blocked.  The count is sampled by numpy's
+BTPE/inversion algorithm, not from the exact CDF, so the check is
+independent of it.  numpy is imported only when a simulation or an OC
+curve's array run takes place; accept_probability, and so the CLI's oc,
+does without it.
 """
 
 import math
 from dataclasses import dataclass
 
+from ._backend import _NORMAL, _term_sum
 from .errors import DomainError
 from .stat_kernels import _whole, binom_cdf
 
@@ -44,12 +50,45 @@ def accept_probability(n, c, p):
 
 
 def oc_curve(plan, grid):
-    """Operating-characteristic curve of a converged plan on a rate grid."""
+    """Operating-characteristic curve of a converged plan on a rate grid.
+
+    Each value equals accept_probability(plan.n, plan.c, p) bit for bit,
+    and a bad point or plan raises what that per-point loop raises, at the
+    same point.  The first point takes that call, which checks n and c.
+    After it, every p in (0, 1) whose leading term q**n is a normal double
+    joins one array run of _term_sum; the rest (p = 0 or 1, subnormal
+    leads, bad points) take the scalar call.
+    """
     if not plan.converged:
         raise DomainError("OC curve requires a converged plan")
-    pts = tuple((float(p), accept_probability(plan.n, plan.c, float(p)))
-                for p in grid)
-    return OcCurve(n=plan.n, c=plan.c, points=pts)
+    points = map(float, grid)
+    first = next(points, None)
+    if first is None:
+        return OcCurve(n=plan.n, c=plan.c, points=())
+    ps = [first]
+    values = [accept_probability(plan.n, plan.c, first)]
+    # n and c are whole now; outside 0 <= k < n the kernel returns 0 or 1
+    n, k = int(plan.n), int(plan.c) - 1
+    batch = 0 <= k < n
+    fn = float(n)
+    rows, leads, ratios = [], [], []
+    for p in points:
+        lead = pow(1.0 - p, fn) if batch and 0.0 < p < 1.0 else 0.0
+        if lead >= _NORMAL:
+            rows.append(len(ps))
+            leads.append(lead)
+            ratios.append(p / (1.0 - p))
+            values.append(None)
+        else:
+            values.append(accept_probability(plan.n, plan.c, p))
+        ps.append(p)
+    if rows:
+        import numpy as np
+
+        sums = _term_sum(np.array(leads), 0, k, fn, 1.0, np.array(ratios))
+        for i, v in zip(rows, np.minimum(sums, 1.0).tolist()):
+            values[i] = v
+    return OcCurve(n=plan.n, c=plan.c, points=tuple(zip(ps, values)))
 
 
 def realized_errors(plan, p0, p1, mc=None):
@@ -91,11 +130,12 @@ def monte_carlo_accept(plan, p_true, reps, seed):
     c - 1.  Lot i is the i-th variate of the Philox stream keyed by the
     seed, so the output does not depend on blocking, the first k lots of a
     run are a k-lot run, and the same seed repeats exactly.  A seed is
-    required: ``None`` would draw a fresh key on every call.  n and c are
-    whole numbers, integral floats such as 383.0 included.
+    required: ``None`` would draw a fresh key on every call.  n, c and reps
+    are whole numbers, integral floats such as 383.0 included.
     """
     if seed is None:
         raise DomainError("seed is required; None would not repeat")
+    reps = _whole(reps, "reps")
     if reps < 100:
         raise DomainError("reps must be >= 100 for a usable estimate, got %r"
                           % (reps,))

@@ -524,7 +524,7 @@ class TestErrorBoundary:
 
 
 class TestLeanImport:
-    """Only Monte Carlo needs numpy; every other path runs without it."""
+    """Only Monte Carlo and oc_curve need numpy; every other path runs without it."""
 
     def test_numpy_loaded_only_by_simulate(self, tmp_path):
         stream = tmp_path / "stream.txt"
@@ -550,6 +550,24 @@ assert "numpy" in sys.modules, "simulate"
         proc = subprocess.run([sys.executable, "-c", script, str(stream)],
                               env=_env_with_src(), capture_output=True, text=True,
                               timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verification_imports_without_numpy(self):
+        # oc_curve loads numpy only to sum its array points; a grid of
+        # endpoints takes no array run
+        script = """
+import sys
+import dhtplan.verification as v
+assert "numpy" not in sys.modules, "import dhtplan.verification"
+v.accept_probability(383, 13, 0.02)
+plan = type("Plan", (), dict(n=383, c=13, converged=True))
+v.oc_curve(plan, [0.0, 1.0])
+assert "numpy" not in sys.modules, "oc_curve on endpoints"
+v.oc_curve(plan, [0.0, 0.02, 0.05])
+assert "numpy" in sys.modules, "oc_curve"
+"""
+        proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
     ALWAYS = {"dhtplan", "dhtplan.cli", "dhtplan.errors"}

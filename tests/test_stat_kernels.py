@@ -150,6 +150,27 @@ class TestPoissonCdf:
                 assert diff <= 5e-3
 
 
+class TestTermSumArrays:
+    """_term_sum runs one numpy array of normal-range leads (oc_curve does)."""
+
+    @pytest.mark.parametrize("n,c", [(1, 0), (20, 19), (383, 12), (2000, 1500),
+                                     (7360, 127), (20_000, 20_000 - 1)])
+    def test_each_element_equals_its_scalar_call(self, n, c):
+        import numpy as np
+
+        ps = [k / 997 for k in range(1, 997)] + [1e-300, 2.0**-1074, 0.5 - 2.0**-54]
+        ps = [p for p in ps if pow(1.0 - p, float(n)) >= 2.0**-1022]
+        leads = [pow(1.0 - p, float(n)) for p in ps]
+        arr = np.array(ps)
+        got = pure._term_sum(np.array(leads), 0, c, float(n), 1.0, arr / (1.0 - arr))
+        want = [pure._term_sum(t, 0, c, float(n), 1.0, p / (1.0 - p))
+                for t, p in zip(leads, ps)]
+        assert len(ps) > 1
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        clipped = np.minimum(got, 1.0).tolist()
+        assert [v.hex() for v in clipped] == [pure.binom_cdf(c, n, p).hex() for p in ps]
+
+
 class TestQuantiles:
     """The backend quantiles at 1 - tail (upper) and at tail (lower, -1 when
     CDF(0) is already past it)."""

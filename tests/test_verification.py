@@ -1,16 +1,35 @@
 """Verification tests: OC curves, exact risks, Monte Carlo determinism."""
 
+import hashlib
 import math
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhtplan import (Applicability, DomainError, SamplingPlan, TestSpec,
                      accept_probability, monte_carlo_accept, oc_curve,
                      realized_errors, solve)
 from dhtplan import verification
+
+#: The twelve plans of acceptance criterion 9: (method, p0, p1, epsilon).
+CRITERION_9 = (
+    ("Norm_N", 0.015, 0.02, None), ("Norm_N", 0.02, 0.05, None),
+    ("Norm_N", 0.05, 0.10, None),
+    ("Norm_I", 0.02, 0.05, 1e-4), ("Norm_I", 0.05, 0.10, 1e-4),
+    ("Norm_I", 0.01, 0.02, 1e-6),
+    ("Bin", 0.0, 0.02, None), ("Bin", 0.02, 0.05, None), ("Bin", 0.05, 0.10, None),
+    ("Poiss", 0.0, 0.02, None), ("Poiss", 0.02, 0.05, None), ("Poiss", 0.05, 0.10, None),
+)
+OC_GRID = tuple(i / 1000 for i in range(1001))
+#: sha256 of "<p.hex()> <value.hex()>\n" over the 12,012 criterion-9 points,
+#: plan by plan, as the per-point loop gives them
+CRITERION_9_OC_SHA256 = "b4600d2dcda20825091279127722345585eb4a2aa7cf2366448e122a580f7594"
+#: q**n is subnormal where n log q < log(2**-1022)
+_LOG_NORMAL = -1022 * math.log(2.0)
 
 
 def _plan(n, c, converged=True, method="Norm_N"):
@@ -23,6 +42,56 @@ def exact_accept(n, c, p_frac):
     q = 1 - p_frac
     return float(sum(math.comb(n, k) * p_frac**k * q**(n - k)
                      for k in range(c)))
+
+
+def per_point_oc(plan, grid):
+    """The OC curve as one accept_probability call per point."""
+    if not plan.converged:
+        raise DomainError("OC curve requires a converged plan")
+    return tuple((float(p), accept_probability(plan.n, plan.c, float(p)))
+                 for p in grid)
+
+
+def _hex_or_raise(fn, *args):
+    """Every point as float.hex, or the exception's type and message."""
+    try:
+        points = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(p.hex(), a.hex()) for p, a in points]
+
+
+@st.composite
+def oc_cases(draw):
+    """A plan, sometimes bad, and a grid with both array and scalar points."""
+    n = draw(st.integers(0, 20_000))
+    c = draw(st.one_of(st.integers(0, min(n + 1, 50)), st.integers(0, n + 1)))
+    fault = draw(st.sampled_from([None] * 10 + ["float", "half_n", "half_c",
+                                               "c_over_n", "unconverged"]))
+    converged = fault != "unconverged"
+    if fault == "float":
+        n, c = float(n), float(c)
+    elif fault == "half_n":
+        n += 0.5
+    elif fault == "half_c":
+        c += 0.5
+    elif fault == "c_over_n":
+        c = n + draw(st.integers(2, 5))
+    # q**n leaves the normal range above p_sub; well above it, for c < n p,
+    # the Chernoff cut returns 0.0
+    p_sub = -math.expm1(_LOG_NORMAL / n) if n >= 1 else 1.0
+    point = st.one_of(
+        st.sampled_from([0.0, 1.0, -0.0, 0, 1]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, min(1.0, 2.0 * c / n) if n else 1.0),
+        st.floats(0.9, 1.1).map(lambda t: min(1.0, p_sub * t)),
+        st.floats(p_sub, 1.0),
+    )
+    grid = draw(st.lists(point, max_size=30))
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from([-0.1, -1e-300, 1.5, math.nan, math.inf]))
+        grid.insert(draw(st.integers(0, len(grid))), bad)
+    return types.SimpleNamespace(n=n, c=c, converged=converged), grid
 
 
 class TestOcCurve:
@@ -47,6 +116,49 @@ class TestOcCurve:
     def test_requires_convergence(self):
         with pytest.raises(DomainError):
             oc_curve(_plan(383, 13, converged=False), [0.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(oc_cases())
+    def test_same_bits_and_exceptions_as_per_point_loop(self, case):
+        plan, grid = case
+        want = _hex_or_raise(per_point_oc, plan, grid)
+        got = _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid)
+        assert got == want
+
+    def test_criterion_9_points_bit_for_bit(self):
+        digest = hashlib.sha256()
+        for method, p0, p1, eps in CRITERION_9:
+            plan = solve(TestSpec(p0, p1, epsilon=eps), method)
+            got = oc_curve(plan, OC_GRID).points
+            assert [(p.hex(), a.hex()) for p, a in got] == [
+                (p.hex(), a.hex()) for p, a in per_point_oc(plan, OC_GRID)], method
+            for p, a in got:
+                digest.update(("%s %s\n" % (p.hex(), a.hex())).encode())
+        assert digest.hexdigest() == CRITERION_9_OC_SHA256
+
+    def test_empty_grid(self):
+        assert oc_curve(_plan(383, 13), []).points == ()
+        assert oc_curve(_plan(383, 13), iter(())).points == ()
+
+    @pytest.mark.parametrize("make", [lambda ps: (p for p in ps), np.array, list],
+                             ids=["generator", "ndarray", "list"])
+    def test_grid_kinds(self, make):
+        ps = [0.0, 0.01, 0.02, 0.05, 0.5, 0.9, 1.0]
+        got = oc_curve(_plan(383, 13), make(ps)).points
+        assert got == per_point_oc(_plan(383, 13), ps)
+        assert all(type(p) is float and type(a) is float for p, a in got)
+
+    def test_int_grid(self):
+        got = oc_curve(_plan(383, 13), [0, 1]).points
+        assert got == ((0.0, 1.0), (1.0, 0.0))
+        assert all(type(p) is float and type(a) is float for p, a in got)
+
+    def test_bad_point_raises_at_its_position(self):
+        plan = _plan(383, 13)
+        with pytest.raises(DomainError, match=r"p must be in \[0, 1\], got 1.5"):
+            oc_curve(plan, [0.01, 0.02, 1.5, "x"])
+        with pytest.raises(ValueError, match="could not convert"):
+            oc_curve(plan, [0.01, "x", 1.5])
 
 
 class TestRealizedErrors:
@@ -157,6 +269,19 @@ class TestMonteCarlo:
     def test_errors_name_the_value(self, p, reps, message):
         with pytest.raises(DomainError, match=message):
             monte_carlo_accept(_plan(383, 13), p, reps, 7)
+
+    def test_integral_float_reps(self):
+        assert (monte_carlo_accept(_plan(383, 13), 0.02, 1000.0, 7)
+                == monte_carlo_accept(_plan(383, 13), 0.02, 1000, 7))
+        est = realized_errors(_plan(383, 13), 0.02, 0.05, mc=(1000.0, 7))
+        assert est.mc_alpha == realized_errors(_plan(383, 13), 0.02, 0.05,
+                                               mc=(1000, 7)).mc_alpha
+
+    @pytest.mark.parametrize("reps", [1000.5, math.nan, math.inf])
+    def test_whole_reps_only(self, reps):
+        with pytest.raises(DomainError, match="reps must be a whole number, got %s"
+                           % reps):
+            monte_carlo_accept(_plan(383, 13), 0.02, reps, 7)
 
     def test_seed_required(self):
         with pytest.raises(DomainError, match="seed"):
