@@ -11,8 +11,9 @@ instead from that term scaled by a power of two, m = q**n * 2**-e with m in
 (1/2, 1], and shrinks by an exact 2**-512 whenever it passes 2**512; the
 total is scaled back by ldexp at the end.  A subnormal leading term would
 carry its rounding into every later term.  In the normal range e = 0: a sum
-of probabilities never reaches 2**512, so neither the rescale nor ldexp
-runs, and _term_sum also sums one numpy array of such leads at once.
+of probabilities never reaches 2**512, so the rescale never runs.
+_term_sum also sums one numpy array of leads at once, normal or scaled, each
+element bit for bit its scalar run.
 """
 
 import math
@@ -25,6 +26,7 @@ _NORMAL = 2.0 ** -1022     # smallest normal double
 _LN2 = math.log(2.0)
 _BIG = 2.0 ** 512          # a scaled sum shrinks by _SHRINK once it passes this
 _SHRINK = 2.0 ** -512
+_UP = 1.0 + 2.0 ** -40     # a bound's margin over the roundings of one round
 # binom_cdf and poisson_cdf return 0.0 once their Chernoff bound is below
 # 2**-1076, half of the 2**-1075 below which ldexp rounds the scaled sum to zero
 _UNDERFLOW = 1076.0 * _LN2
@@ -42,42 +44,62 @@ def _scaled_lead(x):
 
 
 def _term_sum(term, e, c, a, da, ratio):
-    """Kahan sum of term_0 .. term_c times 2**e; the caller clips at 1.0.
+    """Kahan sum of term_0 .. term_c as (total, e), the sum being total * 2**e.
 
     term_k = term_{k-1} (a / k) ratio, after which a falls by da:
     Binomial(n, p) is a = n, da = 1, ratio = p/q and Poisson(lam) is
     a = lam, da = 0, ratio = 1.  a and k are exact doubles below 2**53,
-    the largest count stat_kernels lets through.
+    the largest count stat_kernels lets through.  On each round that the
+    total passes _BIG, total, term and compensation shrink by _SHRINK and e
+    rises by 512; the caller applies ldexp and clips at 1.0.  With e = 0 the
+    sum is of probabilities, never near _BIG, so the test is skipped.
 
-    With e = 0 the sum is of probabilities, never near 2**512, so neither
-    the rescale nor ldexp runs (e only rises toward 0).  term and ratio may
-    then be numpy arrays of normal-range leads and their ratios: every step
-    is one IEEE operation per element, so each element equals its scalar
-    run bit for bit.
+    term and ratio may also be numpy arrays, one sum per element, with e 0
+    or an int64 array of exponents.  Every step is one IEEE operation per
+    element and each element shrinks on the round its own total passes
+    _BIG, so each equals its scalar run bit for bit.  As a test over the
+    array is a reduction, it runs only on rounds where top, a bound on the
+    largest total, passes _BIG: the largest term grows by at most a / k
+    times the largest ratio per round, and _UP covers the roundings of a
+    round.
     """
     total = term
     comp = 0.0
+    bounded = not isinstance(e, int)
+    if bounded:
+        e = e.copy()
+        top, tmax, rmax = float(total.max()), float(term.max()), float(ratio.max()) * _UP
+    scaled = bounded or e != 0
     for k in range(1, c + 1):
         term = term * (a / k) * ratio
-        a -= da
         y = term - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        if e and total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-    if e:
-        total = ldexp(total, e)
-    return total
+        if scaled:
+            if bounded:
+                tmax *= a / k * rmax
+                top = (top + tmax) * _UP
+                if top > _BIG:
+                    big = (total > _BIG).nonzero()
+                    total[big] *= _SHRINK
+                    comp[big] *= _SHRINK
+                    term[big] *= _SHRINK
+                    e[big] += 512
+                    top, tmax = float(total.max()), float(term.max())
+            elif total > _BIG:
+                total *= _SHRINK
+                comp *= _SHRINK
+                term *= _SHRINK
+                e += 512
+        a -= da
+    return total, e
 
 
 def _term_partials(term, e, a, da, ratio):
-    """Yield _term_sum(term, e, c, a, da, ratio) for c = 0, 1, ... from one
-    running sum: the same operations, so each value equals it bit for bit.
-    The generator never ends.
+    """Yield min(ldexp(*_term_sum(term, e, c, a, da, ratio)), 1.0) for
+    c = 0, 1, ... from one running sum: the same operations, so each value
+    equals it bit for bit.  The generator never ends.
     """
     total = term
     comp = 0.0
@@ -105,8 +127,10 @@ def binom_cdf(c, n, p):
     Where q**n leaves the normal range the sum runs from it scaled by a
     power of two.  There, for c < n p, a Chernoff bound below 2**-1076
     returns 0.0 at once: the full sum, within a factor 2 of the tail it
-    approximates, would round to 0.0 as well, so the result equals the
-    k = c value of _binom_partials bit for bit either way.
+    approximates, would round to 0.0 under ldexp as well, so the result
+    equals the k = c value of _binom_partials bit for bit either way.
+    oc_curve takes the same leads and sums them in one array run of
+    _term_sum, with _binom_zero_bits in place of the Chernoff cut.
     """
     if c < 0:
         return 0.0
@@ -131,7 +155,25 @@ def binom_cdf(c, n, p):
             if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
                 return 0.0
         term, e = _scaled_lead(x)
-    return min(_term_sum(term, e, c, float(n), 1.0, p / q), 1.0)
+    total, e = _term_sum(term, e, c, float(n), 1.0, p / q)
+    return min(ldexp(total, e), 1.0)
+
+
+def _binom_zero_bits(c, n):
+    """t such that binom_cdf(c, n, p) is 0.0 wherever 0 < c < n p,
+    x = n log(q) > -2**48 and x log2(e) + c E < t, with p / q = f 2**E and
+    f in [1/2, 1).  The test takes one log and one frexp per point, where
+    the Chernoff cut takes three logs; oc_curve applies it to whole grids.
+
+    For c < n p the terms rise up to c, so the tail is at most
+    (c + 1) C(n, c) (p/q)**c q**n < (c + 1) n**c / c! 2**(c E) q**n, which
+    t puts below 2**-1079; the roundings of t and of x log2(e) (2u |x| <
+    2**-4) take far less than the 4 bits left to 2**-1075.  With
+    n log(1/q) < 2**48 the sum binom_cdf would run is within 1/4 of the
+    tail, so ldexp rounds it to 0.0, the value its Chernoff cut returns.
+    """
+    bits = math.log2(c + 1.0) + c * math.log2(n) - math.lgamma(c + 1.0) / _LN2
+    return -1079.0 - bits - abs(bits) * 2.0 ** -40
 
 
 def poisson_cdf(c, lam):
@@ -158,7 +200,8 @@ def poisson_cdf(c, lam):
             if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
                 return 0.0
         term, e = _scaled_lead(-lam)
-    return min(_term_sum(term, e, c, lam, 0.0, 1.0), 1.0)
+    total, e = _term_sum(term, e, c, lam, 0.0, 1.0)
+    return min(ldexp(total, e), 1.0)
 
 
 def _binom_partials(n, p):

@@ -553,8 +553,8 @@ assert "numpy" in sys.modules, "simulate"
         assert proc.returncode == 0, proc.stderr
 
     def test_verification_imports_without_numpy(self):
-        # oc_curve loads numpy only to sum its array points; a grid of
-        # endpoints takes no array run
+        # oc_curve loads numpy only on a grid of _ARRAY_POINTS points or more;
+        # a shorter one is the per-point loop
         script = """
 import sys
 import dhtplan.verification as v
@@ -563,7 +563,12 @@ v.accept_probability(383, 13, 0.02)
 plan = type("Plan", (), dict(n=383, c=13, converged=True))
 v.oc_curve(plan, [0.0, 1.0])
 assert "numpy" not in sys.modules, "oc_curve on endpoints"
-v.oc_curve(plan, [0.0, 0.02, 0.05])
+v.oc_curve(type("Plan", (), dict(n=7360, c=128, converged=True)), [0.0, 0.015])
+assert "numpy" not in sys.modules, "oc_curve on two points"
+short = [i / 1000 for i in range(v._ARRAY_POINTS - 1)]
+v.oc_curve(plan, short)
+assert "numpy" not in sys.modules, "oc_curve on a short grid"
+v.oc_curve(plan, short + [0.5])
 assert "numpy" in sys.modules, "oc_curve"
 """
         proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),

@@ -150,25 +150,89 @@ class TestPoissonCdf:
                 assert diff <= 5e-3
 
 
+def _lead(n, p):
+    """binom_cdf's leading term for Binomial(n, p): (q**n, 0) or scaled (m, e)."""
+    q = 1.0 - p
+    term = pow(q, float(n))
+    return (term, 0) if term >= 2.0**-1022 else pure._scaled_lead(n * math.log(q))
+
+
 class TestTermSumArrays:
-    """_term_sum runs one numpy array of normal-range leads (oc_curve does)."""
+    """_term_sum runs one numpy array of leads, scaled ones too (oc_curve does)."""
+
+    @staticmethod
+    def _check(n, c, ps):
+        import numpy as np
+
+        leads = [_lead(n, p) for p in ps]
+        arr = np.array(ps)
+        term = np.array([t for t, _ in leads])
+        e0 = np.array([e for _, e in leads])
+        total, e = pure._term_sum(term, e0 if e0.any() else 0, c, float(n), 1.0,
+                                  arr / (1.0 - arr))
+        want = [pure._term_sum(t, e, c, float(n), 1.0, p / (1.0 - p))
+                for (t, e), p in zip(leads, ps)]
+        e = np.broadcast_to(e, total.shape)
+        assert [(v.hex(), int(x)) for v, x in zip(total.tolist(), e)] == [
+            (v.hex(), x) for v, x in want]
+        values = np.minimum(np.ldexp(total, e), 1.0).tolist()
+        # a point binom_cdf cuts by its Chernoff bound sums to 0.0 in full
+        assert [v.hex() for v in values] == [pure.binom_cdf(c, n, p).hex() for p in ps]
+        return e0, e
 
     @pytest.mark.parametrize("n,c", [(1, 0), (20, 19), (383, 12), (2000, 1500),
                                      (7360, 127), (20_000, 20_000 - 1)])
     def test_each_element_equals_its_scalar_call(self, n, c):
-        import numpy as np
-
-        ps = [k / 997 for k in range(1, 997)] + [1e-300, 2.0**-1074, 0.5 - 2.0**-54]
-        ps = [p for p in ps if pow(1.0 - p, float(n)) >= 2.0**-1022]
-        leads = [pow(1.0 - p, float(n)) for p in ps]
-        arr = np.array(ps)
-        got = pure._term_sum(np.array(leads), 0, c, float(n), 1.0, arr / (1.0 - arr))
-        want = [pure._term_sum(t, 0, c, float(n), 1.0, p / (1.0 - p))
-                for t, p in zip(leads, ps)]
+        ps = [k / 97 for k in range(1, 97)] + [1e-300, 2.0**-1074, 0.5 - 2.0**-54]
+        ps += [0.015, 0.0174, 1.0 - 2.0**-53, 1.0 - 2.0**-30]
         assert len(ps) > 1
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        clipped = np.minimum(got, 1.0).tolist()
-        assert [v.hex() for v in clipped] == [pure.binom_cdf(c, n, p).hex() for p in ps]
+        self._check(n, c, ps)
+
+    def test_scaled_leads_shrink_on_their_own_rounds(self):
+        # on 7360/128 the scaled totals of p in [0.09, 0.15] pass 2**512
+        ps = [0.09 + k * 0.06 / 400 for k in range(401)]
+        e0, e = self._check(7360, 127, ps)
+        assert (e0 == 0).any() and (e0 < 0).any()
+        shrinks = (e - e0) // 512
+        assert shrinks.max() >= 1 and (shrinks == 0).any()
+
+    def test_many_shrinks_at_large_n(self):
+        # leads down to 2**-(53 10**6) and totals that shrink many times;
+        # c sits near n p for p = 0.01
+        ps = [0.005, 0.0099, 0.01, 0.0101, 0.3, 0.5, 0.5001, 0.9, 1.0 - 2.0**-53]
+        e0, e = self._check(10**6, 10**4, ps)
+        assert ((e - e0) // 512).max() >= 100
+
+    def test_exponents_past_the_chernoff_range(self):
+        # n log(1/q) up to 2**53 * 36.7: no Chernoff cut, e near -2**58.6, and
+        # a first term ratio n p / q of 2**106
+        e0, e = self._check(2**53, 3, [1e-10, 0.5, 1.0 - 2.0**-53])
+        assert e0.min() < -2**58
+
+
+class TestZeroBits:
+    """Where oc_curve's quick test of _binom_zero_bits gives 0.0, the full
+    scaled sum binom_cdf would run rounds to 0.0 under ldexp."""
+
+    @pytest.mark.parametrize("n,c", [(50, 3), (383, 12), (1543, 21), (7360, 127),
+                                     (20_000, 500), (10**6, 2000)])
+    def test_zeroed_points_sum_to_zero(self, n, c):
+        p_sub = -math.expm1(-1022 * math.log(2.0) / n)
+        ps = [p_sub + (1.0 - p_sub) * (j / 1000) ** 2 for j in range(1, 1000)]
+        zero_bits = pure._binom_zero_bits(c, n)
+        zeroed = 0
+        for p in ps:
+            q = 1.0 - p
+            x = n * math.log(q)
+            if pow(q, float(n)) >= 2.0**-1022 or not (
+                    0 < c < n * p and x > -2.0**48
+                    and x / math.log(2.0) + c * math.frexp(p / q)[1] < zero_bits):
+                continue
+            zeroed += 1
+            total, e = pure._term_sum(*pure._scaled_lead(x), c, float(n), 1.0, p / q)
+            assert math.ldexp(total, e) == 0.0, p
+            assert pure.binom_cdf(c, n, p) == 0.0, p
+        assert zeroed > 50
 
 
 class TestQuantiles:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import types
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,7 +92,11 @@ def oc_cases(draw):
     if draw(st.integers(0, 4)) == 0:
         bad = draw(st.sampled_from([-0.1, -1e-300, 1.5, math.nan, math.inf]))
         grid.insert(draw(st.integers(0, len(grid))), bad)
-    return types.SimpleNamespace(n=n, c=c, converged=converged), grid
+    # fewest leads for an array run: every grid takes it, none does, or the
+    # crossover falls inside the grid
+    array_points = draw(st.sampled_from([1, 10**9, verification._ARRAY_POINTS])
+                        | st.integers(1, max(1, len(grid))))
+    return types.SimpleNamespace(n=n, c=c, converged=converged), grid, array_points
 
 
 class TestOcCurve:
@@ -120,10 +125,27 @@ class TestOcCurve:
     @settings(max_examples=500, deadline=None)
     @given(oc_cases())
     def test_same_bits_and_exceptions_as_per_point_loop(self, case):
-        plan, grid = case
+        plan, grid, array_points = case
         want = _hex_or_raise(per_point_oc, plan, grid)
-        got = _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid)
+        with mock.patch.object(verification, "_ARRAY_POINTS", array_points):
+            got = _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid)
         assert got == want
+
+    @pytest.mark.parametrize("n,c,grid", [
+        # scaled totals pass 2**512 and shrink, next to normal leads
+        (7360, 128, [0.09 + k * 0.06 / 600 for k in range(601)]),
+        # Chernoff cuts with e near -53 10**6, and scaled sums that are not cut
+        (10**6, 5000, [0.0, 0.004, 0.00499, 0.005, 0.0051, 0.3, 0.5, 0.9, 0.99]
+         + [1.0 - 2.0**-j for j in range(20, 54)] + [1.0]),
+        # c - 1 near n p, so terms still grow at the last count
+        (10**6, 10**4 + 1, [0.0095 + k * 0.001 / 40 for k in range(41)]),
+    ], ids=["7360-rescale", "1e6-cut", "1e6-c-near-np"])
+    def test_pinned_grids_equal_per_point_loop(self, n, c, grid):
+        plan = _plan(n, c)
+        want = _hex_or_raise(per_point_oc, plan, grid)
+        for array_points in (1, verification._ARRAY_POINTS, 10**9):
+            with mock.patch.object(verification, "_ARRAY_POINTS", array_points):
+                assert _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid) == want
 
     def test_criterion_9_points_bit_for_bit(self):
         digest = hashlib.sha256()
