@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ def newton_ladder():
     return build_ladder([0.02, 0.05, 0.10], method="Norm_N")
 
 
+@pytest.fixture(scope="module")
+def table_ladder():
+    # eight levels with cumulative n from 628 to 7308
+    return build_ladder([0.01 * i for i in range(9)])
+
+
 class TestBuildLadder:
     def test_step3_reference(self, step3_ladder):
         lad = step3_ladder
@@ -126,6 +133,13 @@ class TestBuildLadder:
     def test_negative_run_limit(self, newton_ladder):
         with pytest.raises(LadderError, match="run limits must be at least 0"):
             replace(newton_ladder, run_limits=(-1, 6))
+
+    @pytest.mark.parametrize("field", ["levels", "plans", "run_limits"])
+    def test_mismatched_lengths(self, newton_ladder, field):
+        # unchecked, one run limit short ends run_stream in a bare IndexError,
+        # and one level short still runs both plans
+        with pytest.raises(LadderError, match="plans and run limits, not"):
+            replace(newton_ladder, **{field: getattr(newton_ladder, field)[:-1]})
 
 
 class TestObserve:
@@ -234,9 +248,10 @@ ODD_VALUES = (2, -1, "x", None, "", 1.9, 0.7, "1", np.int64(1), np.float64(0.3),
               np.bool_(True))
 
 
-def _drive(engine, ladder, stream, state, with_sink, raise_at, as_list):
-    """Run one engine; returns (final state or exception, event log, number
-    of elements drawn from the generator)."""
+def _drive(engine, ladder, stream, state, with_sink, raise_at, container):
+    """Run one engine on ``container(stream)``, or on a generator that
+    raises at ``raise_at`` when container is None; returns (final state or
+    exception, event log, number of elements drawn from the generator)."""
     events, drawn = [], [0]
 
     def source():
@@ -247,19 +262,24 @@ def _drive(engine, ladder, stream, state, with_sink, raise_at, as_list):
             yield value
 
     try:
-        result = repr(engine(ladder, list(stream) if as_list else source(), state,
-                             events.append if with_sink else None))
+        result = repr(engine(ladder, source() if container is None else container(stream),
+                             state, events.append if with_sink else None))
     except Exception as exc:  # the exception is the result
         result = (type(exc), str(exc))
     return result, repr(events), drawn[0]
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, sinkless=False):
+    """(ladder index, stream, state, with_sink, raise_at, container, chunk);
+    ``sinkless`` draws only the inputs of the bytearray search path."""
+    which = draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rate = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.06, 0.12, 0.3]))
-    stream = [int(rng.random() < rate) for _ in range(draw(st.integers(0, 700)))]
-    for pos, value in draw(st.lists(st.tuples(st.integers(0, 699),
+    # the table ladder's levels run past a default chunk of outcomes
+    length = draw(st.integers(0, 3000 if which == 2 else 700))
+    stream = [int(rng.random() < rate) for _ in range(length)]
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, 2999),
                                               st.sampled_from(ODD_VALUES)), max_size=2)):
         if pos < len(stream):
             stream[pos] = value
@@ -268,22 +288,27 @@ def engine_cases(draw):
         state = [int(rng.random() < rate) for _ in range(draw(st.integers(0, 500)))]
     elif kind == "made":
         # user-made counters, trials past a level's n and terminal ones
-        # included; made_state fits them to the ladder drawn below
-        state = (draw(st.integers(0, 1)), draw(st.integers(0, 800)),
+        # included; made_state fits them to the ladder drawn
+        state = (draw(st.integers(0, 7)), draw(st.integers(0, 800 if which < 2 else 8000)),
                  draw(st.integers(0, 2**16)), draw(st.integers(0, 2**16)),
                  draw(st.sampled_from([CONTINUE] * 4 + [ACCEPTED])),
                  draw(st.sampled_from([False] * 9 + [True])))
     else:
         state = None
+    chunk = draw(st.sampled_from([1, 7, 64, inspection_engine._CHUNK_OUTCOMES]))
+    if sinkless:
+        return which, stream, state, False, -1, draw(st.sampled_from([list, tuple])), chunk
     raise_at = draw(st.one_of(st.just(-1), st.integers(0, len(stream))))
-    return (draw(st.integers(0, 1)), stream, state, draw(st.booleans()), raise_at,
-            draw(st.booleans()))
+    return (which, stream, state, draw(st.booleans()), raise_at,
+            draw(st.sampled_from([None, list, tuple])), chunk)
 
 
 def made_state(ladder, level, trials, f, r, status, past):
-    """A hand-made state at level: failures below the level's c and a run
-    of at most min(r, failures), or, when past, failures at c or beyond or
-    a run beyond r, which a continuing state refuses."""
+    """A hand-made state at a level (taken modulo the ladder's levels):
+    failures below the level's c and a run of at most min(r, failures), or,
+    when past, failures at c or beyond or a run beyond r, which a continuing
+    state refuses."""
+    level %= len(ladder.plans)
     c, limit = ladder.plans[level].c, ladder.run_limits[level]
     failures = f % c
     run = r % (min(limit, failures) + 1)
@@ -296,18 +321,45 @@ def made_state(ladder, level, trials, f, r, status, past):
 
 
 class TestAgainstReferenceModel:
-    @settings(max_examples=400, deadline=None)
-    @given(engine_cases())
-    def test_same_states_events_exceptions_and_reads(self, step3_ladder, newton_ladder,
-                                                     case):
-        which, stream, state, with_sink, raise_at, as_list = case
-        ladder = (step3_ladder, newton_ladder)[which]
+    @staticmethod
+    def _compare(ladders, case):
+        which, stream, state, with_sink, raise_at, container, chunk = case
+        ladder = ladders[which]
         if isinstance(state, list):  # resume from a state the model reached
             state = reference_run_stream(ladder, state)
         elif isinstance(state, tuple):
             state = made_state(ladder, *state)
-        args = (ladder, stream, state, with_sink, raise_at, as_list)
-        assert _drive(run_stream, *args) == _drive(reference_run_stream, *args)
+        args = (ladder, stream, state, with_sink, raise_at, container)
+        with mock.patch.object(inspection_engine, "_CHUNK_OUTCOMES", chunk):
+            assert _drive(run_stream, *args) == _drive(reference_run_stream, *args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(engine_cases())
+    def test_same_states_events_exceptions_and_reads(self, step3_ladder, newton_ladder,
+                                                     table_ladder, case):
+        self._compare((step3_ladder, newton_ladder, table_ladder), case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(engine_cases(sinkless=True))
+    def test_same_states_and_exceptions_without_a_sink(self, step3_ladder, newton_ladder,
+                                                       table_ladder, case):
+        self._compare((step3_ladder, newton_ladder, table_ladder), case)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+    def test_transitions_at_every_chunk_offset(self, step3_ladder, newton_ladder, chunk):
+        # a run breach, a run one short of it, the c-th failure, trial n, a
+        # run past the breach and a run that breaches two levels at once,
+        # each placed at every offset from a chunk boundary
+        for ladder in (step3_ladder, newton_ladder):
+            (n, c), r = (ladder.plans[0].n, ladder.plans[0].c), ladder.run_limits[0]
+            tails = ([1] * (r + 1), [1] * r + [0], [1, 0] * c, [0] * n, [1] * (r + 2),
+                     [1] * r + [0] + [1] * (ladder.run_limits[1] + 1))
+            for lead in range(2 * chunk + 1):
+                for tail in tails:
+                    stream = [0] * lead + tail + [0, 1, 0]
+                    with mock.patch.object(inspection_engine, "_CHUNK_OUTCOMES", chunk):
+                        state = run_stream(ladder, stream)
+                    assert state == reference_run_stream(ladder, stream), (lead, tail)
 
     def test_failure_driven_reject_reads_no_further(self, newton_ladder):
         # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7 of 57
@@ -357,6 +409,7 @@ class TestOutcomeCheck:
             assert state == reference_run_stream(ladder, stream, sink=expected.append)
             assert events == expected
             assert {type(e.outcome) for e in events} == {int}
+            assert run_stream(ladder, stream) == state  # the sink-less path
 
     def test_odd_values_leave_the_table_alone(self, step3_ladder, newton_ladder):
         for ladder in (step3_ladder, newton_ladder):
@@ -375,6 +428,9 @@ class TestOutcomeCheck:
             state, events = observe(InspectionState(), ladder, _StrictOne(1))
             assert (state.trials, state.failures) == (1, 1)
             assert type(events[0].outcome) is int
+            for seq in ([0, _StrictOne(1), 0], (_StrictOne(1), 0, 0)):  # no sink
+                state = run_stream(ladder, seq)
+                assert (state.trials, state.failures, state.run) == (3, 1, 0)
 
     @pytest.mark.parametrize("bad", [[1], bytearray(b"1")], ids=repr)
     @pytest.mark.parametrize("pos", [0, 2, 5])
@@ -387,6 +443,30 @@ class TestOutcomeCheck:
         assert [(e.trial, e.outcome, e.transition) for e in events] == [
             (k, v, "continue") for k, v in enumerate(head, start=1)]
         assert list(outcomes) == [0, 1]  # nothing after it was drawn
+
+
+class TestSinklessReads:
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("bad, error", [(2, DomainError), ("x", ValueError)])
+    def test_a_bad_value_is_read_only_before_the_verdict(self, newton_ladder, container,
+                                                         bad, error):
+        # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7, in the
+        # chunk that also holds the bad value
+        state = run_stream(newton_ladder, container([1] * 7 + [bad, 0]))
+        assert (state.status, state.trials) == (REJECTED, 7)
+        with pytest.raises(error):
+            run_stream(newton_ladder, container([1] * 6 + [bad, 1]))
+
+    def test_nothing_past_the_level_n_is_converted(self, step3_ladder):
+        class Spy:
+            def __index__(self):
+                raise AssertionError("an outcome past the verdict was converted")
+
+            __hash__ = __int__ = __index__
+
+        n0 = step3_ladder.plans[0].n
+        state = run_stream(step3_ladder, [0] * n0 + [Spy()])
+        assert (state.status, state.trials) == (ACCEPTED, n0)
 
 
 class TestEventSourcing:
