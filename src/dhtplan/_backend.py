@@ -303,6 +303,11 @@ def _past_cap(cap, mean):
 # the n where one could.  After each n a walker's hold bounds how far its
 # CDF can fall, from the pmf at k, and so how many trials certainly keep its
 # count; the scan jumps past them, and the walker crosses them in one move.
+# A count that only has to be bounded from below needs no hold: it never
+# falls, so a walker's keeps bounds only the trials through which the exact
+# quantile cannot fall below it, below_cap those through which it cannot
+# give up at the cap, and discrete_scan asks the producer walker again only
+# where a stale count could stop it.
 
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
@@ -311,6 +316,7 @@ _SHORT = 16                # the increments of moves shorter than this are kept
 _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal double
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
+_TAIL = 1e-30              # P(X > poisson_cap) at any mean lies below this
 
 
 def _reaches(value, target, strict):
@@ -510,6 +516,54 @@ class _Walk:
             return limit
         return int(h) if h >= 1.0 else 0
 
+    def below_cap(self, target, limit):
+        """Last trial count, at most limit, through which first at target
+        (non-strict) cannot give up at the cap; 0 when none.
+
+        P(X > cap) is below _TAIL, so the kernel's CDF at the cap reaches
+        target while 1 - target exceeds _TAIL plus the kernel's error bound
+        at the cap.  That bound grows linearly in the trial count m, the cap
+        by at most 2 m p + 150 (20 sqrt(x) <= x + 100), so it gives the last
+        m in closed form; _SAFE shrinks 1 - target past the form's rounding.
+        """
+        kb = self.kb
+        room = (1.0 - target) * _SAFE - _TAIL - self.ka_0 * _U - 150.0 * kb
+        if not room > 0.0:
+            return 0
+        rate = self.size * self.ka_a * _U + 2.0 * self.p * kb
+        return limit if room >= rate * limit else int(room / rate)
+
+    def keeps(self, target, limit):
+        """Last trial count, from n to limit, through which the exact
+        quantile at target (non-strict, as first finds it) stays at k or
+        above; n when none past n.
+
+        P(X <= k - 1) only falls as n grows, so the kernel's CDF at k - 1
+        stays below target while the running bound on it, widened by the
+        kernel's error bound at the last trial count, does: hold's left
+        test.  That bound grows linearly in the trial count, so it gives
+        the last one in closed form; the test is then made there as
+        written, and being monotone in the trial count it holds below too.
+        """
+        n, k = self.n, self.k
+        if limit <= n:
+            return n
+        if k:
+            low = self.cdf - self.pmf
+            high = low + self.cdf_err + self.pmf * self.pmf_rel + low * _U
+            kb = self.kb * (k - 1)
+            room = target * _SAFE - high * (1.0 + self.ka_0 * _U + kb)
+            if not room > 0.0:
+                return n
+            grow = high * self.size * self.ka_a * _U  # the bound's growth per trial
+            if room < grow * limit:
+                limit = int(room / grow)
+                if limit <= n:
+                    return n
+            if not high * (1.0 + self.linear_bound(limit)[0] + kb) < target:
+                return n
+        return limit
+
     def linear_bound(self, n):
         """(ka, kb) of the kernel's error bound at trial count n."""
         return (n * self.size * self.ka_a + self.ka_0) * _U, self.kb
@@ -645,10 +699,17 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     (upper quantile at a_half, plus one) and the first count beyond the
     consumer lower limit (lower quantile at b_half, plus one); stop when
     they cross or come within eps*n of each other.  One certified walker
-    per rate follows each count as n grows.  After an n that does not stop
-    the scan, it jumps to the next n at which either count or the eps test
-    could change: the shorter of the two walkers' holds (the lower one's
-    alone while its count is 0), cut where eps*n reaches the gap.
+    per rate follows each count as n grows.
+
+    The producer count L1 never falls as n grows, so a stale L1 already
+    rules a stop out wherever L1 - l1 > eps*n.  The scan keeps the last L1
+    it worked out and asks the producer walker again only at an n where
+    that test fails, or past the trial count through which the walker
+    keeps L1 certified as a lower bound with no cap error possible.  After
+    an n that does not stop the scan, it jumps to the next n at which l1
+    could change, by the consumer walker's hold, cut where eps*n reaches
+    the gap and at that trial count.  Where the walker certifies no later
+    n (a target within the kernel's error of 1), the scan steps one n.
 
     Returns (converged, n, L1, l1) where L1/l1 are the two limit counts at
     the stopping n (l1 = -1 entries never escape: non-convergence returns
@@ -657,28 +718,29 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     upper, lower = _Walk(p0, use_poisson), _Walk(p1, use_poisson)
     upper_first, lower_first = upper.first, lower.first
     target = 1.0 - a_half
-    # a hold is worth working out only where each CDF has room for a few
+    # a hold is worth working out only where the CDF has room for a few
     # trials' fall (hold checks this too; here it costs no call).  Above
     # its quantile a CDF has less room than the pmf there, so from
     # p1 = 1/_ROOM on no n is skipped
-    fall0, fall1 = _ROOM * p0, _ROOM * p1
-    skips = fall1 < 1.0
+    fall = _ROOM * p1
+    skips = fall < 1.0
+    last = upper.below_cap(target, max_n)
+    L1 = until = 0  # the producer count is at least L1 through trial count until
     n = 1
     while n <= max_n:
         l1 = lower_first(n, b_half, True)
-        if l1:
+        if l1 and (n > until or L1 - l1 <= eps * n):
             L1 = upper_first(n, target, False) + 1
             if L1 <= l1 or abs(L1 - l1) <= eps * n:
                 return True, n, L1, l1
-            if not skips or upper.cdf - target < fall0 * upper.pmf:
-                n += 1
-                continue
-        if not skips or lower.cdf - b_half < fall1 * lower.pmf:
+            until = upper.keeps(target, last)
+        # until == n: the next n needs L1 again, so no hold can help
+        if not skips or until == n or lower.cdf - b_half < fall * lower.pmf:
             n += 1
             continue
         skip = lower.hold(b_half, max_n - n, True)
         if l1 and skip:
-            skip = upper.hold(target, skip, True)
+            skip = min(skip, until - n)
             gap = L1 - l1
             if skip and gap <= eps * (n + skip):
                 # the first n' past n at which the eps test passes

@@ -22,11 +22,15 @@ Method notes
     count from one n to a later one by one convolution with the increment
     over those trials, with a bound on their rounding error, and leaves
     any comparison that falls inside that bound to the exact kernel.  A count changes only
-    about once every 1/p trials, and each walker bounds how far its CDF can
-    fall from the pmf at its count, so a scan jumps straight to the next n
-    at which a count or the eps test could change.  The plans are therefore
-    those of the exact quantiles recomputed at every n, at a cost per
-    change of a limit count rather than per n.
+    about once every 1/p trials, and the consumer walker bounds how far its
+    CDF can fall from the pmf at its count, so a scan jumps straight to the
+    next n at which that count or the eps test could change.  The producer
+    count never falls, so the scan keeps a stale one while it rules a stop
+    out and its walker certifies it as a lower bound with no cap error
+    possible, and asks that walker again only where a stop could follow.
+    The plans and errors are therefore those of the exact quantiles
+    recomputed at every n, at a cost per change of a limit count rather
+    than per n.
 
 ``norm_n``
     Generalized Newton-Raphson on the two-equation system equating the

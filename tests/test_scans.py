@@ -11,7 +11,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhtplan import SolverError, TestSpec, solve
@@ -20,18 +20,26 @@ from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 
 
 def exact_counts(use_poisson, p0, p1, a_half, b_half, n):
-    """(l1, L1) at n from the exact quantiles; L1 is None while l1 = 0."""
+    """(l1, L1) at n from the exact quantiles; L1 is None while l1 = 0.
+
+    The producer quantile gives up past the Poisson cap at the mean n p0
+    for both families, with the Poisson quantile's SolverError.
+    """
+    lam0 = n * p0
+    cap = pure.poisson_cap(lam0)
     if use_poisson:
         lam1 = n * p1
         l1 = pure.poisson_quantile_le(lam1, b_half, pure.poisson_cap(lam1)) + 1
         if not l1:
             return 0, None
-        lam0 = n * p0
-        return l1, pure.poisson_quantile_ge(lam0, 1.0 - a_half, pure.poisson_cap(lam0)) + 1
+        return l1, pure.poisson_quantile_ge(lam0, 1.0 - a_half, cap) + 1
     l1 = pure.binom_quantile_le(n, p1, b_half) + 1
     if not l1:
         return 0, None
-    return l1, pure.binom_quantile_ge(n, p0, 1.0 - a_half) + 1
+    k = pure.binom_quantile_ge(n, p0, 1.0 - a_half)
+    if k > cap:
+        raise pure._past_cap(cap, lam0)
+    return l1, k + 1
 
 
 def stops(L1, l1, eps, n):
@@ -139,6 +147,73 @@ def test_exact_fallback_gives_the_same_scans(monkeypatch):
             assert_same_scan(*scan_args(method, p0, p1))
 
 
+def outcome(scan, args):
+    """The scan's tuple, or the message of the SolverError it raised."""
+    try:
+        return scan(*args)
+    except SolverError as exc:
+        return "SolverError: %s" % exc
+
+
+@given(st.sampled_from(["Bin", "Poiss"]), st.floats(0.002, 0.2), st.floats(1.1, 3.0),
+       st.floats(-15.0, -9.0), st.sampled_from([0.05, 1e-4, 1e-9]),
+       st.sampled_from([None, 0.01, 1e-4]), st.integers(2, 3000))
+@settings(max_examples=30, deadline=None)
+def test_scans_sweep_small_alpha(method, p0, ratio, log_alpha, beta, eps, max_n):
+    # a producer target within a few kernel error bounds of 1: the scan may
+    # keep a stale producer count only while no n could give up at the cap,
+    # so a scan that raises raises at the n, and with the message, of the
+    # per-n reference; one that does not is walked n by n
+    p1 = min(p0 * ratio, 0.49)
+    _, args = scan_args(method, p0, p1, 10.0 ** log_alpha, beta, eps, max_n)
+    expected = outcome(reference_discrete_scan, args)
+    assert outcome(lambda *a: walk_discrete(*a)[0], args) == expected
+
+
+def test_scans_without_a_kept_producer_count(monkeypatch):
+    # a unit roundoff of 1e-4 puts the kernel's error bound at the cap above
+    # alpha/2 from n = 1 on, so the producer walker keeps its count through
+    # no later n, and once l1 > 0 the scan steps one n at a time
+    monkeypatch.setattr(pure, "_U", 1e-4)
+    kept = []
+
+    class Logged(pure._Walk):
+        __slots__ = ()
+
+        def keeps(self, target, limit):
+            until = super().keeps(target, limit)
+            kept.append(until - self.n)
+            return until
+
+    monkeypatch.setattr(pure, "_Walk", Logged)
+    for method in ("Bin", "Poiss"):
+        for p0, p1 in [(0.02, 0.05), (0.10, 0.15)]:
+            assert_same_scan(*scan_args(method, p0, p1))
+    assert kept and not any(kept)
+
+
+def test_small_alpha_bin_spec_leaves_the_exact_kernel_alone():
+    # with alpha/2 = 2.6e-10 the running CDF at the producer count sits within
+    # a few kernel error bounds of 1 - alpha/2 at most n, so each answer of
+    # the p0 walker costs an O(K) exact sum; an eager scan asked it at 26,954
+    # n and summed 23,378 times, the stale count needs it at a few hundred
+    spec = TestSpec(0.06360283033555486, 0.07350227420924811,
+                    alpha_tail=5.193028042059889e-10, beta_tail=1.6406113858601784e-4)
+    calls = []
+
+    class Counted(pure._Walk):
+        __slots__ = ()
+
+        def exact(self, k):
+            calls.append(self.p)
+            return super().exact(k)
+
+    with mock.patch.object(pure, "_Walk", Counted):
+        plan = solve(spec, "Bin")
+    assert (plan.n, plan.c) == (45599, 3187)
+    assert calls.count(spec.p0) < 1000
+
+
 # the walker's two families: poisson=False follows Binomial(n, p) and
 # poisson=True Poisson(n p); the ids name the Binomial and the Poisson walker
 FAMILIES = pytest.mark.parametrize("poisson", [False, True],
@@ -182,9 +257,10 @@ def assert_within_bound(w):
         assert abs(low - w.exact(k - 1)) <= bound
 
 
-def checking(log):
+def checking(log, kept):
     """The walker, checked against the exact kernel after every move and
-    every count it returns, with those counts logged as (p, n, k)."""
+    every count it returns, with those counts logged as (p, n, k) and the
+    trial count each keeps returns logged at its n."""
 
     class Checked(pure._Walk):
         __slots__ = ()
@@ -199,30 +275,50 @@ def checking(log):
             log.append((self.p, n, k))
             return k
 
+        def keeps(self, target, limit):
+            kept[self.n] = until = super().keeps(target, limit)
+            return until
+
     return Checked
 
 
 def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     """discrete_scan, jump for jump, with every walker move checked against
-    the exact kernel and every n it skips against the exact quantiles there."""
-    log = []
-    with mock.patch.object(pure, "_Walk", checking(log)):
-        converged, last, _, _ = pure.discrete_scan(use_poisson, p0, p1, a_half, b_half,
-                                                   eps, max_n)
-    held = {}  # evaluated n -> [l1, L1]
+    the exact kernel, and every n from one evaluated n up to the next
+    against the exact quantiles there: l1 is the one held, L1 at least the
+    last one the producer walker gave, and the scan does not stop.  A stale
+    L1 serves only through the trial count that keeps gave with it.
+
+    Returns the scan's tuple, the number of n evaluated and the number of
+    producer-walker answers.
+    """
+    log, kept = [], {}
+    with mock.patch.object(pure, "_Walk", checking(log, kept)):
+        got = pure.discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n)
+    converged, last, L1_last, l1_last = got
+    held = {}  # evaluated n -> [l1, the last L1 given at or before n, its keeps]
+    given = [None, 0]
     for p, n, k in log:
         if p == p1:
-            held[n] = [k, None]
+            held[n] = [k] + given
         else:
-            held[n][1] = k + 1
+            given = [k + 1, kept.get(n, n)]
+            held[n][1:] = given
     evaluated = sorted(held)
     assert evaluated[-1] == last or not converged
     for n, after in zip(evaluated, evaluated[1:] + [last + 1 if converged else max_n + 1]):
-        l1, L1 = held[n]
-        for m in range(n + 1, after):
-            assert exact_counts(use_poisson, p0, p1, a_half, b_half, m) == (l1, L1), m
-            assert not (l1 and stops(L1, l1, eps, m)), m
-    return len(evaluated)
+        l1, L1, until = held[n]
+        for m in range(n, after):
+            l1_m, L1_m = exact_counts(use_poisson, p0, p1, a_half, b_half, m)
+            if converged and m == last:
+                assert (L1_m, l1_m) == (L1, l1) == (L1_last, l1_last) and stops(L1, l1, eps, m)
+                continue
+            assert l1_m == l1, m
+            if l1:
+                assert L1_m >= L1, m
+                assert not stops(L1_m, l1, eps, m), m
+                assert m <= until, m
+    return got, len(evaluated), sum(p == p0 for p, _, _ in log)
 
 
 def walk_zero(use_poisson, p1, b_tail, max_n):
@@ -259,10 +355,22 @@ def test_running_cdf_within_bound_past_the_linear_branch():
     walk_zero(True, 0.49, 1e-50, 5000)
 
 
+def test_stale_producer_count_within_its_keeps():
+    # at alpha/2 = 1e-13 the producer walker keeps its count from n = 40
+    # through n = 90 only, while the consumer walker's hold and the eps test
+    # would let the scan jump past 90: it must ask the producer walker again
+    got, _, _ = walk_discrete(False, 0.04, 0.10, 1e-13, 0.025, EPS_BIN, 100_000)
+    assert got == (True, 1336, 115, 113)
+
+
 def test_discrete_scan_skips_most_n():
-    # the counts change about once every 1/p trials, so most n are skipped
-    assert walk_discrete(*scan_args("Bin", 0.015, 0.02)[1]) < 600   # of n = 5790
-    assert walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1]) < 400  # of n = 3171
+    # the counts change about once every 1/p trials, so most n are skipped,
+    # and the producer count is worked out again only where the gap to a
+    # stale one could pass the eps test (an eager scan asks at every n)
+    _, evaluated, producer = walk_discrete(*scan_args("Bin", 0.015, 0.02)[1])
+    assert evaluated < 600 and producer < 40    # of n = 5790
+    _, evaluated, producer = walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1])
+    assert evaluated < 400 and producer < 40    # of n = 3171
 
 
 @given(st.booleans(), st.floats(0.0005, 0.45), st.integers(1, 2000), st.integers(0, 2000),
@@ -281,6 +389,51 @@ def test_hold_keeps_the_exact_quantile(poisson, p, n0, dn, target, left):
         assert exact(k, m, p) > target, (m, held)
         if left and k:
             assert exact(k - 1, m, p) < target, (m, held)
+
+
+@given(st.booleans(), st.floats(0.002, 0.45), st.integers(1, 3000), st.floats(-16.0, -1.0),
+       st.integers(1, 50_000))
+@settings(max_examples=60, deadline=None)
+@example(False, 0.1964141871334771, 15, -13.59, 50_000)
+@example(False, 0.1964141871334771, 15, -12.3, 50_000)
+def test_keeps_the_producer_count(poisson, p, n, log_tail, span):
+    # through the trial count keeps returns within the one below_cap
+    # returns, the exact quantile at target neither falls below the
+    # walker's count k nor gives up at the cap: the kernel's CDF at k - 1
+    # stays below target and the one at the cap reaches it.  In the
+    # examples k = n, so P(X <= k - 1) = 1 - p**n is far below target, and
+    # keeps alone would keep k for 50,000 trials.  At alpha/2 = 10**-13.59
+    # the kernel's CDF at the cap falls short of target from about 900
+    # trials on, and below_cap gives no trial count; at 10**-12.3 it falls
+    # short from about 10,000 trials on, and below_cap gives 926
+    target = 1.0 - 10.0 ** log_tail
+    w = pure._Walk(p, poisson)
+    try:
+        k = w.first(n, target, False)
+    except SolverError:
+        return
+    until = w.keeps(target, w.below_cap(target, n + span))
+    assert n <= until <= n + span
+    exact = (lambda j, m, p: pure.poisson_cdf(j, m * p)) if poisson else pure.binom_cdf
+    for m in sorted({n + (until - n) * i // 8 for i in range(1, 9)}):
+        if k:
+            assert exact(k - 1, m, p) < target, (m, until)
+        assert exact(pure.poisson_cap(m * p), m, p) >= target, (m, until)
+
+
+@FAMILIES
+def test_keeps_nothing_it_cannot_certify(poisson):
+    # the 0.975 quantile at n = 400 is kept for many trials, but not once the
+    # running bound on the CDF at k - 1 reaches the target; no trial count is
+    # below the cap at a target whose distance from 1 the kernel's error
+    # bound at the cap exceeds
+    w = pure._Walk(0.05, poisson)
+    w.first(400, 0.975, False)
+    assert w.keeps(0.975, w.below_cap(0.975, 5000)) > 400
+    assert w.below_cap(0.975, 5000) == 5000
+    assert w.below_cap(1.0 - 1e-15, 5000) == 0
+    w.cdf_err = 0.975 - (w.cdf - w.pmf)
+    assert w.keeps(0.975, 5000) == 400
 
 
 @FAMILIES
