@@ -1,8 +1,9 @@
 """Pure-Python numeric kernels.
 
-These are the hot inner loops of the package: discrete CDF term sums,
-single-pass quantile scans, and the plan-search loops, which follow their
-quantiles across n with certified incremental walkers.
+These are the hot inner loops of the package: discrete CDF term sums, the
+one search for a quantile over their partial sums (first_count), and the
+plan-search loops, which follow their quantiles across n with certified
+incremental walkers.
 
 Both discrete CDFs are one term recurrence with Kahan summation, run by
 _term_sum and, one partial sum per count, by _term_partials.  Where the
@@ -222,40 +223,20 @@ def _poisson_partials(lam):
     return _term_partials(term, e, lam, 0.0, 1.0)
 
 
-def binom_quantile_ge(n, p, target):
-    """Smallest k with P(X <= k) >= target, X ~ Binomial(n, p); at most n."""
-    for k, cdf in enumerate(_binom_partials(n, p)):
-        if cdf >= target:
-            return k
-    return n
+def _reaches(value, target, strict):
+    return value > target or (value == target and not strict)
 
 
-def binom_quantile_le(n, p, tail):
-    """Largest k with P(X <= k) <= tail, or -1 when CDF(0) > tail."""
-    # P(X <= n) is exactly 1.0, as binom_cdf returns it
-    for k, cdf in enumerate(chain(_binom_partials(n, p), (1.0,))):
-        if cdf > tail:
-            return k - 1
-    return n
+def first_count(sums, target, strict, stop):
+    """Index of the first partial sum that reaches target (exceeds it when
+    strict), or stop when none of the first stop sums does.
 
-
-def poisson_quantile_ge(lam, target, cap):
-    """Smallest k <= cap with P(X <= k) >= target, X ~ Poisson(lam).
-
-    Raises SolverError when no k up to cap qualifies.
+    One pass over the sums, so a quantile K costs O(K) terms.
     """
-    for k, cdf in enumerate(islice(_poisson_partials(lam), cap + 1)):
-        if cdf >= target:
+    for k, cdf in enumerate(islice(sums, stop)):
+        if _reaches(cdf, target, strict):
             return k
-    raise _past_cap(cap, lam)
-
-
-def poisson_quantile_le(lam, tail, cap):
-    """Largest k with P(X <= k) <= tail, at most cap + 1; -1 when CDF(0) > tail."""
-    for k, cdf in enumerate(islice(_poisson_partials(lam), cap + 2)):
-        if cdf > tail:
-            return k - 1
-    return cap + 1
+    return stop
 
 
 def poisson_cap(lam):
@@ -265,10 +246,6 @@ def poisson_cap(lam):
     to any target below 1 - 1e-30 lie under this cap as the Poisson ones do.
     """
     return int(lam + 20.0 * math.sqrt(lam) + 50.0)
-
-
-def _past_cap(cap, mean):
-    return SolverError("quantile scan exceeded cap %d at mean %g" % (cap, mean))
 
 
 # Certified incremental scans
@@ -317,10 +294,6 @@ _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal doub
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
 _TAIL = 1e-30              # P(X > poisson_cap) at any mean lies below this
-
-
-def _reaches(value, target, strict):
-    return value > target or (value == target and not strict)
 
 
 def _span(r, x, lx):
@@ -402,8 +375,10 @@ class _Walk:
             # e log 2 each off by up to 2u of n log(1/q)); the sum by 2u more
             self.ka_a, self.ka_0, self.kb = 1.0 + 5.0 * lq, 6.0, 5.0 * _U
         # a subnormal kernel result carries up to 2**-1075 more, absolute,
-        # from ldexp; kb is also the relative error of one recurrence step
-        self.piece = max(1, int(_LEAD / (self.size * self.rate)))
+        # from ldexp; kb is also the relative error of one recurrence step.
+        # Below a rate of about 4e-306 the quotient overflows: 2**53 trials,
+        # more than any scan runs, stand in for it
+        self.piece = max(1, int(min(_LEAD / (self.size * self.rate), 2.0 ** 53)))
         self.moves = {}
         # n = 0: all mass at zero failures
         self.n = self.k = 0
@@ -416,8 +391,7 @@ class _Walk:
         """Smallest count whose exact CDF at n is >= target (> target when strict).
 
         n must not decrease between calls.  The count stops at cap + 2 when
-        strict and raises SolverError past cap otherwise, as the exact
-        Poisson quantiles do.
+        strict and raises SolverError past cap otherwise, for both families.
         """
         self.move(n)
         k, cdf, err, ka, kb = self.k, self.cdf, self.cdf_err, self.ka, self.kb
@@ -448,7 +422,7 @@ class _Walk:
                 # too close to call: the exact kernel decides, and on a
                 # shortfall the exact quantile, so no walk costs O(K) per step
                 if not _reaches(self.exact(k), target, strict):
-                    k = self.reseed(self.exact_first(target, strict))
+                    k = self.reseed(self.exact_first(target, strict, stop))
                 break
             self.step()
             k += 1
@@ -459,9 +433,9 @@ class _Walk:
             bound = (self.cdf_err + pmf * self.pmf_rel
                      + low * (self.ka + self.kb * (k - 1) + _U))
             if low + bound >= target and _reaches(self.exact(k - 1), target, strict):
-                k = self.reseed(self.exact_first(target, strict))
+                k = self.reseed(self.exact_first(target, strict, stop))
         if k > cap and not strict:
-            raise _past_cap(cap, self.n * self.p)
+            raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, self.n * self.p))
         return k
 
     def cap(self):
@@ -661,15 +635,15 @@ class _Walk:
             return poisson_cdf(k, self.a)
         return binom_cdf(k, self.n, self.p)
 
-    def exact_first(self, target, strict):
+    def exact_first(self, target, strict, stop):
+        """first_count over the exact kernel's partial sums at the current n,
+        whose values are binom_cdf's or poisson_cdf's bit for bit."""
         if self.poisson:
-            cap = self.cap()
-            if strict:
-                return poisson_quantile_le(self.a, target, cap) + 1
-            return poisson_quantile_ge(self.a, target, cap)
-        if strict:
-            return binom_quantile_le(self.n, self.p, target) + 1
-        return binom_quantile_ge(self.n, self.p, target)
+            sums = _poisson_partials(self.a)
+        else:
+            # P(X <= k) is exactly 1.0 from k = n on, as binom_cdf returns it
+            sums = chain(_binom_partials(self.n, self.p), repeat(1.0))
+        return first_count(sums, target, strict, stop)
 
     def reseed(self, k):
         a, da, ratio = self.a, self.da, self.ratio

@@ -34,6 +34,8 @@ _TOKENS = {"0": 0, "1": 1}
 
 #: the most points an ``oc --grid`` may ask for
 _MAX_GRID_POINTS = 10**6
+#: the most rows a ``table`` may ask for: each row solves one plan
+_MAX_TABLE_ROWS = 1000
 #: the largest ``oc --c``: each point sums up to c binomial terms
 _MAX_OC_C = 10**6
 #: the most trials one ``simulate`` call may simulate (n times reps); each
@@ -135,13 +137,13 @@ def cmd_table(args, out, err):
     if not args.step > 0.0:
         err.write("error: --step must be positive, got %g\n" % args.step)
         return EXIT_USAGE
-    if args.rows < 1:
-        err.write("error: --rows must be >= 1\n")
-        return EXIT_USAGE
     # the last level, tested before any level is built
     if round(args.step * args.rows, 12) >= 0.5:
         err.write("error: %d rows at step %g exceed the 0.5 rate ceiling\n"
                   % (args.rows, args.step))
+        return EXIT_USAGE
+    if not 1 <= args.rows <= _MAX_TABLE_ROWS:
+        err.write("error: --rows must be in [1, %d], got %d\n" % (_MAX_TABLE_ROWS, args.rows))
         return EXIT_USAGE
     levels = [round(args.step * i, 12) for i in range(args.rows + 1)]
     ladder = _ladder_from_args(args, levels, err)
@@ -250,8 +252,9 @@ def _parse_grid(text):
         raise DomainError("grid must advance from start to stop")
     if start < 0 or stop > 1:
         raise DomainError("grid must lie within [0, 1]")
-    # count before building: a tiny step would otherwise grow the list unbounded
-    if (stop - start) / step >= _MAX_GRID_POINTS:
+    # count before building, the 1e-12 slack past stop too: a tiny step
+    # would otherwise grow the list unbounded, even where start == stop
+    if (stop - start + 1e-12) / step >= _MAX_GRID_POINTS:
         raise DomainError("grid step %g gives more than %d points"
                           % (step, _MAX_GRID_POINTS))
     pts = []

@@ -2,11 +2,11 @@
 
 Checked entry points to the binomial and Poisson CDF kernels in
 ``_backend``, plus the standard-normal CDF and the upper-tail quantile used
-by the normal-approximation solvers.
+by the normal-approximation solvers, the latter from the standard library's
+``statistics.NormalDist``.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import _backend
@@ -78,50 +78,6 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _normal_pdf(x):
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation to the normal quantile, then one Newton
-# step to push the error below 1e-9 (for tails down to DBL_MIN; below it,
-# Acklam's own relative error of 1.15e-9, about 1e-7 in z).
-_INV_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_INV_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_INV_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _normal_inv(t):
-    """Normal quantile at 1 - t, for t in (0, 1/2).
-
-    The central region works on u = 1 - t.  The upper tail works on t
-    itself, since u keeps only the digits of t that fit next to 1, and its
-    Newton step solves erfc(x / sqrt 2) / 2 = t.  Below DBL_MIN the density
-    at x is subnormal and the step would add error, so it is skipped.
-    """
-    a, b, c, d = _INV_A, _INV_B, _INV_C, _INV_D
-    u = 1.0 - t
-    if u <= 0.97575:
-        q = u - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        e = normal_cdf(x) - u
-    else:
-        q = math.sqrt(-2.0 * math.log(t))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-        if t < sys.float_info.min:
-            return x
-        e = t - 0.5 * math.erfc(x / math.sqrt(2.0))
-    # one Newton refinement
-    return x - e / _normal_pdf(x)
-
-
 def z_value(tail, paper_compat=False):
     """Inverse standard normal at 1 - tail.
 
@@ -131,4 +87,7 @@ def z_value(tail, paper_compat=False):
     t = _tail_value(tail)
     if paper_compat and t == 0.05:
         return 1.64
-    return _normal_inv(t)
+    # Wichura's AS 241, which inverts a small tail from t itself, not from
+    # 1 - t; imported here, so that runs at the paper's tails never load it
+    from statistics import NormalDist
+    return -NormalDist().inv_cdf(t)

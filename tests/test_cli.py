@@ -1,5 +1,6 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dhtplan import TestSpec, solve
-from dhtplan.cli import main
+from dhtplan.cli import _METHOD_FLAGS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -404,14 +407,16 @@ class TestErrorBoundary:
         assert "(1e-05, 0.0005) has c = 0 and can never accept" in err
 
     def test_oc_grid_too_fine_returns_at_once(self):
-        # the points are counted, not built: a 1e300-point grid must not hang
-        proc = subprocess.run(
-            [sys.executable, "-m", "dhtplan.cli", "oc", "--n", "10", "--c", "2",
-             "--grid", "0:1:1e-300"],
-            env=_env_with_src(), capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr == ("error: grid step 1e-300 gives more than "
-                               "1000000 points\n")
+        # the points are counted, not built: a 1e300-point grid must not hang,
+        # nor one with 1e308 points in the 1e-12 slack past its stop
+        for grid, step in (("0:1:1e-300", "1e-300"), ("0.5:0.5:1e-320", "9.99989e-321")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dhtplan.cli", "oc", "--n", "10", "--c", "2",
+                 "--grid", grid],
+                env=_env_with_src(), capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == ("error: grid step %s gives more than "
+                                   "1000000 points\n" % step)
 
     def test_oc_huge_c_returns_at_once(self):
         # each point would sum 5e10 binomial terms
@@ -424,19 +429,22 @@ class TestErrorBoundary:
 
     def test_table_too_many_rows_returns_at_once(self):
         # the row count is tested before any level is built: 10**12 levels
-        # would not fit in memory, so the child may not map more than 2 GB
+        # would not fit in memory, so the child may not map more than 2 GB.
+        # At a step of 1e-13 they stay under the 0.5 ceiling, past the row cap
         def limit_memory():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "dhtplan.cli", "table", "--step", "0.01",
-             "--rows", "1000000000000"],
-            env=_env_with_src(), capture_output=True, text=True, timeout=60,
-            preexec_fn=limit_memory)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr == ("error: 1000000000000 rows at step 0.01 exceed the 0.5 "
-                               "rate ceiling\n")
+        for step, message in (
+                ("0.01", "1000000000000 rows at step 0.01 exceed the 0.5 rate ceiling"),
+                ("1e-13", "--rows must be in [1, 1000], got 1000000000000")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dhtplan.cli", "table", "--step", step,
+                 "--rows", "1000000000000"],
+                env=_env_with_src(), capture_output=True, text=True, timeout=60,
+                preexec_fn=limit_memory)
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == "error: %s\n" % message
 
     def test_simulate_too_many_draws(self):
         # the limit is on trials simulated, n times reps, not on lots
@@ -523,6 +531,108 @@ class TestErrorBoundary:
         assert "memberships.%s.%s" % (var, label) in err and "4" in err
 
 
+# flag values at and past the edges of every domain; a flag draws from
+# these or from a few usual values of its own, so that many calls get past
+# the checks into the solvers, the engine and the kernels
+ODD_FLOATS = ("nan", "inf", "-inf", "0", "-0", "-1", "1", "0.5", "1e-320", "1e-12", "1e308")
+# "1.5" is no int, for argparse's own error
+ODD_INTS = ("-1", "0", "1", str(2 ** 53 + 1), str(10 ** 30), "1.5")
+METHODS = tuple(sorted(_METHOD_FLAGS))
+
+
+@st.composite
+def odd_argvs(draw):
+    """A subcommand with odd values for its flags, each as --flag=value so
+    that argparse reads a leading minus as part of the value; inspect reads
+    the file STREAM.  Plans scan at most 500 n, to keep each call short."""
+
+    def odd(*usual, values=ODD_FLOATS):
+        # one flag in four takes an odd value
+        if draw(st.integers(0, 3)):
+            return st.sampled_from(usual)
+        return st.sampled_from(values)
+
+    def maybe(values):
+        return st.none() | values
+
+    def flags(**choices):
+        argv = []
+        for name, values in choices.items():
+            value = draw(values)
+            if value is not None:
+                argv.append("--%s=%s" % (name.replace("_", "-"), value))
+        return argv
+
+    tails = dict(alpha=maybe(odd("0.05", "1e-6")), beta=maybe(odd("0.05", "0.1")),
+                 eps=maybe(odd("0.01", "1e-5")), z_mode=st.sampled_from(["paper", "exact"]))
+    # table and inspect plan up to the default max_n whatever --max-n says:
+    # a subnormal beta, whose Bin scans ask the exact kernel at every n up
+    # to 200,000, is drawn by plan only
+    normal = tuple(v for v in ODD_FLOATS if v != "1e-320")
+    ladder = dict(tails, beta=maybe(odd("0.05", "0.1", values=normal)),
+                  method=st.sampled_from(METHODS), first_method=maybe(st.sampled_from(METHODS)),
+                  ex=maybe(odd("1e6", "10")))
+    command = draw(st.sampled_from(["plan", "table", "inspect", "sfl", "select", "oc",
+                                    "simulate"]))
+    if command == "plan":
+        argv = flags(p0=odd("0", "0.02", "0.2"), p1=odd("0.05", "0.3", "1e-300"),
+                     method=st.sampled_from(METHODS),
+                     max_n=odd("2", "500", values=("-1", "0", "1", "1.5")),
+                     **tails)
+    elif command == "table":
+        argv = flags(step=odd("0.05", "0.1"), rows=odd("2", "3", values=ODD_INTS), **ladder)
+    elif command == "inspect":
+        levels = st.lists(odd("0", "0.05", "0.1", "0.2"), min_size=1, max_size=3, unique=True)
+        levels = levels.map(lambda xs: ",".join(sorted(xs, key=float)))
+        argv = flags(levels=levels, **ladder) + ["--input=STREAM"]
+    elif command == "sfl":
+        argv = flags(p=odd("0.02", "0.9"), ex=maybe(odd("1e6", "2")))
+    elif command == "select":
+        argv = flags(step=odd("0.001", "0.01"), th=odd("0.05", "0.3"), texec=odd("3", "10"),
+                     prec=odd("5e-4", "1e-4"))
+    elif command == "oc":
+        grid = st.tuples(odd("0", "0.5"), odd("1", "0.5"), odd("0.05", "0.25")).map(":".join)
+        argv = flags(n=odd("383", "10", values=ODD_INTS), c=odd("13", "2", values=ODD_INTS),
+                     grid=maybe(grid))
+    else:
+        argv = flags(n=odd("383", "10", values=ODD_INTS), c=odd("13", "2", values=ODD_INTS),
+                     p=odd("0.02", "0.3"), reps=odd("1000", "2", values=ODD_INTS),
+                     seed=maybe(odd("7", values=ODD_INTS)))
+    return flags(format=maybe(st.sampled_from(["kv", "csv", "jsonl"]))) + [command] + argv
+
+
+class TestOddArgv:
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv") / "stream.txt"
+        path.write_text("0\n1\n" * 20)
+        return path
+
+    @given(argv=odd_argvs())
+    # rates at which 699 / rate, the walker's move length, overflows
+    @example(argv=["plan", "--p0=0", "--p1=1e-320", "--method=bin"])
+    @example(argv=["plan", "--p0=1e-321", "--p1=1e-320", "--method=poiss"])
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_line_message(self, stream, argv):
+        # every exit is a documented code, and a failure (1 usage, 2 compute)
+        # ends in one error: or no ... line; select may warn of clamps first
+        argv = [a.replace("STREAM", str(stream)) for a in argv]
+        usage = io.StringIO()
+        with contextlib.redirect_stderr(usage):
+            code, out, err = run(argv)
+        assert code in (0, 1, 2, 3, 4), argv
+        if code in (3, 4):
+            assert err == "" and out, argv  # a verdict, on stdout
+        elif code in (1, 2) and not err:
+            # argparse's usage block, on sys.stderr, is one message ending in
+            # its error line
+            assert code == 1 and ": error: " in usage.getvalue().splitlines()[-1], argv
+        elif code in (1, 2):
+            lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            assert len(lines) == 1, (argv, err)
+            assert lines[0].startswith(("error: ", "no ")), (argv, err)
+
+
 class TestLeanImport:
     """Only Monte Carlo and oc_curve need numpy; every other path runs without it."""
 
@@ -592,7 +702,11 @@ assert "numpy" in sys.modules, "oc_curve"
         (["inspect", "--levels", "0,0.03,0.06", "--input", "STREAM"], ALWAYS | ENGINE),
         (["simulate", "--n", "383", "--c", "13", "--p", "0.02", "--reps", "1000"],
          ALWAYS | {"dhtplan.verification", "numpy"} | KERNELS),
-    ], ids=["import", "sfl", "plan", "oc", "select", "table", "inspect", "simulate"])
+        # only a z at a tail other than the paper's 0.05 loads statistics
+        (["plan", "--method", "norm-n", "--p0", "0.02", "--p1", "0.05", "--z-mode", "exact"],
+         ALWAYS | {"dhtplan.plan_solvers", "statistics"} | KERNELS),
+    ], ids=["import", "sfl", "plan", "oc", "select", "table", "inspect", "simulate",
+            "plan-exact-z"])
     def test_each_subcommand_loads_only_its_modules(self, tmp_path, argv, expected):
         stream = tmp_path / "stream.txt"
         stream.write_text("0\n" * 250)
@@ -605,7 +719,7 @@ else:
     from dhtplan.cli import main
     assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "numpy" or m.split(".")[0] == "dhtplan")))
+                        if m in ("numpy", "statistics") or m.split(".")[0] == "dhtplan")))
 """
         if argv is not None:
             argv = [str(stream) if a == "STREAM" else a for a in argv]

@@ -9,6 +9,7 @@ Chernoff bound is below 2**-1076; so no point gets more than that bound.
 """
 
 import math
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,7 +82,7 @@ def test_binom_cdf_subnormal_leading_term():
     assert abs(ref - 0.96094174447987) < 1e-12
     assert abs(pure.binom_cdf(662, 2085, 0.3) - ref) <= binom_tol(ref, 2085, 0.3)
     assert stats.binom.ppf(0.975, 2085, 0.3) == 667
-    assert pure.binom_quantile_ge(2085, 0.3, 0.975) == 667
+    assert pure.first_count(pure._binom_partials(2085, 0.3), 0.975, False, 2085) == 667
 
 
 @st.composite
@@ -122,9 +123,12 @@ def test_binomial_quantiles(case, target):
     _, n, p = case
     cdf = lambda k: float(stats.binom.cdf(k, n, p))  # noqa: E731
     tol = lambda ref: binom_tol(ref, n, p)  # noqa: E731
-    assert_first_count(pure.binom_quantile_ge(n, p, target), target, cdf, tol, n)
-    # the lower quantile is the last count below the first one past the tail
-    assert_first_count(pure.binom_quantile_le(n, p, target) + 1, target, cdf, tol, n)
+    # the upper quantile is the first count reaching the target, the lower
+    # one the last count below the first one past it (strict)
+    for strict in (False, True):
+        sums = chain(pure._binom_partials(n, p), repeat(1.0))
+        k = pure.first_count(sums, target, strict, n + 1)
+        assert_first_count(k, target, cdf, tol, n)
 
 
 @given(poissons(), TARGETS)
@@ -133,7 +137,7 @@ def test_poisson_quantiles(case, target):
     _, lam = case
     cap = pure.poisson_cap(lam)
     cdf = lambda k: float(stats.poisson.cdf(k, lam))  # noqa: E731
-    assert_first_count(pure.poisson_quantile_ge(lam, target, cap), target,
-                       cdf, poisson_tol, cap + 1)
-    assert_first_count(pure.poisson_quantile_le(lam, target, cap) + 1, target,
-                       cdf, poisson_tol, cap + 2)
+    for strict in (False, True):
+        stop = cap + 1 + strict
+        k = pure.first_count(pure._poisson_partials(lam), target, strict, stop)
+        assert_first_count(k, target, cdf, poisson_tol, stop)

@@ -1,18 +1,18 @@
 """Single-pass discrete quantiles against full CDF scans.
 
-Each quantile keeps one running sum with the same terms, order and
-operations as binom_cdf/poisson_cdf, so every comparison here demands exact
-equality with a scan that calls the CDF afresh at every count.
+Each quantile is first_count over one running sum with the same terms,
+order and operations as binom_cdf/poisson_cdf, so every comparison here
+demands exact equality with a scan that calls the CDF afresh at every count.
 """
 
 import math
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import SolverError, TestSpec, solve
+from dhtplan import TestSpec, solve
 from dhtplan import _backend as pure
 
 
@@ -50,11 +50,41 @@ def scan_poisson_le(lam, tail, cap):
     return k
 
 
+def binom_sums(n, p):
+    # P(X <= k) is exactly 1.0 from k = n on, as binom_cdf returns it
+    return chain(pure._binom_partials(n, p), repeat(1.0))
+
+
+def binom_ge(n, p, target):
+    """Smallest k with P(X <= k) >= target, X ~ Binomial(n, p); at most n."""
+    return pure.first_count(binom_sums(n, p), target, False, n)
+
+
+def binom_le(n, p, tail):
+    """Largest k with P(X <= k) <= tail, or -1 when CDF(0) > tail."""
+    return pure.first_count(binom_sums(n, p), tail, True, n + 1) - 1
+
+
 def poisson_ge_or_none(lam, target, cap):
-    try:
-        return pure.poisson_quantile_ge(lam, target, cap)
-    except SolverError:
-        return None
+    """Smallest k <= cap with P(X <= k) >= target, X ~ Poisson(lam), or None."""
+    k = pure.first_count(pure._poisson_partials(lam), target, False, cap + 1)
+    return k if k <= cap else None
+
+
+def poisson_le(lam, tail, cap):
+    """Largest k with P(X <= k) <= tail, at most cap + 1; -1 when CDF(0) > tail."""
+    return pure.first_count(pure._poisson_partials(lam), tail, True, cap + 2) - 1
+
+
+def test_first_count_ties_and_stop():
+    sums = [0.1, 0.5, 0.5, 0.9]
+    assert pure.first_count(iter(sums), 0.5, False, 4) == 1
+    assert pure.first_count(iter(sums), 0.5, True, 4) == 3
+    assert pure.first_count(iter(sums), 0.0, True, 4) == 0
+    # none of the sums read qualifies: stop, whether the sums run out or not
+    assert pure.first_count(iter(sums), 0.9, True, 4) == 4
+    assert pure.first_count(iter(sums), 0.9, False, 3) == 3
+    assert pure.first_count(iter(sums), 0.9, False, 0) == 0
 
 
 TARGETS = (0.0, 1e-12, 0.0125, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9875, 1.0)
@@ -88,8 +118,8 @@ def test_poisson_partial_sums_are_the_cdf(lam):
 @pytest.mark.parametrize("n,p", BINOM_CASES)
 def test_binom_quantiles_match_scan(n, p):
     for target in TARGETS if n <= 1000 else LARGE_TARGETS:
-        assert pure.binom_quantile_ge(n, p, target) == scan_binom_ge(n, p, target)
-        assert pure.binom_quantile_le(n, p, target) == scan_binom_le(n, p, target)
+        assert binom_ge(n, p, target) == scan_binom_ge(n, p, target)
+        assert binom_le(n, p, target) == scan_binom_le(n, p, target)
 
 
 @pytest.mark.parametrize("lam", POISSON_CASES)
@@ -97,13 +127,13 @@ def test_poisson_quantiles_match_scan(lam):
     cap = pure.poisson_cap(lam)
     for target in TARGETS if lam <= 100.0 else LARGE_TARGETS:
         assert poisson_ge_or_none(lam, target, cap) == scan_poisson_ge(lam, target, cap)
-        assert pure.poisson_quantile_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
+        assert poisson_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
 
 
 def test_log_branch_is_exercised():
     """The scaled branch, which replaced the log-space sums, serves these quantiles."""
     assert pow(1.0 - 0.95, 400.0) == 0.0 and pow(0.5, 1100.0) == 0.0
-    assert pure.binom_quantile_ge(400, 0.95, 0.5) == 380
+    assert binom_ge(400, 0.95, 0.5) == 380
 
 
 def nth_partial(partials, k):
@@ -228,15 +258,15 @@ def test_poisson_underflow_exit_is_its_partial_sum(lam, offset):
 def test_poisson_cap_bounds_both_quantiles():
     # CDF never reaches 2.0, so ge fails past the cap and le stops at cap + 1
     assert poisson_ge_or_none(1.0, 2.0, 71) is scan_poisson_ge(1.0, 2.0, 71) is None
-    assert pure.poisson_quantile_le(1.0, 2.0, 71) == scan_poisson_le(1.0, 2.0, 71) == 72
-    assert pure.poisson_quantile_le(0.0, 2.0, 5) == 6
+    assert poisson_le(1.0, 2.0, 71) == scan_poisson_le(1.0, 2.0, 71) == 72
+    assert poisson_le(0.0, 2.0, 5) == 6
 
 
 @given(st.integers(1, 400), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_binom_quantiles_sweep(n, p, target):
-    assert pure.binom_quantile_ge(n, p, target) == scan_binom_ge(n, p, target)
-    assert pure.binom_quantile_le(n, p, target) == scan_binom_le(n, p, target)
+    assert binom_ge(n, p, target) == scan_binom_ge(n, p, target)
+    assert binom_le(n, p, target) == scan_binom_le(n, p, target)
 
 
 @given(st.floats(0.0, 400.0), st.floats(0.0, 1.0))
@@ -244,7 +274,7 @@ def test_binom_quantiles_sweep(n, p, target):
 def test_poisson_quantiles_sweep(lam, target):
     cap = pure.poisson_cap(lam)
     assert poisson_ge_or_none(lam, target, cap) == scan_poisson_ge(lam, target, cap)
-    assert pure.poisson_quantile_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
+    assert poisson_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
 
 
 @pytest.mark.parametrize("method,n,c", [("Bin", 2641, 66), ("Poiss", 3171, 79)])
@@ -261,9 +291,7 @@ def test_discrete_scan_calls_no_cdf(monkeypatch, method, n, c):
 
     for name in ("binom_cdf", "poisson_cdf"):
         monkeypatch.setattr(pure, name, counted("cdf", getattr(pure, name)))
-    for name in ("binom_quantile_ge", "binom_quantile_le",
-                 "poisson_quantile_ge", "poisson_quantile_le"):
-        monkeypatch.setattr(pure, name, counted("quantile", getattr(pure, name)))
+    monkeypatch.setattr(pure, "first_count", counted("quantile", pure.first_count))
     plan = solve(TestSpec(p0=0.02, p1=0.03), method)
     assert (plan.n, plan.c) == (n, c)
     assert calls["quantile"] == 0

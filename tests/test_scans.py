@@ -8,6 +8,7 @@ scans did before; every comparison demands the identical tuple.
 """
 
 import math
+from itertools import chain, repeat
 from unittest import mock
 
 import pytest
@@ -19,27 +20,27 @@ from dhtplan import _backend as pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 
 
-def exact_counts(use_poisson, p0, p1, a_half, b_half, n):
-    """(l1, L1) at n from the exact quantiles; L1 is None while l1 = 0.
-
-    The producer quantile gives up past the Poisson cap at the mean n p0
-    for both families, with the Poisson quantile's SolverError.
-    """
-    lam0 = n * p0
-    cap = pure.poisson_cap(lam0)
+def exact_first(use_poisson, n, p, target, strict):
+    """The first count at n whose exact CDF reaches target (exceeds it when
+    strict), searched no further than the walker's stop past the Poisson
+    cap at the mean n p; SolverError when a non-strict search ends there."""
+    cap = pure.poisson_cap(n * p)
     if use_poisson:
-        lam1 = n * p1
-        l1 = pure.poisson_quantile_le(lam1, b_half, pure.poisson_cap(lam1)) + 1
-        if not l1:
-            return 0, None
-        return l1, pure.poisson_quantile_ge(lam0, 1.0 - a_half, cap) + 1
-    l1 = pure.binom_quantile_le(n, p1, b_half) + 1
+        sums = pure._poisson_partials(n * p)
+    else:
+        sums = chain(pure._binom_partials(n, p), repeat(1.0))
+    k = pure.first_count(sums, target, strict, cap + 1 + strict)
+    if k > cap and not strict:
+        raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, n * p))
+    return k
+
+
+def exact_counts(use_poisson, p0, p1, a_half, b_half, n):
+    """(l1, L1) at n from the exact quantiles; L1 is None while l1 = 0."""
+    l1 = exact_first(use_poisson, n, p1, b_half, True)
     if not l1:
         return 0, None
-    k = pure.binom_quantile_ge(n, p0, 1.0 - a_half)
-    if k > cap:
-        raise pure._past_cap(cap, lam0)
-    return l1, k + 1
+    return l1, exact_first(use_poisson, n, p0, 1.0 - a_half, False) + 1
 
 
 def stops(L1, l1, eps, n):
@@ -56,14 +57,11 @@ def reference_discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
 
 def reference_zero_scan(use_poisson, p1, b_tail, max_n):
     for n in range(1, max_n + 1):
+        m = exact_first(use_poisson, n, p1, 0.5, False)
+        c = int(math.floor(m / 2.0 + 0.5))
         if use_poisson:
-            lam = n * p1
-            m = pure.poisson_quantile_ge(lam, 0.5, pure.poisson_cap(lam))
-            c = int(math.floor(m / 2.0 + 0.5))
-            risk = pure.poisson_cdf(c - 1, lam)
+            risk = pure.poisson_cdf(c - 1, n * p1)
         else:
-            m = pure.binom_quantile_ge(n, p1, 0.5)
-            c = int(math.floor(m / 2.0 + 0.5))
             risk = pure.binom_cdf(c - 1, n, p1)
         if c >= 1 and risk <= b_tail:
             return True, n, m, c
@@ -224,11 +222,7 @@ FAMILIES = pytest.mark.parametrize("poisson", [False, True],
 def test_walker_falls_back_when_the_quantile_moves_down(poisson):
     w = pure._Walk(0.05, poisson)
     w.first(400, 0.975, False)
-    k = w.first(401, 0.5, False)
-    if poisson:
-        assert k == pure.poisson_quantile_ge(401 * 0.05, 0.5, pure.poisson_cap(401 * 0.05))
-    else:
-        assert k == pure.binom_quantile_ge(401, 0.05, 0.5)
+    assert w.first(401, 0.5, False) == exact_first(poisson, 401, 0.05, 0.5, False)
 
 
 def test_poisson_walker_keeps_the_cap():
@@ -460,7 +454,7 @@ def test_one_jump_within_bound(poisson, h):
     # convolution up to the piece of about 700 / p trials; k is the median
     # halfway through, so its pmf stays normal at both ends
     for n, p in JUMP_POINTS:
-        k = min(n, pure.binom_quantile_ge(n + h // 2, p, 0.5))
+        k = min(n, exact_first(False, n + h // 2, p, 0.5, False))
         w = pure._Walk(p, poisson)
         w.move(n)
         w.reseed(k)
@@ -522,8 +516,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     monkeypatch.setattr(pure, "math", CountedMath())
     monkeypatch.setattr(pure, "exp", CountedMath.exp)
     monkeypatch.setattr(pure, "_increments", uncounted(pure._increments))
-    for name in ("binom_cdf", "poisson_cdf", "binom_quantile_ge", "binom_quantile_le",
-                 "poisson_quantile_ge", "poisson_quantile_le"):
+    for name in ("binom_cdf", "poisson_cdf", "first_count"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     assert solve(TestSpec(p0, p1), method).n == n
     assert calls["lead"] <= 4

@@ -235,18 +235,30 @@ class TestZeroBits:
         assert zeroed > 50
 
 
+def binom_first(n, p, target, strict):
+    """first_count over the Binomial(n, p) partial sums, 1.0 from k = n on."""
+    sums = itertools.chain(pure._binom_partials(n, p), itertools.repeat(1.0))
+    return pure.first_count(sums, target, strict, n + 1)
+
+
+def poisson_first(lam, target, strict):
+    return pure.first_count(pure._poisson_partials(lam), target, strict,
+                            pure.poisson_cap(lam) + 2)
+
+
 class TestQuantiles:
-    """The backend quantiles at 1 - tail (upper) and at tail (lower, -1 when
-    CDF(0) is already past it)."""
+    """The backend quantiles by first_count: the upper one at 1 - tail is
+    the first count reaching it, the lower one at tail the count below the
+    first one past it (-1 when CDF(0) is already past it)."""
 
     def test_upper_zero_rate(self):
-        assert pure.binom_quantile_ge(10, 0.0, 0.95) == 0
+        assert binom_first(10, 0.0, 0.95, False) == 0
 
     def test_upper_poisson_unit(self):
-        assert pure.poisson_quantile_ge(1.0, 0.95, pure.poisson_cap(1.0)) == 3
+        assert poisson_first(1.0, 0.95, False) == 3
 
     def test_upper_binomial_scan_oracle(self):
-        got = pure.binom_quantile_ge(550, 0.02, 0.95)
+        got = binom_first(550, 0.02, 0.95, False)
         scan = 0
         while binom_cdf(scan, 550, 0.02) < 0.95:
             scan += 1
@@ -254,37 +266,46 @@ class TestQuantiles:
         assert binom_cdf(got - 1, 550, 0.02) < 0.95 <= binom_cdf(got, 550, 0.02)
 
     def test_lower_poisson(self):
-        assert pure.poisson_quantile_le(7.5, 0.05, pure.poisson_cap(7.5)) == 2
+        assert poisson_first(7.5, 0.05, True) - 1 == 2
 
     def test_lower_binomial_small(self):
-        assert pure.binom_quantile_le(2, 0.5, 0.3) == 0
+        assert binom_first(2, 0.5, 0.3, True) - 1 == 0
 
     def test_lower_none_vs_zero(self):
         # CDF(0) = 1e-10 clears the tail, so a value exists; the direct
         # CDF oracle puts the largest qualifying count at 4
-        got = pure.binom_quantile_le(10, 0.9, 0.001)
+        got = binom_first(10, 0.9, 0.001, True) - 1
         assert got >= 0
         assert binom_cdf(got, 10, 0.9) <= 0.001 < binom_cdf(got + 1, 10, 0.9)
         assert got == 4
-        assert pure.binom_quantile_le(10, 0.0001, 0.001) == -1
+        assert binom_first(10, 0.0001, 0.001, True) - 1 == -1
 
     @given(st.integers(2, 200), st.floats(0.001, 0.999), st.floats(0.001, 0.499))
     @settings(max_examples=80)
     def test_adjointness(self, n, p, tail):
-        up = pure.binom_quantile_ge(n, p, 1.0 - tail)
+        up = binom_first(n, p, 1.0 - tail, False)
         assert binom_cdf(up, n, p) >= 1 - tail
         if up > 0:
             assert binom_cdf(up - 1, n, p) < 1 - tail
-        lo = pure.binom_quantile_le(n, p, tail)
+        lo = binom_first(n, p, tail, True) - 1
         if lo < 0:
             assert binom_cdf(0, n, p) > tail
         else:
             assert binom_cdf(lo, n, p) <= tail
             assert binom_cdf(lo + 1, n, p) > tail
 
-    def test_poisson_scan_cap_is_internal_error(self):
-        with pytest.raises(SolverError):
-            pure.poisson_quantile_ge(1.0, 2.0, 71)
+    def test_poisson_scan_cap_is_internal_error(self, monkeypatch):
+        # no partial sum exceeds 1.0, so the exact search at mean 1 stops at
+        # cap + 1, past which the walker raises; the walk itself, too close
+        # to call near 1.0, hands the count to that search
+        searches = []
+        search = pure.first_count
+        monkeypatch.setattr(pure, "first_count",
+                            lambda *args: searches.append(search(*args)) or searches[-1])
+        cap = pure.poisson_cap(10 * 0.1)
+        with pytest.raises(SolverError, match="exceeded cap %d at mean 1$" % cap):
+            pure._Walk(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
+        assert searches == [cap + 1]
 
 
 class TestNormal:
@@ -343,15 +364,18 @@ class TestNormal:
         assert z_value(2.0 ** -53) == pytest.approx(8.2095, abs=1e-4)
 
     def test_z_small_tails_against_mpmath(self):
-        # root of erfc(z / sqrt 2) / 2 = t at 40 digits, on a log grid of t
+        # root of log(erfc(z / sqrt 2) / 2) = log t at 40 digits, on a log
+        # grid of t from 0.49 down to the least subnormal, 2**-1074; the log
+        # form converges where erfc(z / sqrt 2) / 2 - t is below any step
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
-            for k in range(121):
-                t = 0.49 * (1e-300 / 0.49) ** (k / 120)
+            for k in range(241):
+                t = 0.49 ** (1 - k / 240) * 2.0 ** (-1074 * k / 240)
+                log_t = mpmath.log(t)
                 exact = mpmath.findroot(
-                    lambda z: mpmath.erfc(z / mpmath.sqrt(2)) / 2 - t,
-                    mpmath.sqrt(-2 * mpmath.log(t)) - mpmath.mpf(0.5))
-                assert abs(z_value(t) - float(exact)) < 1e-9, t
+                    lambda z: mpmath.log(mpmath.erfc(z / mpmath.sqrt(2)) / 2) - log_t,
+                    mpmath.sqrt(-2 * log_t) - mpmath.mpf(0.5))
+                assert abs(z_value(t) - float(exact)) < 1e-12, t
 
     @given(st.floats(0.001, 0.499))
     @settings(max_examples=100)
