@@ -313,6 +313,7 @@ def cmd_simulate(args, out, err):
 def _add_spec_flags(p):
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--p1", type=float, required=True)
+    p.add_argument("--max-n", type=int, default=200_000)
     _add_tail_flags(p)
 
 
@@ -323,7 +324,6 @@ def _add_tail_flags(p):
                    help="consumer-risk tail mass (default 0.05)")
     p.add_argument("--eps", type=float, default=None,
                    help="solver tolerance (method default when omitted)")
-    p.add_argument("--max-n", type=int, default=200_000)
     p.add_argument("--z-mode", choices=("paper", "exact"), default="paper",
                    help="paper: use the 1.64 constant at tail 0.05")
 

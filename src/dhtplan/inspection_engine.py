@@ -21,22 +21,22 @@ one event per step, all sharing the trial index that triggered it, and no
 transition to an optional event sink instead of storing a log; ``_settle``
 is the one copy of the escalate-then-accept order, called at each
 transition.  A ladder refuses a plan with c < 1, a run limit below 0 and
-tuples of mismatched lengths, and ``run_stream`` refuses a continuing state
-already past its level's limits with ``StateError``, so a level's state can
-change only at a failure or at its cumulative n.  Each outcome is checked
-as by one dict lookup (a value equal to 0 or 1 is a hit; any other goes
-through ``int()`` and must give 0 or 1).  Without a sink, a list or tuple
-is read in bytearray chunks and each level's next transition is found by C
-searches, so Python work runs once per transition or chunk; any other
-input, or a call with a sink, goes through a C pipeline that hands the
-loop body only the failures.  ``InspectionState`` holds the counters and
-the verdict only.  ``observe`` runs it on a single outcome, and ``replay``
-re-drives it from an event log.
+tuples of mismatched lengths, and ``run_stream`` refuses with
+``StateError`` a state outside the ladder (a level out of range or a
+negative count) and a continuing state already past its level's limits,
+so a level's state can change only at a failure or at its cumulative n.
+Each outcome is checked as by one dict lookup (a value equal to 0 or 1 is
+a hit; any other goes through ``int()`` and must give 0 or 1).  Without a
+sink, a list or tuple is read in bytearray chunks and each level's next
+transition is found by C searches, so Python work runs once per transition
+or chunk; any other input, or a call with a sink, goes through one loop
+that applies the rule to each outcome in turn.  ``InspectionState`` holds
+the counters and the verdict only.  ``observe`` runs it on a single
+outcome, and ``replay`` re-drives it from an event log.
 """
 
-import sys
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import count, islice
 
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
@@ -249,9 +249,10 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     while the status is still ``continue`` yields an inconclusive state
     (the partial counts are preserved).  Each transition is passed to
     ``sink`` as an ``Event`` when a sink is given; without one no event is
-    built.  A non-empty stream on a terminal state raises ``StateError``,
-    and so does a continuing state whose failures or run already breach its
-    level's c or run limit, before anything is drawn.
+    built.  A non-empty stream on a terminal state raises ``StateError``;
+    so do a state whose level is not one of the ladder's or whose trials,
+    failures or run is negative, and a continuing state whose failures or
+    run already breach its level's c or run limit, before anything is drawn.
 
     Every outcome is checked as by one dict lookup: a value equal to 0 or
     1 (``1.0``, ``True``, ``np.int64(1)``, ``Decimal(1)``) gives that plain
@@ -270,19 +271,21 @@ def run_stream(ladder, outcomes, state=None, sink=None):
       value by its ``__index__``, the value itself for ints, bools and
       numpy integers.  A chunk holding a value it does not read as 0 or 1
       hands the rest of the sequence, from the current counters, to the
-      pipeline below, which checks and raises exactly as it would have
-      from the start.
-    - Any other iterable, or any call with a sink, reads each level through
-      one C pipeline, capped at the trial where its cumulative n is met,
-      that hands this loop only the failures' trial indices: Python work is
-      O(1) per failure, plus one ``continue`` event per skipped success
-      when a sink is given.
+      loop below, which checks and raises exactly as it would have from
+      the start.
+    - Any other iterable, or any call with a sink, goes through one loop
+      that counts each outcome, hands ``_settle`` the outcomes that breach
+      the level's c or run limit or meet its n, and passes every other one
+      to the sink as a ``continue`` event.
     """
     if state is None:
         state = InspectionState()
     level, trials, failures, run = state.level_index, state.trials, state.failures, state.run
     status, accepted_level, accepted_t_h = state.status, state.accepted_level, state.accepted_t_h
     plans, limits = ladder.plans, ladder.run_limits
+    if not 0 <= level < len(plans) or min(trials, failures, run) < 0:
+        raise StateError("state is outside the ladder: level %d (levels 0-%d), trials %d, "
+                         "failures %d, run %d" % (level, len(plans) - 1, trials, failures, run))
     if status != CONTINUE:
         for _ in outcomes:
             raise StateError("cannot observe after terminal status %r" % (status,))
@@ -294,48 +297,22 @@ def run_stream(ladder, outcomes, state=None, sink=None):
         level, trials, failures, run, status, read = _search(plans, limits, outcomes,
                                                              level, trials, failures, run)
         outcomes = islice(outcomes, read, None)
-    outcomes = iter(outcomes)
-    while status == CONTINUE:
-        entered = level
+    if status == CONTINUE:
         n, c, r = plans[level].n, plans[level].c, limits[level]
-        # the last trial this pipeline may draw (islice takes at most maxsize)
-        stop = min(max(n, trials + 1), trials + sys.maxsize)
-        trial_no = count(trials + 1)
-        fails = compress(trial_no, map(_OUTCOMES.__getitem__, islice(outcomes, stop - trials)))
-        try:
-            for t in fails:
-                first, trials = trials + 1, t
-                if first < t:
-                    run = 0
-                    if sink is not None:
-                        for k in range(first, t):
-                            sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
+        for trials, outcome in zip(count(trials + 1), map(_OUTCOMES.__getitem__, outcomes)):
+            if outcome:
                 failures += 1
                 run += 1
-                if failures >= c or run > r or t >= n:
-                    # a verdict, or a new level and so a new pipeline
-                    level, status = _settle(plans, limits, level, t, FAILURE, failures, run,
-                                            sink)
+            else:
+                run = 0
+            if failures >= c or run > r or trials >= n:
+                level, status = _settle(plans, limits, level, trials, outcome, failures, run,
+                                        sink)
+                if status != CONTINUE:
                     break
-                if sink is not None:
-                    sink(Event(t, FAILURE, level, failures, run, CONTINUE))
-        finally:
-            # compress draws the count before each value, so the count has run
-            # one past ``end``, the last trial drawn; unless the loop body broke
-            # or raised, the trials after the last failure were successes
-            end = next(trial_no) - 2
-            if end > trials:
-                first, trials, run = trials + 1, end, 0
-                if sink is not None:
-                    for k in range(first, end):
-                        sink(Event(k, SUCCESS, level, failures, 0, CONTINUE))
-                if end >= n:
-                    level, status = _settle(plans, limits, level, end, SUCCESS, failures, 0,
-                                            sink)
-                elif sink is not None:
-                    sink(Event(end, SUCCESS, level, failures, 0, CONTINUE))
-        if status == CONTINUE and level == entered:
-            break  # the stream ran dry
+                n, c, r = plans[level].n, plans[level].c, limits[level]
+            elif sink is not None:
+                sink(Event(trials, outcome, level, failures, run, CONTINUE))
     if status == ACCEPTED:
         accepted_level, accepted_t_h = level, plans[level].t_h
     return InspectionState(level_index=level, trials=trials, failures=failures, run=run,

@@ -143,6 +143,15 @@ class TestTable:
         code, _, _ = run(["table", "--step", "0.05", "--rows", "10"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["table", "--step", "0.05", "--rows", "3"],
+                                      ["inspect", "--levels", "0,0.03,0.06"]],
+                             ids=["table", "inspect"])
+    def test_max_n_is_a_plan_flag(self, argv, capsys):
+        # build_ladder takes no max_n, so a ladder command would ignore it
+        code, out, _ = run(argv + ["--max-n", "2"])
+        assert (code, out) == (1, "")
+        assert "error: unrecognized arguments: --max-n 2" in capsys.readouterr().err
+
 
 class TestInspect:
     ARGS = ["inspect", "--levels", "0,0.03,0.06"]
@@ -177,6 +186,22 @@ class TestInspect:
                            monkeypatch=monkeypatch)
         assert code == 4
         assert "inconclusive" in out
+
+    def test_reads_no_line_past_the_verdict(self, monkeypatch):
+        drawn = []
+
+        def stdin():
+            for i in range(250):
+                drawn.append(i)
+                yield "0\n"
+            raise AssertionError("line 251 was read")
+
+        # the first plan is (n, c) = (208, 3)
+        monkeypatch.setattr(sys, "stdin", stdin())
+        code, out, _ = run(self.ARGS)
+        assert code == 0
+        assert "status=accepted level=0" in out and "trials=208" in out.splitlines()[-1]
+        assert len(drawn) == 208
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "stream.txt"
@@ -565,9 +590,9 @@ def odd_argvs(draw):
 
     tails = dict(alpha=maybe(odd("0.05", "1e-6")), beta=maybe(odd("0.05", "0.1")),
                  eps=maybe(odd("0.01", "1e-5")), z_mode=st.sampled_from(["paper", "exact"]))
-    # table and inspect plan up to the default max_n whatever --max-n says:
-    # a subnormal beta, whose Bin scans ask the exact kernel at every n up
-    # to 200,000, is drawn by plan only
+    # table and inspect take no --max-n and plan up to the default max_n: a
+    # subnormal beta, whose Bin scans ask the exact kernel at every n up to
+    # 200,000, is drawn by plan only
     normal = tuple(v for v in ODD_FLOATS if v != "1e-320")
     ladder = dict(tails, beta=maybe(odd("0.05", "0.1", values=normal)),
                   method=st.sampled_from(METHODS), first_method=maybe(st.sampled_from(METHODS)),

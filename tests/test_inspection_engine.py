@@ -242,6 +242,19 @@ class TestRunStream:
             run_stream(newton_ladder, outcomes, state)
         assert list(outcomes) == [0, 1, 0]  # nothing was drawn
 
+    @pytest.mark.parametrize("state", [
+        InspectionState(level_index=-1), InspectionState(level_index=2),
+        InspectionState(level_index=5, status=ACCEPTED), InspectionState(trials=-1),
+        InspectionState(failures=-4), InspectionState(run=-1)],
+        ids=["level-1", "level2", "terminal-level5", "trials", "failures", "run"])
+    def test_state_outside_the_ladder(self, newton_ladder, state):
+        # levels 0 and 1 only; unchecked, level -1 read the last plan and
+        # accepted 400 successes there, and level 2 raised a bare IndexError
+        outcomes = iter([0] * 400)
+        with pytest.raises(StateError, match="outside the ladder"):
+            run_stream(newton_ladder, outcomes, state)
+        assert len(list(outcomes)) == 400  # nothing was drawn
+
 
 #: Inputs that int() rejects or maps off {0, 1}, and some it maps onto it.
 ODD_VALUES = (2, -1, "x", None, "", 1.9, 0.7, "1", np.int64(1), np.float64(0.3),
