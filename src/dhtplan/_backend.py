@@ -756,29 +756,52 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
 
 
 def norm_iter_scan(p0, p1, z0, z1, eps, max_n):
-    """Unit-step search for the iterative normal method.
+    """Search for the iterative normal method, by bisection on n.
 
-    Evaluates the upper limit of the p0 distribution and the lower limit of
-    the p1 distribution at each n and stops when they agree to within eps.
-    Once the signed gap falls below -eps it is strictly decreasing in n, so
-    the scan exits early: no larger n can satisfy the tolerance.
+    The unit-step method evaluates the upper limit of the p0 distribution
+    and the lower limit of the p1 distribution at n = 1, 2, ... and stops at
+    the first n where the signed gap between them lies within eps (status 0)
+    or below -eps (status 1): no larger n can then satisfy the tolerance.
+    With z >= 0 the computed gap never rises with n, since every rounded
+    operation in it is monotone, so that first n is the first n whose gap
+    falls below eps, found by bisection on the same expressions.  A gap of
+    exactly -eps passes neither test, and the unit-step scan would go on to
+    the first gap below -eps; a second bisection finds it.  best_gap is the
+    least |gap| over the n the unit-step scan visits.
 
     Returns (status, n, upper, lower, best_gap) with status 0 = converged,
-    1 = gap crossed below -eps, 2 = max_n reached.
+    1 = gap crossed below -eps, 2 = max_n reached; the tuple is that of the
+    unit-step scan, bit for bit.
     """
     s0 = math.sqrt(p0 * (1.0 - p0))
     s1 = math.sqrt(p1 * (1.0 - p1))
-    best = math.inf
-    for n in range(1, max_n + 1):
+
+    def limits(n):
         rn = math.sqrt(n)
         upper = p0 + z0 * s0 / rn
         lower = p1 - z1 * s1 / rn
-        gap = upper - lower
-        a = abs(gap)
-        if a < best:
-            best = a
-        if a < eps:
-            return 0, n, upper, lower, best
-        if gap < -eps:
-            return 1, n, upper, lower, best
-    return 2, max_n, 0.0, 0.0, best
+        return upper, lower, upper - lower
+
+    def first_below(bound, lo):
+        # the first n in [lo, max_n] whose gap is below bound, else max_n + 1
+        hi = max_n + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if limits(mid)[2] < bound:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    n = first_below(eps, 1)
+    if n > max_n:
+        return 2, max_n, 0.0, 0.0, limits(max_n)[2]
+    upper, lower, gap = limits(n)
+    # every gap before n is at least eps, and the last of them the least
+    best = abs(gap) if n == 1 else min(limits(n - 1)[2], abs(gap))
+    if gap == -eps:
+        n = first_below(-eps, n + 1)
+        if n > max_n:
+            return 2, max_n, 0.0, 0.0, best
+        upper, lower, gap = limits(n)
+    return (0 if gap > -eps else 1), n, upper, lower, best

@@ -38,7 +38,10 @@ Method notes
     threshold x1 and the real-valued trial count x2.
 
 ``norm_i``
-    Unit-step search on n evaluating the same two limits directly.
+    The unit-step method: the first n at which the same two limits,
+    evaluated directly, agree to within eps.  Their computed gap never rises
+    with n, so that n is found by bisection on n, with the result of the
+    scan over every n.
 """
 
 import math
@@ -217,9 +220,10 @@ def solve_norm_iterative(spec):
     """Unit-step normal method (Norm_I).
 
     Raises NoConvergenceError when no integer n brings the two limits
-    within epsilon; the error carries the best gap achieved.  The gap is
-    strictly decreasing in n, so the scan exits as soon as it passes
-    -epsilon instead of running to max_n.
+    within epsilon; the error carries the best gap achieved.  The computed
+    gap never rises with n, so the scan ends as soon as it passes -epsilon
+    instead of running to max_n, and the first n that ends it is found by
+    bisection.  iterations is n, the unit steps the method counts.
     """
     z0, z1 = spec.z_pair()
     eps = spec.eps_for("Norm_I")

@@ -105,6 +105,12 @@ class TestPlan:
         argv = ["plan", "--method", "poiss", "--p0", "0.02", "--p1", "0.05"]
         assert run(argv) == run(argv)
 
+    def test_norm_i_at_millions_of_trials(self):
+        code, out, _ = run(["plan", "--method", "norm-i", "--p0", "0.0001",
+                            "--p1", "0.00012", "--eps", "4e-7", "--max-n", "5000000"])
+        assert code == 0
+        assert "n=2837475" in out and "c=311" in out
+
 
 class TestTable:
     def test_step3_rows(self):

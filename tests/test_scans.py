@@ -5,6 +5,8 @@ a running CDF and an error bound, and ask the exact kernel only when the
 target lies inside that bound.  The reference scans below recompute every
 quantile from k = 0 at every n with the exact quantile functions, as the
 scans did before; every comparison demands the identical tuple.
+norm_iter_scan finds the Norm_I plan by bisection on n, and is held to the
+unit-step scan over every n in the same way.
 """
 
 import math
@@ -15,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhtplan import SolverError, TestSpec, solve
+from dhtplan import NoConvergenceError, SolverError, TestSpec, solve
 from dhtplan import _backend as pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
+from dhtplan.stat_kernels import z_value
 
 
 def exact_first(use_poisson, n, p, target, strict):
@@ -586,3 +589,117 @@ def assert_kernel_error_bound(last):
             assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
             if last > 1 and w.k == k:
                 assert abs(w.cdf - total) <= w.cdf_err, (k, n, p)
+
+
+def norm_iter_reference(p0, p1, z0, z1, eps, max_n):
+    """The unit-step Norm_I scan that norm_iter_scan's bisection replaces."""
+    s0 = math.sqrt(p0 * (1.0 - p0))
+    s1 = math.sqrt(p1 * (1.0 - p1))
+    best = math.inf
+    for n in range(1, max_n + 1):
+        rn = math.sqrt(n)
+        upper = p0 + z0 * s0 / rn
+        lower = p1 - z1 * s1 / rn
+        gap = upper - lower
+        a = abs(gap)
+        if a < best:
+            best = a
+        if a < eps:
+            return 0, n, upper, lower, best
+        if gap < -eps:
+            return 1, n, upper, lower, best
+    return 2, max_n, 0.0, 0.0, best
+
+
+def norm_gap(p0, p1, z0, z1, n):
+    """The signed gap at n, computed as the scans compute it."""
+    rn = math.sqrt(n)
+    return ((p0 + z0 * math.sqrt(p0 * (1.0 - p0)) / rn)
+            - (p1 - z1 * math.sqrt(p1 * (1.0 - p1)) / rn))
+
+
+def assert_same_norm_scan(*args):
+    # repr tells every float apart, the sign of a zero included
+    got = pure.norm_iter_scan(*args)
+    assert repr(got) == repr(norm_iter_reference(*args)), args
+    return got
+
+
+def first_negative_gap(p0, p1, z0, z1):
+    n = 1
+    while norm_gap(p0, p1, z0, z1, n) >= 0.0:
+        n += 1
+    return n
+
+
+LOG_RATES = st.floats(-5.0, math.log10(0.49))
+NORM_TAILS = st.builds(lambda e, compat: z_value(10.0 ** e, compat),
+                       st.floats(-6.0, math.log10(0.2)), st.booleans())
+
+
+@given(LOG_RATES, LOG_RATES, st.booleans(), NORM_TAILS, NORM_TAILS,
+       st.floats(-8.0, -2.0), st.integers(2, 200_000))
+@settings(max_examples=150, deadline=None)
+@example(-1.8239087409443189, -1.3010299956639813, False, 1.64, 1.64, -4.0, 200_000)
+def test_norm_iter_scan_sweep(log_a, log_b, zero, z0, z1, log_eps, max_n):
+    p0, p1 = sorted((10.0 ** log_a, 10.0 ** log_b))
+    if zero:
+        p0 = 0.0
+    if p0 == p1:
+        return
+    assert_same_norm_scan(p0, p1, z0, z1, 10.0 ** log_eps, max_n)
+
+
+NORM_PAIRS = [(0.02, 0.05), (0.01, 0.02), (0.0, 0.02), (0.2, 0.4), (0.0001, 0.0002)]
+
+
+@pytest.mark.parametrize("p0,p1", [pair for pair in NORM_PAIRS if pair != (0.2, 0.4)])
+def test_norm_iter_scan_goes_on_past_a_gap_of_minus_eps(p0, p1):
+    # at these first negative gaps, |gap| is below the gap one n earlier, so
+    # eps = -gap makes that n the first below eps; it passes neither test
+    n = first_negative_gap(p0, p1, 1.64, 1.64)
+    eps = -norm_gap(p0, p1, 1.64, 1.64, n)
+    assert norm_gap(p0, p1, 1.64, 1.64, n - 1) >= eps
+    status, m, _, _, best = assert_same_norm_scan(p0, p1, 1.64, 1.64, eps, 10 * n)
+    assert (status, best) == (1, eps) and m > n
+    # the crossing below -eps past max_n
+    assert assert_same_norm_scan(p0, p1, 1.64, 1.64, eps, n)[:2] == (2, n)
+
+
+@pytest.mark.parametrize("p0,p1", NORM_PAIRS)
+def test_norm_iter_scan_does_not_stop_at_a_gap_of_eps(p0, p1):
+    n = first_negative_gap(p0, p1, 1.64, 1.64) - 1
+    eps = norm_gap(p0, p1, 1.64, 1.64, n)
+    status, m, _, _, _ = assert_same_norm_scan(p0, p1, 1.64, 1.64, eps, 10 * n)
+    assert m > n
+
+
+@pytest.mark.parametrize("p0,p1", NORM_PAIRS)
+def test_norm_iter_scan_reaching_max_n(p0, p1):
+    # at max_n = 2 and one n below the crossing, best_gap is the gap at max_n
+    status, n, *_ = norm_iter_reference(p0, p1, 1.64, 1.64, 1e-4, 10 ** 6)
+    assert n > 3
+    for max_n in (2, n - 1):
+        gap = norm_gap(p0, p1, 1.64, 1.64, max_n)
+        assert assert_same_norm_scan(p0, p1, 1.64, 1.64, 1e-4, max_n) == (
+            2, max_n, 0.0, 0.0, gap)
+
+
+def test_norm_iter_scan_with_p0_zero():
+    # s0 = 0: the producer limit is p0 itself at every n
+    status, n, upper, lower, best = assert_same_norm_scan(0.0, 0.02, 1.64, 1.64, 1e-4, 200_000)
+    assert (status, upper) == (0, 0.0) and abs(lower) < 1e-4
+
+
+def test_norm_i_large_plan():
+    # the unit-step method's plan at millions of trials
+    plan = solve(TestSpec(0.0001, 0.00012, epsilon=4e-7, max_n=5_000_000), "Norm_I")
+    assert (plan.n, plan.c, plan.t_h) == (2_837_475, 311, 0.00010953545267114035)
+    assert plan.iterations == plan.n
+
+
+def test_norm_i_scan_is_logarithmic():
+    # no n up to 2**62 closes the gap, and no unit-step scan could show it
+    with pytest.raises(NoConvergenceError, match="max_n reached") as exc:
+        solve(TestSpec(0.25, 0.25 + 1e-12, epsilon=1e-300, max_n=2 ** 62), "Norm_I")
+    assert exc.value.iterations == 2 ** 62
