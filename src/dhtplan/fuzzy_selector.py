@@ -16,8 +16,8 @@ not ground truth.
 import math
 import operator
 import warnings
-from dataclasses import asdict, dataclass
 
+from ._record import _Record
 from .errors import DomainError, NoRecommendationError
 
 GRID_POINTS = 1001
@@ -82,8 +82,7 @@ OUTPUT_BANDS = (
 )
 
 
-@dataclass(frozen=True)
-class MembershipFunction:
+class MembershipFunction(_Record):
     """Trapezoid on [a, d] with plateau [b, c]."""
 
     label: str
@@ -108,8 +107,7 @@ def membership_degree(value, mf):
     return (mf.d - value) / (mf.d - mf.c)
 
 
-@dataclass(frozen=True)
-class SelectorInput:
+class SelectorInput(_Record):
     """One query to the selector; a NaN field is rejected, and fields outside
     their universe are clamped."""
 
@@ -307,7 +305,7 @@ def response_surface(base, axis1, axis2, fixed, grid=51):
     ys = np.linspace(lo2, hi2, grid)
     out = np.empty((grid, grid))
     # the axes run inside their universes, so only the fixed inputs can clamp
-    q = asdict(fixed.clamped())
+    q = dict(vars(fixed.clamped()))
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             q[axis1] = float(x)

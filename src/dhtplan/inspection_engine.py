@@ -35,9 +35,9 @@ the counters and the verdict only.  ``observe`` runs it on a single
 outcome, and ``replay`` re-drives it from an event log.
 """
 
-from dataclasses import dataclass
 from itertools import count, islice
 
+from ._record import _Record
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
 from .plan_solvers import TestSpec, solve
 from .run_limits import DEFAULT_EX, SflQuery, sfl_r
@@ -68,8 +68,7 @@ _OUTCOMES = _Outcomes({SUCCESS: SUCCESS, FAILURE: FAILURE})
 _CHUNK_OUTCOMES = 1024
 
 
-@dataclass(frozen=True)
-class LevelLadder:
+class LevelLadder(_Record):
     levels: tuple
     plans: tuple
     run_limits: tuple
@@ -97,8 +96,7 @@ class LevelLadder:
             raise LadderError("run limits must be non-decreasing")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Record):
     trial: int
     outcome: int
     level: int
@@ -113,8 +111,7 @@ ACCEPTED = "accepted"
 REJECTED = "rejected_beyond_last"
 
 
-@dataclass(frozen=True)
-class InspectionState:
+class InspectionState(_Record):
     level_index: int = 0
     trials: int = 0
     failures: int = 0

@@ -45,9 +45,9 @@ Method notes
 """
 
 import math
-from dataclasses import dataclass
 
 from . import _backend
+from ._record import _Record
 from .errors import DegenerateSpecError, DomainError, NoConvergenceError, SolverError
 from .stat_kernels import TailMass, _whole, z_value
 
@@ -70,8 +70,7 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class TestSpec:
+class TestSpec(_Record):
     """One double-hypothesis-test instance: rates, tails, tolerances."""
 
     __test__ = False  # not a pytest class despite the name
@@ -115,8 +114,7 @@ class TestSpec:
                 z_value(self.beta_tail, self.paper_compat_z))
 
 
-@dataclass(frozen=True)
-class Applicability:
+class Applicability(_Record):
     """Rule-of-thumb validity flags evaluated on the final plan."""
 
     np0_gt5: bool
@@ -124,8 +122,7 @@ class Applicability:
     p_lt_0_1: bool
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(_Record):
     """Solver output: test n units, reject on the c-th failure."""
 
     n: int

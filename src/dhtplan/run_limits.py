@@ -16,8 +16,8 @@ reading.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import _Record
 from .errors import DomainError
 
 #: Default recurrence horizon, in Bernoulli occurrences.
@@ -27,8 +27,7 @@ _FP_TOL = 1e-9
 _FP_MAXIT = 200
 
 
-@dataclass(frozen=True)
-class SflQuery:
+class SflQuery(_Record):
     p: float
     ex: float = DEFAULT_EX
 

@@ -7,14 +7,13 @@ by the normal-approximation solvers, the latter from the standard library's
 """
 
 import math
-from dataclasses import dataclass
 
 from . import _backend
+from ._record import _Record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class TailMass:
+class TailMass(_Record):
     """One-sided tail probability; must lie strictly inside (0, 0.5)."""
 
     value: float

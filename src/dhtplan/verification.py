@@ -19,11 +19,11 @@ more; accept_probability, and so the CLI's oc, does without it.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from math import ldexp, log
 
 from ._backend import _LN2, _NORMAL, _binom_zero_bits, _scaled_lead, _term_sum
+from ._record import _Record
 from .errors import DomainError
 from .stat_kernels import _whole, binom_cdf
 
@@ -41,15 +41,13 @@ _BLOCK_LOTS = 65_536
 _ARRAY_POINTS = 32
 
 
-@dataclass(frozen=True)
-class OcCurve:
+class OcCurve(_Record):
     n: int
     c: int
     points: tuple  # ((p, accept_prob), ...)
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
+class ErrorEstimate(_Record):
     alpha_hat: float
     beta_hat: float
     mc_alpha: tuple | None = None  # (rate, half_width)

@@ -716,7 +716,23 @@ assert "numpy" in sys.modules, "oc_curve"
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    ALWAYS = {"dhtplan", "dhtplan.cli", "dhtplan.errors"}
+    def test_no_module_loads_dataclasses(self):
+        # the public records are built by dhtplan._record
+        script = """
+import importlib, pkgutil, sys
+import dhtplan
+names = [info.name for info in pkgutil.iter_modules(dhtplan.__path__)]
+for name in names:
+    importlib.import_module("dhtplan." + name)
+assert "dataclasses" not in sys.modules, names
+print(len(names))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) >= 10
+
+    ALWAYS = {"dhtplan", "dhtplan.cli", "dhtplan.errors", "dhtplan._record"}
     KERNELS = {"dhtplan.stat_kernels", "dhtplan._backend"}
     ENGINE = {"dhtplan.inspection_engine", "dhtplan.plan_solvers",
               "dhtplan.run_limits"} | KERNELS
@@ -750,7 +766,8 @@ else:
     from dhtplan.cli import main
     assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("numpy", "statistics") or m.split(".")[0] == "dhtplan")))
+                        if m in ("numpy", "statistics", "dataclasses")
+                        or m.split(".")[0] == "dhtplan")))
 """
         if argv is not None:
             argv = [str(stream) if a == "STREAM" else a for a in argv]

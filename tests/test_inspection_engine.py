@@ -4,7 +4,6 @@ the per-outcome reference model."""
 
 import hashlib
 import random
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (DomainError, InspectionState, LadderError, StateError,
+from dhtplan import (DomainError, InspectionState, LadderError, LevelLadder, StateError,
                      build_ladder, inspection_engine, observe, replay, run_stream)
 from dhtplan.inspection_engine import (ACCEPTED, CONTINUE, FAILURE, REJECTED, SUCCESS,
                                        Event)
@@ -132,14 +131,14 @@ class TestBuildLadder:
 
     def test_negative_run_limit(self, newton_ladder):
         with pytest.raises(LadderError, match="run limits must be at least 0"):
-            replace(newton_ladder, run_limits=(-1, 6))
+            LevelLadder(**{**vars(newton_ladder), "run_limits": (-1, 6)})
 
     @pytest.mark.parametrize("field", ["levels", "plans", "run_limits"])
     def test_mismatched_lengths(self, newton_ladder, field):
         # unchecked, one run limit short ends run_stream in a bare IndexError,
         # and one level short still runs both plans
         with pytest.raises(LadderError, match="plans and run limits, not"):
-            replace(newton_ladder, **{field: getattr(newton_ladder, field)[:-1]})
+            LevelLadder(**{**vars(newton_ladder), field: getattr(newton_ladder, field)[:-1]})
 
 
 class TestObserve:
