@@ -289,7 +289,7 @@ def poisson_cap(lam):
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
-_SHORT = 16                # the increments of moves shorter than this are kept
+_KEPT = 1 << 13            # a table keeps at most this many (P(Y = i), P(Y > i)) pairs, < 3 MB
 _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal double
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
@@ -346,6 +346,22 @@ def _increments(d, rate, da, ratio, kb):
             (3.0 * lead + 16.0 + 2.0 * m) * _U + 2.0 * m * kb, 4.0 * y / (1.0 - a / i * ratio))
 
 
+class _Moves:
+    """The increments of each distinct move of one scan's walkers of one p
+    and family: known maps d to them, as _increments returns them.
+
+    room counts the (P(Y = i), P(Y > i)) pairs, i = 0 .. M, known may still
+    take.  The increments of a move that do not fit are worked out afresh
+    at each such move, so a scan up to max_n cannot grow a table past
+    _KEPT pairs.
+    """
+
+    __slots__ = ("known", "room")
+
+    def __init__(self):
+        self.known, self.room = {}, _KEPT
+
+
 class _Walk:
     """One count k of Binomial(n, p), or Poisson(n p) when poisson, followed
     as n grows, 0 < p < 1.
@@ -353,13 +369,15 @@ class _Walk:
     cdf and pmf are running values of P(X <= k) and P(X = k); cdf_err
     bounds |cdf - P(X <= k)| and pmf_rel the relative error of pmf.  At the
     current n the exact kernel's value lies within cdf * (ka + kb * k) of
-    P(X <= k), with room left for rounding the comparison itself.
+    P(X <= k), with room left for rounding the comparison itself.  moves
+    holds the increments of each distinct move, up to its bound, and may
+    be shared with another walker of the same p and family.
     """
 
     __slots__ = ("p", "poisson", "size", "da", "ratio", "rate", "ka_a", "ka_0", "kb",
                  "piece", "moves", "n", "a", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka")
 
-    def __init__(self, p, poisson):
+    def __init__(self, p, poisson, moves=None):
         self.p, self.poisson = p, poisson
         if poisson:
             self.size, self.da, self.ratio, self.rate = p, 0.0, 1.0, 1.0
@@ -379,7 +397,7 @@ class _Walk:
         # Below a rate of about 4e-306 the quotient overflows: 2**53 trials,
         # more than any scan runs, stand in for it
         self.piece = max(1, int(min(_LEAD / (self.size * self.rate), 2.0 ** 53)))
-        self.moves = {}
+        self.moves = _Moves() if moves is None else moves
         # n = 0: all mass at zero failures
         self.n = self.k = 0
         self.a = 0.0
@@ -572,7 +590,7 @@ class _Walk:
             return
         k, cdf, pmf, err, rel, a = (self.k, self.cdf, self.pmf, self.cdf_err,
                                     self.pmf_rel, self.a)
-        size, da, ratio, moves = self.size, self.da, self.ratio, self.moves
+        size, da, ratio, known = self.size, self.da, self.ratio, self.moves.known
         while m < n:
             h = n - m
             if h > 1:
@@ -587,13 +605,14 @@ class _Walk:
                 d = a2 - a
             m += h
             try:
-                y, above, steps, trel, trunc = moves[d]
+                y, above, steps, trel, trunc = known[d]
             except KeyError:
-                known = _increments(d, self.rate, da, ratio, self.kb)
-                if h < _SHORT:
-                    # short moves take few distinct d: keep their increments
-                    moves[d] = known
-                y, above, steps, trel, trunc = known
+                fresh = _increments(d, self.rate, da, ratio, self.kb)
+                y, above, steps, trel, trunc = fresh
+                moves = self.moves
+                if len(steps) < moves.room:
+                    moves.room -= len(steps) + 1
+                    known[d] = fresh
             s = pmf * above
             t = pmf * y
             g = pmf
@@ -741,7 +760,8 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
 
     Returns (converged, n, m, c).
     """
-    median, risk = _Walk(p1, use_poisson), _Walk(p1, use_poisson)
+    median = _Walk(p1, use_poisson)
+    risk = _Walk(p1, use_poisson, median.moves)  # the same increments
     n = 1
     while n <= max_n:
         m = median.first(n, 0.5, False)

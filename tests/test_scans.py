@@ -141,11 +141,14 @@ def test_scans_sweep(method, p0, ratio, alpha, beta, eps, max_n):
 
 def test_exact_fallback_gives_the_same_scans(monkeypatch):
     # a unit roundoff of 1e-7 leaves most decisions to the exact kernel and
-    # makes the walkers re-seed from it; the scans must not change
-    monkeypatch.setattr(pure, "_U", 1e-7)
-    for method in ("Bin", "Poiss"):
-        for p0, p1 in [(0.0, 0.02), (0.02, 0.05), (0.10, 0.15)]:
-            assert_same_scan(*scan_args(method, p0, p1))
+    # makes the walkers re-seed from it; tables that keep no increments
+    # make every move work its own out afresh; the scans must not change
+    for name, value in [("_U", 1e-7), ("_KEPT", 0)]:
+        with monkeypatch.context() as patched:
+            patched.setattr(pure, name, value)
+            for method in ("Bin", "Poiss"):
+                for p0, p1 in [(0.0, 0.02), (0.02, 0.05), (0.10, 0.15)]:
+                    assert_same_scan(*scan_args(method, p0, p1))
 
 
 def outcome(scan, args):
@@ -320,7 +323,8 @@ def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
 
 def walk_zero(use_poisson, p1, b_tail, max_n):
     """zero_scan at every n, with each hold checked against the n it spans."""
-    median, risk = pure._Walk(p1, use_poisson), pure._Walk(p1, use_poisson)
+    median = pure._Walk(p1, use_poisson)
+    risk = pure._Walk(p1, use_poisson, median.moves)
     held = {}
     for n in range(1, max_n + 1):
         m = median.first(n, 0.5, False)
@@ -524,6 +528,75 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     assert solve(TestSpec(p0, p1), method).n == n
     assert calls["lead"] <= 4
     assert calls["exact"] <= 4
+
+
+def recording_increments(monkeypatch):
+    """Log each _increments call as (the moving walker's table, d), and the
+    table of each walker made; both lists keep the tables alive, so their
+    ids stay distinct."""
+    calls, tables, moving = [], [], []
+    increments = pure._increments
+
+    class Recorded(pure._Walk):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self.moves)
+
+        def move(self, n):
+            moving.append(self.moves)
+            try:
+                super().move(n)
+            finally:
+                moving.pop()
+
+    def recorded(d, *args):
+        calls.append((moving[-1], d))
+        return increments(d, *args)
+
+    monkeypatch.setattr(pure, "_Walk", Recorded)
+    monkeypatch.setattr(pure, "_increments", recorded)
+    return calls, tables
+
+
+def table_pairs(table):
+    """The (P(Y = i), P(Y > i)) pairs, i = 0 .. M, that a table keeps."""
+    return sum(len(steps) + 1 for _, _, steps, _, _ in table.known.values())
+
+
+@pytest.mark.parametrize("method,p0,p1,distinct", [("Bin", 0.05, 0.06, 43),
+                                                   ("Poiss", 0.02, 0.03, 48),
+                                                   ("Bin", 0.0, 0.0005, 15)])
+def test_each_move_is_worked_out_once_per_solve(monkeypatch, method, p0, p1, distinct):
+    # a walker keeps the increments of every distinct move, and zero_scan's
+    # two walkers, of one p and family, keep them in one table: keeping only
+    # moves under 16 trials took 362 calls for Bin 0.05/0.06 and 104 for
+    # Poiss 0.02/0.03, and two tables took 28 for Bin 0/0.0005
+    calls, tables = recording_increments(monkeypatch)
+    solve(TestSpec(p0, p1), method)
+    assert len({id(t) for t in tables}) == (1 if p0 == 0.0 else 2)
+    assert len(calls) == len({(id(t), d) for t, d in calls}) == distinct
+
+
+@pytest.mark.parametrize("kind,args,expected", [
+    # visits every n; its producer walker keeps 72 moves, 4,692 pairs
+    ("discrete", (True, 0.3, 0.33, 0.025, 0.025, EPS_POISS, 200_000), (True, 5049, 1592, 1587)),
+    # reach max_n, the second with zero_scan's one table
+    ("discrete", (False, 0.05, 0.06, 0.025, 0.025, EPS_BIN, 3000), (False, 3000, 0, 0)),
+    ("zero", (True, 0.0005, 0.05, 5000), (False, 5000, 0, 0)),
+])
+def test_tables_keep_within_their_bound(monkeypatch, kind, args, expected):
+    # a full table keeps no more moves, which are then worked out at each
+    # visit; with a bound of 64 pairs the scan must not change
+    calls, tables = recording_increments(monkeypatch)
+    for bound in (pure._KEPT, 64):
+        monkeypatch.setattr(pure, "_KEPT", bound)
+        del calls[:], tables[:]
+        assert SCANS[kind][0](*args) == expected
+        for table in tables:
+            assert table_pairs(table) == bound - table.room <= bound
+        assert (len(calls) > len({(id(t), d) for t, d in calls})) == (bound == 64)
 
 
 # (k, n, p) with q**n normal, subnormal and underflowed, the last two summed
