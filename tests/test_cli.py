@@ -194,20 +194,27 @@ class TestInspect:
         assert "inconclusive" in out
 
     def test_reads_no_line_past_the_verdict(self, monkeypatch):
-        drawn = []
+        # and writes each outcome's record before it reads the next line; the
+        # csv header lines come with the first record
+        for fmt, header in (("kv", 0), ("csv", 2), ("jsonl", 0)):
+            out = io.StringIO()
+            drawn = []
 
-        def stdin():
-            for i in range(250):
-                drawn.append(i)
-                yield "0\n"
-            raise AssertionError("line 251 was read")
+            def stdin():
+                for i in range(250):
+                    assert out.getvalue().count("\n") == (header + i if i else 0), (fmt, i)
+                    drawn.append(i)
+                    yield "0\n"
+                raise AssertionError("line 251 was read")
 
-        # the first plan is (n, c) = (208, 3)
-        monkeypatch.setattr(sys, "stdin", stdin())
-        code, out, _ = run(self.ARGS)
-        assert code == 0
-        assert "status=accepted level=0" in out and "trials=208" in out.splitlines()[-1]
-        assert len(drawn) == 208
+            # the first plan is (n, c) = (208, 3)
+            monkeypatch.setattr(sys, "stdin", stdin())
+            code = main(["--format", fmt] + self.ARGS, out=out, err=io.StringIO())
+            assert code == 0, fmt
+            assert len(drawn) == 208, fmt
+            if fmt == "kv":
+                last = out.getvalue().splitlines()[-1]
+                assert last.startswith("status=accepted level=0") and "trials=208" in last
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "stream.txt"
@@ -226,26 +233,45 @@ def _stream_text(seed, rate, lines, bad_line=None):
     return "".join(row + "\n" for row in rows)
 
 
-# (file arguments, exit code, sha256 of stdout per format) for `inspect
-# --levels 0,0.03,0.06`, recorded with the engine that ran the transition
-# rule on every outcome in turn
+#: the table ladder's levels 0, 0.01, ..., 0.08, as cli-mix runs them
+TABLE_LEVELS = ",".join("%g" % (i / 100) for i in range(9))
+
+# (levels, file arguments, exit code, sha256 of stdout per format) for
+# `inspect`, recorded with the engine that ran the transition rule on every
+# outcome in turn and the emitter that built one dict per event
 INSPECT_GOLDEN = {
-    "accepting": ((11, 0.01, 600), 0, {
+    "accepting": ("0,0.03,0.06", (11, 0.01, 600), 0, {
         "kv": "0365a51b7d1da411141b342d8583790dff5ef10a783502284e0c83cb96cfbefb",
         "csv": "1558e05ea7ac8f2138037a0bcda90db7c0261bc0094751e9a4a474f67ec1873c",
         "jsonl": "03bd8702e6ef8effd4199a112dbf87089678a05ebce91a2b32a76406cbdcd1e1"}),
-    "rejecting": ((12, 0.12, 600), 3, {
+    "rejecting": ("0,0.03,0.06", (12, 0.12, 600), 3, {
         "kv": "3989f7f40ecf97f5054b0aaa9a5cce91885c305934d27409a33311c0e99e9674",
         "csv": "dfe3a18582311a098c2e777eb5ad5ecf40b76a9c5e544b67b907326261e5d49f",
         "jsonl": "643a249353cb3b218cc7bf5a092b59356adb76aa0bc2a4eaaae6e1eed1a092bd"}),
-    "inconclusive": ((13, 0.03, 150), 4, {
+    "inconclusive": ("0,0.03,0.06", (13, 0.03, 150), 4, {
         "kv": "a80ef5471a6094efbb4ec4c98de0fb2605c3d8adc3101f1644aaa2b69cee0c68",
         "csv": "89a5a9942930531f16f31dfb67ca0086d71a153e92a84f3bee8c1681267aae01",
         "jsonl": "5ea87e836468a8a969d2125426999521264c191d5d040803e92e0031bb3e5819"}),
-    "malformed_at_line_7": ((14, 0.2, 40, 7), 1, {
+    "malformed_at_line_7": ("0,0.03,0.06", (14, 0.2, 40, 7), 1, {
         "kv": "bd19417a6840030e56731ac23bd4201dd1464f33fba8301cabb1052f33b1ee64",
         "csv": "a2687e0f18729bd5f7cfc528266c310b403fc059e6a8e80f6d553471ff8935b9",
         "jsonl": "f627ad72e41d666a215d488fa4c49de53390a9e94aca207daa70f555c876a98d"}),
+    # cli-mix's call: 3000 outcomes at 4.5% escalate four times on the table
+    # ladder and end inconclusive at level 4
+    "cli_mix": (TABLE_LEVELS, (15, 0.045, 3000), 4, {
+        "kv": "9123749fdc99b91491bfd9c041debb6b02380e4afb2d13cf4827f67194f42268",
+        "csv": "52dd713d043290309748393f429691c0c9aeb9027a8cac398adeb46732227f04",
+        "jsonl": "f8e9133e54fe52fc9d4e5f335d444f71b502e08083de5f49275406b17ce9dec5"}),
+    # no event comes before the error, so no csv header either
+    "malformed_at_line_1": ("0,0.03,0.06", (16, 0.2, 40, 1), 1, {
+        "kv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}),
+    # the verdict record alone
+    "empty": ("0,0.03,0.06", (17, 0.2, 0), 4, {
+        "kv": "b8f3af9ff0d6e3f6123421cf66bcd6302df37976168f2fb97202ced96575e43f",
+        "csv": "d1f01078d9e696907d242c0d7f4c6d9c4761bcce51204d08b053c0acbeb4618a",
+        "jsonl": "e23be1e5048c8a136c6ffbf3b8435321fe1b5b25b7acbbbf82e452d5ac325050"}),
 }
 
 
@@ -253,16 +279,20 @@ class TestInspectGolden:
     @pytest.mark.parametrize("fmt", ["kv", "csv", "jsonl"])
     @pytest.mark.parametrize("name", sorted(INSPECT_GOLDEN))
     def test_output_is_byte_identical(self, monkeypatch, name, fmt):
-        file_args, exit_code, digests = INSPECT_GOLDEN[name]
-        code, out, err = run(["--format", fmt] + TestInspect.ARGS,
+        levels, file_args, exit_code, digests = INSPECT_GOLDEN[name]
+        code, out, err = run(["--format", fmt, "inspect", "--levels", levels],
                              stdin_text=_stream_text(*file_args), monkeypatch=monkeypatch)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
         if exit_code == 1:
-            # the records of lines 1-6 come before the error, the last a success
-            assert err == "error: malformed token 'x' at line 7\n"
+            # the records of the lines before the bad one come first, each a
+            # success
+            bad_line = file_args[3]
+            assert err == "error: malformed token 'x' at line %d\n" % bad_line
             records = [line for line in out.splitlines() if "continue" in line]
-            assert len(records) == 6
+            assert len(records) == bad_line - 1
+        else:
+            assert err == ""
 
 
 class TestSmallCommands:
