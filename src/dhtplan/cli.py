@@ -224,12 +224,12 @@ def cmd_sfl(args, out, err):
     from .run_limits import SflQuery, mean_recurrence, sfl_r
     try:
         raw, r = sfl_r(SflQuery(p=args.p, ex=args.ex))
+        mean = mean_recurrence(args.p, r)
     except DomainError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_COMPUTE
     _Emitter(args.format, "dhtplan.sfl", out).record(
-        {"p": args.p, "ex": args.ex, "r_raw": raw, "r": r,
-         "mean_recurrence": mean_recurrence(args.p, r)})
+        {"p": args.p, "ex": args.ex, "r_raw": raw, "r": r, "mean_recurrence": mean})
     return EXIT_OK
 
 

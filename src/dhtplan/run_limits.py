@@ -71,10 +71,18 @@ def _snap(r, tol=1e-8):
 
 
 def mean_recurrence(p, r):
-    """Mean number of Bernoulli occurrences between completions of an r-run."""
+    """Mean number of Bernoulli occurrences between completions of an r-run.
+
+    Raises DomainError where the mean lies beyond the float range, as it
+    does where p ** r underflows to 0."""
     if not (0.0 < p < 1.0):
         raise DomainError("defect probability must be in (0, 1)")
     if r < 1:
         raise DomainError("run length must be >= 1")
     pr = p ** r
-    return (1.0 - pr) / ((1.0 - p) * pr)
+    scale = (1.0 - p) * pr
+    mean = (1.0 - pr) / scale if scale else math.inf
+    if mean == math.inf:
+        raise DomainError("the mean recurrence of a %d-run at p = %g lies beyond the "
+                          "float range" % (r, p))
+    return mean

@@ -450,6 +450,17 @@ class TestErrorBoundary:
         err = self._one_line_error(["sfl", "--p", p, "--ex", ex], exit_code=2)
         assert message in err
 
+    @pytest.mark.parametrize("fmt", ["kv", "csv", "jsonl"])
+    @pytest.mark.parametrize("p,r", [("1e-300", 2), ("0.5", 1023)],
+                             ids=["underflow", "overflow"])
+    def test_sfl_mean_recurrence_beyond_float_range(self, fmt, p, r):
+        # r is found, but its mean recurrence (1e600, 2**1024) is no float:
+        # no traceback, and no Infinity in a jsonl record
+        err = self._one_line_error(["--format", fmt, "sfl", "--p", p, "--ex", "1e308"],
+                                   exit_code=2)
+        assert err == ("error: the mean recurrence of a %d-run at p = %s lies beyond "
+                       "the float range\n" % (r, p))
+
     def test_plan_rate_nan(self):
         err = self._one_line_error(["plan", "--method", "bin", "--p0", "nan",
                                     "--p1", "0.05"])
@@ -662,6 +673,10 @@ def odd_argvs(draw):
     return flags(format=maybe(st.sampled_from(["kv", "csv", "jsonl"]))) + [command] + argv
 
 
+def _refuse_constant(name):
+    raise AssertionError("%s in a jsonl record" % name)
+
+
 class TestOddArgv:
     @pytest.fixture(scope="class")
     def stream(self, tmp_path_factory):
@@ -673,15 +688,22 @@ class TestOddArgv:
     # rates at which 699 / rate, the walker's move length, overflows
     @example(argv=["plan", "--p0=0", "--p1=1e-320", "--method=bin"])
     @example(argv=["plan", "--p0=1e-321", "--p1=1e-320", "--method=poiss"])
+    # mean recurrences beyond the float range, as p ** r underflows or not
+    @example(argv=["sfl", "--p=1e-300", "--ex=1e308"])
+    @example(argv=["--format=jsonl", "sfl", "--p=0.5", "--ex=1e308"])
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_one_line_message(self, stream, argv):
         # every exit is a documented code, and a failure (1 usage, 2 compute)
-        # ends in one error: or no ... line; select may warn of clamps first
+        # ends in one error: or no ... line; select may warn of clamps first.
+        # Each jsonl line is JSON, with no NaN or Infinity
         argv = [a.replace("STREAM", str(stream)) for a in argv]
         usage = io.StringIO()
         with contextlib.redirect_stderr(usage):
             code, out, err = run(argv)
         assert code in (0, 1, 2, 3, 4), argv
+        if "--format=jsonl" in argv:
+            for line in out.splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
         if code in (3, 4):
             assert err == "" and out, argv  # a verdict, on stdout
         elif code in (1, 2) and not err:

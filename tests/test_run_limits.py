@@ -77,6 +77,13 @@ class TestMeanRecurrence:
         with pytest.raises(DomainError):
             mean_recurrence(0.2, 0)
 
+    @pytest.mark.parametrize("p,r", [(0.5, 1023), (1e-300, 2)],
+                             ids=["overflow", "underflow"])
+    def test_beyond_float_range(self, p, r):
+        # 2**1024, and 1e600 where p ** r underflows to 0
+        with pytest.raises(DomainError, match="beyond the float range"):
+            mean_recurrence(p, r)
+
     @pytest.mark.parametrize("p,r", [(0.3, 4), (0.5, 1), (0.1, 3)])
     def test_simulation_agreement(self, p, r):
         # count non-overlapping completions of r-runs of failures over 1e7
