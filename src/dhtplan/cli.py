@@ -169,8 +169,8 @@ def _read_outcomes(source):
 
 #: One event record per format, as ``_Emitter`` would write it: the fields
 #: are ints and one of five plain ASCII transition names, which ``str`` and
-#: ``json.dumps`` write as these templates do.  Each outcome's event costs
-#: one ``%`` and one write, not a dict and a field-by-field join.
+#: ``json.dumps`` write as these templates do.  An event is one ``%`` and
+#: one write, the per-outcome cost of a long stream.
 _EVENT_LINES = {
     "kv": "trial=%d outcome=%d level=%d failures=%d run=%d transition=%s\n",
     "csv": "%d,%d,%d,%d,%d,%s\n",
