@@ -1,24 +1,23 @@
 """Pure-Python numeric kernels.
 
-These are the hot inner loops of the package: discrete CDF term sums, the
-one search for a quantile over their partial sums (first_count), and the
-plan-search loops, which follow their quantiles across n with certified
+These are the hot inner loops of the package: discrete CDF term sums and
+the plan-search loops, which follow their quantiles across n with certified
 incremental walkers.
 
 Both discrete CDFs are one term recurrence with Kahan summation, run by
-_term_sum and, one partial sum per count, by _term_partials.  Where the
-leading term, q**n or exp(-lam), lies below the normal range, the sum starts
-instead from that term scaled by a power of two, m = q**n * 2**-e with m in
-(1/2, 1], and shrinks by an exact 2**-512 whenever it passes 2**512; the
-total is scaled back by ldexp at the end.  A subnormal leading term would
-carry its rounding into every later term.  In the normal range e = 0: a sum
-of probabilities never reaches 2**512, so the rescale never runs.
+_term_sum, the package's one term-sum loop.  Where the leading term, q**n or
+exp(-lam), lies below the normal range, the sum starts instead from that
+term scaled by a power of two, m = q**n * 2**-e with m in (1/2, 1], and
+shrinks by an exact 2**-512 whenever it passes 2**512; the total is scaled
+back by ldexp at the end.  A subnormal leading term would carry its
+rounding into every later term.  In the normal range e = 0: a sum of
+probabilities never reaches 2**512, so the rescale never runs.
 _term_sum also sums one numpy array of leads at once, normal or scaled, each
 element bit for bit its scalar run.
 """
 
 import math
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate
 from math import exp, ldexp, log, log1p
 
 from .errors import SolverError
@@ -97,31 +96,6 @@ def _term_sum(term, e, c, a, da, ratio):
     return total, e
 
 
-def _term_partials(term, e, a, da, ratio):
-    """Yield min(ldexp(*_term_sum(term, e, c, a, da, ratio)), 1.0) for
-    c = 0, 1, ... from one running sum: the same operations, so each value
-    equals it bit for bit.  The generator never ends.
-    """
-    total = term
-    comp = 0.0
-    cdf = ldexp(total, e)
-    yield 1.0 if cdf > 1.0 else cdf
-    for k in count(1):
-        term = term * (a / k) * ratio
-        a -= da
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if total > _BIG:
-            total *= _SHRINK
-            comp *= _SHRINK
-            term *= _SHRINK
-            e += 512
-        cdf = ldexp(total, e)
-        yield 1.0 if cdf > 1.0 else cdf
-
-
 def binom_cdf(c, n, p):
     """P(X <= c) for X ~ Binomial(n, p), by _term_sum from q**n.
 
@@ -129,7 +103,7 @@ def binom_cdf(c, n, p):
     power of two.  There, for c < n p, a Chernoff bound below 2**-1076
     returns 0.0 at once: the full sum, within a factor 2 of the tail it
     approximates, would round to 0.0 under ldexp as well, so the result
-    equals the k = c value of _binom_partials bit for bit either way.
+    equals the full sum's bit for bit either way.
     oc_curve takes the same leads and sums them in one array run of
     _term_sum, with _binom_zero_bits in place of the Chernoff cut.
     """
@@ -183,7 +157,7 @@ def poisson_cdf(c, lam):
     Past lam = 700 the sum runs from exp(-lam) scaled by a power of two.
     There, for c < lam, a Chernoff bound below 2**-1076 returns 0.0 at once,
     as in binom_cdf: the full sum would round to 0.0 as well, so the result
-    equals the k = c value of _poisson_partials bit for bit either way.
+    equals the full sum's bit for bit either way.
     """
     if c < 0:
         return 0.0
@@ -205,38 +179,8 @@ def poisson_cdf(c, lam):
     return min(ldexp(total, e), 1.0)
 
 
-def _binom_partials(n, p):
-    """Iterator over binom_cdf(k, n, p) for k = 0 .. n-1, bit for bit, in O(n)."""
-    if p <= 0.0 or p >= 1.0:
-        return repeat(1.0 if p <= 0.0 else 0.0, n)
-    q = 1.0 - p
-    t0 = pow(q, float(n))
-    term, e = (t0, 0) if t0 >= _NORMAL else _scaled_lead(n * log(q))
-    return islice(_term_partials(term, e, float(n), 1.0, p / q), n)
-
-
-def _poisson_partials(lam):
-    """Endless iterator over poisson_cdf(k, lam) for k = 0, 1, ..., bit for bit."""
-    if lam <= 0.0:
-        return repeat(1.0)
-    term, e = (exp(-lam), 0) if lam <= 700.0 else _scaled_lead(-lam)
-    return _term_partials(term, e, lam, 0.0, 1.0)
-
-
 def _reaches(value, target, strict):
     return value > target or (value == target and not strict)
-
-
-def first_count(sums, target, strict, stop):
-    """Index of the first partial sum that reaches target (exceeds it when
-    strict), or stop when none of the first stop sums does.
-
-    One pass over the sums, so a quantile K costs O(K) terms.
-    """
-    for k, cdf in enumerate(islice(sums, stop)):
-        if _reaches(cdf, target, strict):
-            return k
-    return stop
 
 
 def poisson_cap(lam):
@@ -259,8 +203,10 @@ def poisson_cap(lam):
 # (k, n) is added to it.  A comparison with the target is decided from the
 # running value only when the target lies outside that interval, and by the
 # exact kernel otherwise.  The kernel's partial sums are non-decreasing in
-# k, so certifying the count and the one below it fixes the quantile, and
-# every decision, and every plan, is the one the per-n partial sums give.
+# k, so certifying the count and the one below it fixes the quantile; where
+# the kernel finds the count off, the walker steps through the kernel's
+# values from it to the quantile, rarely more than one count.  So every
+# decision, and every plan, is the one the per-n partial sums give.
 #
 # One walker serves both families, which differ only in data.  Binomial(n, p)
 # and Poisson(n p) both run the term recurrence of _term_sum from a parameter
@@ -438,9 +384,12 @@ class _Walk:
                 break
             if cdf + bound >= target:
                 # too close to call: the exact kernel decides, and on a
-                # shortfall the exact quantile, so no walk costs O(K) per step
+                # shortfall steps up to the first count that reaches
                 if not _reaches(self.exact(k), target, strict):
-                    k = self.reseed(self.exact_first(target, strict, stop))
+                    k += 1
+                    while k < stop and not _reaches(self.exact(k), target, strict):
+                        k += 1
+                    self.reseed(k)
                 break
             self.step()
             k += 1
@@ -451,7 +400,11 @@ class _Walk:
             bound = (self.cdf_err + pmf * self.pmf_rel
                      + low * (self.ka + self.kb * (k - 1) + _U))
             if low + bound >= target and _reaches(self.exact(k - 1), target, strict):
-                k = self.reseed(self.exact_first(target, strict, stop))
+                # it reaches too: step down to the first count that does
+                k -= 1
+                while k and _reaches(self.exact(k - 1), target, strict):
+                    k -= 1
+                self.reseed(k)
         if k > cap and not strict:
             raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, self.n * self.p))
         return k
@@ -654,16 +607,6 @@ class _Walk:
             return poisson_cdf(k, self.a)
         return binom_cdf(k, self.n, self.p)
 
-    def exact_first(self, target, strict, stop):
-        """first_count over the exact kernel's partial sums at the current n,
-        whose values are binom_cdf's or poisson_cdf's bit for bit."""
-        if self.poisson:
-            sums = _poisson_partials(self.a)
-        else:
-            # P(X <= k) is exactly 1.0 from k = n on, as binom_cdf returns it
-            sums = chain(_binom_partials(self.n, self.p), repeat(1.0))
-        return first_count(sums, target, strict, stop)
-
     def reseed(self, k):
         a, da, ratio = self.a, self.da, self.ratio
         self.k = k
@@ -682,7 +625,6 @@ class _Walk:
         # and each step by kb
         self.pmf_rel = (4.0 * x + 3.0) * _U + k * self.kb
         self.cdf_err = cdf * (self.ka + self.kb * k) if pmf >= _MIN_PMF else math.inf
-        return k
 
 
 def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):

@@ -230,10 +230,12 @@ class FuzzyRuleBase:
             where = "rule %d" % i
             ants = _config_field(rule, where, "if", list)
             out = _config_field(rule, where, "then", str)
-            if not all(isinstance(a, list) and len(a) == 3 for a in ants):
+            if not all(isinstance(a, list) and len(a) == 3 and isinstance(a[0], str)
+                       and isinstance(a[1], str) and isinstance(a[2], bool) for a in ants):
                 raise DomainError("fuzzy config: %s: each 'if' entry must be "
-                                  "[variable, label, negated]" % where)
-            rules.append((tuple((v, l, bool(neg)) for v, l, neg in ants), out))
+                                  "[variable, label, negated], two strings and a "
+                                  "boolean" % where)
+            rules.append((tuple(map(tuple, ants)), out))
         return cls(memberships=memberships, outputs=outputs, rules=tuple(rules))
 
 

@@ -161,6 +161,8 @@ def closed_form_norm(spec):
     if rn <= 0.0:
         raise SolverError("normal system has no positive solution")
     n_real = rn * rn
+    if not math.isfinite(n_real):
+        raise SolverError("normal system's trial count lies beyond the float range")
     t_h = spec.p0 + z0 * s0 / rn
     return n_real, t_h
 

@@ -23,9 +23,6 @@ from .errors import DomainError
 #: Default recurrence horizon, in Bernoulli occurrences.
 DEFAULT_EX = 1e6
 
-_FP_TOL = 1e-9
-_FP_MAXIT = 200
-
 
 class SflQuery(_Record):
     p: float
@@ -44,7 +41,9 @@ def sfl_r(query, ex=None):
 
     Accepts an SflQuery or a bare probability (with ex supplied separately).
     Returns (r_raw, r) where r = ceil(r_raw); a run strictly longer than r
-    rejects the level.
+    rejects the level.  r_raw is the fixed point of
+    r = log((1 - p**r) / (ex (1 - p))) / log(p), that is of
+    p**r (1 + ex (1 - p)) = 1, in closed form.
     """
     if not isinstance(query, SflQuery):
         query = SflQuery(float(query), DEFAULT_EX if ex is None else float(ex))
@@ -52,20 +51,13 @@ def sfl_r(query, ex=None):
     if horizon * (1.0 - p) <= 1.0:
         raise DomainError(
             "no run-length fixed point: need ex*(1-p) > 1, got %g" % (horizon * (1.0 - p),))
-    r = 1.0
-    for _ in range(_FP_MAXIT):
-        nxt = math.log((1.0 - p ** r) / (horizon * (1.0 - p))) / math.log(p)
-        if not math.isfinite(nxt) or nxt <= 0.0:
-            raise DomainError("run-length fixed point left the domain (ex too small)")
-        if abs(nxt - r) < _FP_TOL:
-            return _snap(nxt), math.ceil(_snap(nxt))
-        r = nxt
-    return _snap(r), math.ceil(_snap(r))
+    r = _snap(math.log1p(horizon * (1.0 - p)) / -math.log(p))
+    return r, math.ceil(r)
 
 
 def _snap(r, tol=1e-8):
-    # integer fixed points are approached from above; without snapping,
-    # ceil would overshoot them by one
+    # an integer fixed point may come out a little above the integer; without
+    # snapping, ceil would overshoot it by one
     nearest = round(r)
     return float(nearest) if abs(r - nearest) < tol else r
 

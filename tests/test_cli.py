@@ -302,6 +302,11 @@ class TestSmallCommands:
         assert "r=4" in out
         assert "r_raw=3.5263875" in out
 
+    def test_sfl_where_the_map_stops_contracting(self):
+        code, out, _ = run(["sfl", "--p", "0.999", "--ex", "1000"])
+        assert code == 0
+        assert "r_raw=692.80055 r=693 " in out
+
     def test_sfl_no_fixed_point(self):
         code, _, err = run(["sfl", "--p", "0.4", "--ex", "1.5"])
         assert code == 2
@@ -602,6 +607,13 @@ class TestErrorBoundary:
         err = self._bad_fuzzy_config(tmp_path, cfg)
         assert "memberships.%s.%s" % (var, label) in err and "4" in err
 
+    def test_select_fuzzy_config_string_negation_flag(self, tmp_path):
+        # a JSON "false" is no boolean; read as truthy it negated rule 8
+        cfg = self._default_config()
+        cfg["rules"][7]["if"][0][2] = "false"
+        err = self._bad_fuzzy_config(tmp_path, cfg)
+        assert "rule 8" in err and "boolean" in err
+
 
 # flag values at and past the edges of every domain; a flag draws from
 # these or from a few usual values of its own, so that many calls get past
@@ -688,6 +700,8 @@ class TestOddArgv:
     # rates at which 699 / rate, the walker's move length, overflows
     @example(argv=["plan", "--p0=0", "--p1=1e-320", "--method=bin"])
     @example(argv=["plan", "--p0=1e-321", "--p1=1e-320", "--method=poiss"])
+    # a closed-form normal trial count beyond the float range
+    @example(argv=["plan", "--p0=0", "--p1=5e-324", "--method=norm-n"])
     # mean recurrences beyond the float range, as p ** r underflows or not
     @example(argv=["sfl", "--p=1e-300", "--ex=1e308"])
     @example(argv=["--format=jsonl", "sfl", "--p=0.5", "--ex=1e308"])

@@ -5,6 +5,8 @@ shipped default membership config (single-rule cases reduce to trapezoid
 centroids, which are checked analytically here).
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,16 @@ class TestConfig:
             assert s1 == s2
             assert l1 == l2
             assert f1 == f2
+
+    @pytest.mark.parametrize("field,value", [(2, "false"), (2, 0), (0, 1), (1, ["S"])])
+    def test_antecedent_types_refused(self, tmp_path, field, value):
+        # a negation flag must be a JSON boolean, a variable and a label strings
+        cfg = FuzzyRuleBase().to_config()
+        cfg["rules"][7]["if"][0][field] = value
+        path = tmp_path / "fuzzy.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(DomainError, match="rule 8: .* two strings and a boolean"):
+            FuzzyRuleBase.load(path)
 
     def test_exactly_eight_rules_required(self):
         one_rule = (((("step", "I_zero", False),), "Bin"),)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtplan import (DegenerateSpecError, DomainError, NoConvergenceError,
-                     TestSpec, binom_cdf, closed_form_norm, solve,
+                     SolverError, TestSpec, binom_cdf, closed_form_norm, solve,
                      solve_bin, solve_norm_iterative, solve_norm_newton,
                      solve_poiss)
 
@@ -37,6 +37,12 @@ class TestClosedForm:
     def test_degenerate_pair(self):
         with pytest.raises(DegenerateSpecError):
             TestSpec(0.02, 0.02)
+
+    @pytest.mark.parametrize("p1", [5e-324, 1e-320, 1e-309])
+    def test_trial_count_beyond_the_float_range(self, p1):
+        # (z1 s1 / p1)**2 overflows, which Norm_N would take the ceiling of
+        with pytest.raises(SolverError, match="beyond the float range"):
+            closed_form_norm(TestSpec(0.0, p1))
 
 
 class TestNormNewton:

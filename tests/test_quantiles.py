@@ -1,19 +1,25 @@
-"""Single-pass discrete quantiles against full CDF scans.
+"""The exact kernels' partial sums and the walkers' quantiles against full
+CDF scans.
 
-Each quantile is first_count over one running sum with the same terms,
-order and operations as binom_cdf/poisson_cdf, so every comparison here
-demands exact equality with a scan that calls the CDF afresh at every count.
+binom_cdf(k, n, p) and poisson_cdf(k, lam) are the k-th partial sums of one
+term series, non-decreasing in k, so a walker whose count the exact kernel
+finds off steps through the kernel's values to the first count that
+reaches its target.  The quantiles here are first_reaching over a reference
+copy of the term loop (kernel_reference), held bit for bit to the kernels,
+and the walkers' counts; every comparison demands exact equality with a
+scan that calls the CDF afresh at every count.
 """
 
 import math
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import TestSpec, solve
+from dhtplan import SolverError, TestSpec, solve
 from dhtplan import _backend as pure
+from kernel_reference import binom_sums, first_reaching, poisson_sums, poisson_trials
 
 
 def scan_binom_ge(n, p, target):
@@ -50,41 +56,84 @@ def scan_poisson_le(lam, tail, cap):
     return k
 
 
-def binom_sums(n, p):
-    # P(X <= k) is exactly 1.0 from k = n on, as binom_cdf returns it
-    return chain(pure._binom_partials(n, p), repeat(1.0))
-
-
 def binom_ge(n, p, target):
     """Smallest k with P(X <= k) >= target, X ~ Binomial(n, p); at most n."""
-    return pure.first_count(binom_sums(n, p), target, False, n)
+    return first_reaching(binom_sums(n, p), target, False, n)
 
 
 def binom_le(n, p, tail):
     """Largest k with P(X <= k) <= tail, or -1 when CDF(0) > tail."""
-    return pure.first_count(binom_sums(n, p), tail, True, n + 1) - 1
+    return first_reaching(binom_sums(n, p), tail, True, n + 1) - 1
 
 
 def poisson_ge_or_none(lam, target, cap):
     """Smallest k <= cap with P(X <= k) >= target, X ~ Poisson(lam), or None."""
-    k = pure.first_count(pure._poisson_partials(lam), target, False, cap + 1)
+    k = first_reaching(poisson_sums(lam), target, False, cap + 1)
     return k if k <= cap else None
 
 
 def poisson_le(lam, tail, cap):
     """Largest k with P(X <= k) <= tail, at most cap + 1; -1 when CDF(0) > tail."""
-    return pure.first_count(pure._poisson_partials(lam), tail, True, cap + 2) - 1
+    return first_reaching(poisson_sums(lam), tail, True, cap + 2) - 1
 
 
-def test_first_count_ties_and_stop():
-    sums = [0.1, 0.5, 0.5, 0.9]
-    assert pure.first_count(iter(sums), 0.5, False, 4) == 1
-    assert pure.first_count(iter(sums), 0.5, True, 4) == 3
-    assert pure.first_count(iter(sums), 0.0, True, 4) == 0
-    # none of the sums read qualifies: stop, whether the sums run out or not
-    assert pure.first_count(iter(sums), 0.9, True, 4) == 4
-    assert pure.first_count(iter(sums), 0.9, False, 3) == 3
-    assert pure.first_count(iter(sums), 0.9, False, 0) == 0
+def assert_walker_first(poisson, n, p, target):
+    """A fresh walker's counts at n, strict and not, are the first counts
+    whose kernel CDF reaches target, searched up to its stop past the cap,
+    and SolverError where a non-strict search ends there."""
+    cap = pure.poisson_cap(n * p)
+    for strict in (False, True):
+        sums = poisson_sums(n * p) if poisson else binom_sums(n, p)
+        k = first_reaching(sums, target, strict, cap + 1 + strict)
+        walker = pure._Walk(p, poisson)
+        if k > cap and not strict:
+            with pytest.raises(SolverError, match="exceeded cap %d" % cap):
+                walker.first(n, target, strict)
+        else:
+            assert walker.first(n, target, strict) == k, (n, p, target, strict)
+
+
+def test_walker_search_ties_and_stop():
+    # Binomial(4, 1/2): CDF 1/16, 5/16, 11/16, 15/16, 1 at counts 0 to 4.  A
+    # target equal to a CDF value is within every error bound of it, so the
+    # exact kernel decides, and a strict search steps past the tie
+    cdf = [pure.binom_cdf(k, 4, 0.5) for k in range(5)]
+    assert cdf == [1 / 16, 5 / 16, 11 / 16, 15 / 16, 1.0]
+    first = lambda target, strict: pure._Walk(0.5, False).first(4, target, strict)  # noqa: E731
+    assert first(5 / 16, False) == 1
+    assert first(5 / 16, True) == 2
+    assert first(0.0, True) == 0
+    assert first(1.0, False) == 4
+    # no count exceeds 1.0: a strict search stops at the cap + 2, a
+    # non-strict one past 1.0 gives up at the cap
+    cap = pure.poisson_cap(2.0)
+    assert first(1.0, True) == cap + 2
+    with pytest.raises(SolverError, match="exceeded cap %d at mean 2$" % cap):
+        first(math.nextafter(1.0, 2.0), False)
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+def test_walker_steps_down_to_the_quantile(poisson):
+    # a count re-seeded three above the median: the count below it reaches
+    # too, so the search steps down, one exact sum per count, to the median
+    calls = []
+
+    class Counted(pure._Walk):
+        __slots__ = ()
+
+        def exact(self, j):
+            calls.append(j)
+            return super().exact(j)
+
+    k = Counted(0.3, poisson).first(200, 0.5, False)
+    w = Counted(0.3, poisson)
+    w.move(200)
+    w.reseed(k + 3)
+    calls.clear()
+    assert w.first(200, 0.5, False) == k
+    # the last call re-seeds at k
+    assert calls == [k + 2, k + 1, k, k - 1, k]
+    assert w.exact(k - 1) < 0.5 <= w.exact(k)
 
 
 TARGETS = (0.0, 1e-12, 0.0125, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9875, 1.0)
@@ -100,26 +149,35 @@ BINOM_CASES = [
 POISSON_CASES = [1.0, 7.5, 0.0, 38.78, 0.02, 30.0, 700.5, 800.0]
 
 
+def assert_non_decreasing(values):
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# a last-bit difference rarely moves a quantile, so compare the sums: the
+# reference's running sum is the kernel's at every count, and the kernel's
+# values never fall as the count grows, which the walkers' search rests on
 @pytest.mark.parametrize("n,p", BINOM_CASES)
 def test_binom_partial_sums_are_the_cdf(n, p):
-    # a last-bit difference rarely moves a quantile, so compare the sums
-    ks = range(min(n, 900))
-    assert list(islice(pure._binom_partials(n, p), len(ks))) == [
-        pure.binom_cdf(k, n, p) for k in ks]
+    cdf = [pure.binom_cdf(k, n, p) for k in range(min(n, 900))]
+    assert list(islice(binom_sums(n, p), len(cdf))) == cdf
+    assert_non_decreasing(cdf)
 
 
 @pytest.mark.parametrize("lam", POISSON_CASES)
 def test_poisson_partial_sums_are_the_cdf(lam):
-    ks = range(min(pure.poisson_cap(lam), 900))
-    assert list(islice(pure._poisson_partials(lam), len(ks))) == [
-        pure.poisson_cdf(k, lam) for k in ks]
+    cdf = [pure.poisson_cdf(k, lam) for k in range(min(pure.poisson_cap(lam), 900))]
+    assert list(islice(poisson_sums(lam), len(cdf))) == cdf
+    assert_non_decreasing(cdf)
 
 
+# the walkers follow rates 0 < p < 1/2, the solvers' domain
 @pytest.mark.parametrize("n,p", BINOM_CASES)
 def test_binom_quantiles_match_scan(n, p):
     for target in TARGETS if n <= 1000 else LARGE_TARGETS:
         assert binom_ge(n, p, target) == scan_binom_ge(n, p, target)
         assert binom_le(n, p, target) == scan_binom_le(n, p, target)
+        if 0.0 < p < 0.5:
+            assert_walker_first(False, n, p, target)
 
 
 @pytest.mark.parametrize("lam", POISSON_CASES)
@@ -128,6 +186,8 @@ def test_poisson_quantiles_match_scan(lam):
     for target in TARGETS if lam <= 100.0 else LARGE_TARGETS:
         assert poisson_ge_or_none(lam, target, cap) == scan_poisson_ge(lam, target, cap)
         assert poisson_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
+        if lam:
+            assert_walker_first(True, *poisson_trials(lam), target)
 
 
 def test_log_branch_is_exercised():
@@ -155,14 +215,14 @@ def normal_binomials(draw):
 @settings(max_examples=100, deadline=None)
 def test_normal_range_binom_cdf_is_its_partial_sum(case):
     k, n, p = case
-    assert pure.binom_cdf(k, n, p) == nth_partial(pure._binom_partials(n, p), k)
+    assert pure.binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
 
 
 @given(st.floats(0.0, 700.0, exclude_min=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_normal_range_poisson_cdf_is_its_partial_sum(lam, data):
     k = data.draw(st.integers(0, pure.poisson_cap(lam)))
-    assert pure.poisson_cdf(k, lam) == nth_partial(pure._poisson_partials(lam), k)
+    assert pure.poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
 
 
 @st.composite
@@ -182,14 +242,14 @@ def scaled_binomials(draw):
 def test_scaled_binom_cdf_is_its_partial_sum(case):
     # binom_cdf's underflow exit too must give the value the full sum gives
     k, n, p = case
-    assert pure.binom_cdf(k, n, p) == nth_partial(pure._binom_partials(n, p), k)
+    assert pure.binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
 
 
 @given(st.floats(700.0, 3000.0, exclude_min=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_scaled_poisson_cdf_is_its_partial_sum(lam, data):
     k = data.draw(st.integers(0, pure.poisson_cap(lam)))
-    assert pure.poisson_cdf(k, lam) == nth_partial(pure._poisson_partials(lam), k)
+    assert pure.poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
 
 
 def test_scaled_sum_shrinks_many_times():
@@ -198,17 +258,17 @@ def test_scaled_sum_shrinks_many_times():
     # exp(-3000) is about 2**-4328
     value = pure.binom_cdf(9900, 20000, 0.5)
     assert math.log2(value) + 20000 > 30 * 512
-    assert value == nth_partial(pure._binom_partials(20000, 0.5), 9900)
+    assert value == nth_partial(binom_sums(20000, 0.5), 9900)
     value = pure.poisson_cdf(3000, 3000.0)
     assert math.log2(value) + 4328 > 8 * 512
-    assert value == nth_partial(pure._poisson_partials(3000.0), 3000)
+    assert value == nth_partial(poisson_sums(3000.0), 3000)
 
 
 def test_underflow_exit(monkeypatch):
     # P(X <= 127) at n = 7360, p = 0.5 is about 2**-6070: the Chernoff bound
     # returns 0.0 before the leading term is formed, and the full sum rounds
     # to 0.0 as well
-    assert nth_partial(pure._binom_partials(7360, 0.5), 127) == 0.0
+    assert nth_partial(binom_sums(7360, 0.5), 127) == 0.0
     leads = []
     monkeypatch.setattr(pure, "_scaled_lead", lambda x: leads.append(x))
     assert pure.binom_cdf(127, 7360, 0.5) == 0.0
@@ -233,9 +293,9 @@ def test_poisson_underflow_exit(monkeypatch):
     # terms rounds to 0.0, and the Chernoff bound returns it before the
     # leading term is formed; at lam = 1000 the exit ends at c = 69, and
     # c = 70 and 71 are summed, to 0.0 and to the first nonzero value
-    assert nth_partial(pure._poisson_partials(3.0e6), 10 ** 6) == 0.0
+    assert nth_partial(poisson_sums(3.0e6), 10 ** 6) == 0.0
     assert poisson_edge(1000.0) == 69
-    partials = list(islice(pure._poisson_partials(1000.0), 72))
+    partials = list(islice(poisson_sums(1000.0), 72))
     assert partials[70] == 0.0 < partials[71]
     leads = []
     real_lead = pure._scaled_lead
@@ -252,7 +312,7 @@ def test_poisson_underflow_exit(monkeypatch):
 def test_poisson_underflow_exit_is_its_partial_sum(lam, offset):
     # counts on both sides of where the exit ends give the full sum's value
     c = max(0, poisson_edge(lam) + offset)
-    assert pure.poisson_cdf(c, lam) == nth_partial(pure._poisson_partials(lam), c)
+    assert pure.poisson_cdf(c, lam) == nth_partial(poisson_sums(lam), c)
 
 
 def test_poisson_cap_bounds_both_quantiles():
@@ -267,6 +327,8 @@ def test_poisson_cap_bounds_both_quantiles():
 def test_binom_quantiles_sweep(n, p, target):
     assert binom_ge(n, p, target) == scan_binom_ge(n, p, target)
     assert binom_le(n, p, target) == scan_binom_le(n, p, target)
+    if 0.0 < p < 0.5:
+        assert_walker_first(False, n, p, target)
 
 
 @given(st.floats(0.0, 400.0), st.floats(0.0, 1.0))
@@ -275,24 +337,24 @@ def test_poisson_quantiles_sweep(lam, target):
     cap = pure.poisson_cap(lam)
     assert poisson_ge_or_none(lam, target, cap) == scan_poisson_ge(lam, target, cap)
     assert poisson_le(lam, target, cap) == scan_poisson_le(lam, target, cap)
+    if lam > 1e-300:
+        assert_walker_first(True, *poisson_trials(lam), target)
 
 
 @pytest.mark.parametrize("method,n,c", [("Bin", 2641, 66), ("Poiss", 3171, 79)])
 def test_discrete_scan_calls_no_cdf(monkeypatch, method, n, c):
-    # the certified walkers decide these scans without one exact CDF sum or
-    # quantile; a per-n scan would call a quantile at every n
-    calls = {"cdf": 0, "quantile": 0}
+    # the certified walkers decide these scans without one exact CDF sum; a
+    # per-n scan would sum a CDF at every count of every n
+    calls = []
 
-    def counted(key, fn):
+    def counted(fn):
         def wrapper(*args):
-            calls[key] += 1
+            calls.append(args)
             return fn(*args)
         return wrapper
 
     for name in ("binom_cdf", "poisson_cdf"):
-        monkeypatch.setattr(pure, name, counted("cdf", getattr(pure, name)))
-    monkeypatch.setattr(pure, "first_count", counted("quantile", pure.first_count))
+        monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     plan = solve(TestSpec(p0=0.02, p1=0.03), method)
     assert (plan.n, plan.c) == (n, c)
-    assert calls["quantile"] == 0
-    assert calls["cdf"] == 0
+    assert calls == []

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhtplan import DomainError, SflQuery, mean_recurrence, sfl_r
@@ -25,6 +25,25 @@ class TestFixedPoint:
         raw, _ = sfl_r(SflQuery(0.02, 1e6))
         rhs = math.log((1 - 0.02**raw) / (1e6 * 0.98)) / math.log(0.02)
         assert abs(raw - rhs) < 1e-8
+
+    def test_map_that_stops_contracting(self):
+        # at p = 0.999 the map r -> log((1 - p**r) / (ex (1 - p))) / log(p)
+        # cycles between 1 and 6904.3 from r = 1; the root is 692.80
+        raw, r = sfl_r(SflQuery(0.999, 1000.0))
+        assert 692.8 < raw < 692.81 and r == 693
+        assert mean_recurrence(0.999, 692) < 1000.0 <= mean_recurrence(0.999, 693)
+
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 12.0))
+    @example(0.999, 3.0)
+    @settings(max_examples=200)
+    def test_residual_anywhere(self, p, log_ex):
+        ex = 10.0 ** log_ex
+        if ex * (1.0 - p) <= 1.0:
+            return
+        raw, r = sfl_r(SflQuery(p, ex))
+        rhs = math.log((1 - p**raw) / (ex * (1.0 - p))) / math.log(p)
+        assert abs(raw - rhs) <= 1e-7 * max(1.0, raw)
+        assert r == math.ceil(raw)
 
     def test_scalar_convenience_form(self):
         assert sfl_r(0.02, ex=1e6)[1] == 4

@@ -3,14 +3,13 @@
 discrete_scan and zero_scan follow each quantile with a walker that carries
 a running CDF and an error bound, and ask the exact kernel only when the
 target lies inside that bound.  The reference scans below recompute every
-quantile from k = 0 at every n with the exact quantile functions, as the
-scans did before; every comparison demands the identical tuple.
+quantile from k = 0 at every n over the kernel's partial sums, as the scans
+did before (kernel_reference); every comparison demands the identical tuple.
 norm_iter_scan finds the Norm_I plan by bisection on n, and is held to the
 unit-step scan over every n in the same way.
 """
 
 import math
-from itertools import chain, repeat
 from unittest import mock
 
 import pytest
@@ -21,6 +20,7 @@ from dhtplan import NoConvergenceError, SolverError, TestSpec, solve
 from dhtplan import _backend as pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 from dhtplan.stat_kernels import z_value
+from kernel_reference import binom_sums, first_reaching, poisson_sums
 
 
 def exact_first(use_poisson, n, p, target, strict):
@@ -28,11 +28,8 @@ def exact_first(use_poisson, n, p, target, strict):
     strict), searched no further than the walker's stop past the Poisson
     cap at the mean n p; SolverError when a non-strict search ends there."""
     cap = pure.poisson_cap(n * p)
-    if use_poisson:
-        sums = pure._poisson_partials(n * p)
-    else:
-        sums = chain(pure._binom_partials(n, p), repeat(1.0))
-    k = pure.first_count(sums, target, strict, cap + 1 + strict)
+    sums = poisson_sums(n * p) if use_poisson else binom_sums(n, p)
+    k = first_reaching(sums, target, strict, cap + 1 + strict)
     if k > cap and not strict:
         raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, n * p))
     return k
@@ -229,6 +226,33 @@ def test_walker_falls_back_when_the_quantile_moves_down(poisson):
     w = pure._Walk(0.05, poisson)
     w.first(400, 0.975, False)
     assert w.first(401, 0.5, False) == exact_first(poisson, 401, 0.05, 0.5, False)
+
+
+# specs whose solves step the exact search both ways: it steps the Poisson
+# one up 203 times and down once, the Binomial one up 742 times and down 26
+@pytest.mark.parametrize("method,p0,p1,alpha,beta,plan", [
+    ("Poiss", 0.0831312929487914, 0.18723621227413434, 1.1075839328399167e-13,
+     4.461568024082045e-06, (1655, 234, 0.14108761329305136)),
+    ("Bin", 0.2593800156543265, 0.3842240934078304, 3.9032645399959253e-13,
+     3.8453365265597236e-11, (2572, 829, 0.3223172628304821)),
+])
+def test_exact_search_steps_both_ways(method, p0, p1, alpha, beta, plan):
+    # a walker whose count the exact kernel finds off re-seeds at the count
+    # its step search ends on: above its own when it stepped up, below when
+    # it stepped down
+    moves = []
+
+    class Spied(pure._Walk):
+        __slots__ = ()
+
+        def reseed(self, k):
+            moves.append(k - self.k)
+            super().reseed(k)
+
+    with mock.patch.object(pure, "_Walk", Spied):
+        got = solve(TestSpec(p0, p1, alpha, beta, max_n=3000), method)
+    assert (got.n, got.c, got.t_h) == plan
+    assert any(d > 0 for d in moves) and any(d < 0 for d in moves)
 
 
 def test_poisson_walker_keeps_the_cap():
@@ -523,7 +547,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     monkeypatch.setattr(pure, "math", CountedMath())
     monkeypatch.setattr(pure, "exp", CountedMath.exp)
     monkeypatch.setattr(pure, "_increments", uncounted(pure._increments))
-    for name in ("binom_cdf", "poisson_cdf", "first_count"):
+    for name in ("binom_cdf", "poisson_cdf"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     assert solve(TestSpec(p0, p1), method).n == n
     assert calls["lead"] <= 4

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dhtplan import (DomainError, SolverError, TailMass, binom_cdf, normal_cdf,
                      poisson_cdf, z_value)
 from dhtplan import _backend as pure
+from kernel_reference import poisson_trials
 
 getcontext().prec = 60
 
@@ -236,23 +237,24 @@ class TestZeroBits:
 
 
 def binom_first(n, p, target, strict):
-    """first_count over the Binomial(n, p) partial sums, 1.0 from k = n on."""
-    sums = itertools.chain(pure._binom_partials(n, p), itertools.repeat(1.0))
-    return pure.first_count(sums, target, strict, n + 1)
+    """A Binomial(n, p) walker's first count at n reaching target."""
+    return pure._Walk(p, False).first(n, target, strict)
 
 
 def poisson_first(lam, target, strict):
-    return pure.first_count(pure._poisson_partials(lam), target, strict,
-                            pure.poisson_cap(lam) + 2)
+    """A Poisson(lam) walker's."""
+    n, p = poisson_trials(lam)
+    return pure._Walk(p, True).first(n, target, strict)
 
 
 class TestQuantiles:
-    """The backend quantiles by first_count: the upper one at 1 - tail is
-    the first count reaching it, the lower one at tail the count below the
-    first one past it (-1 when CDF(0) is already past it)."""
+    """The walkers' quantiles: the upper one at 1 - tail is the first count
+    reaching it, the lower one at tail the count below the first one past
+    it (-1 when CDF(0) is already past it)."""
 
     def test_upper_zero_rate(self):
-        assert binom_first(10, 0.0, 0.95, False) == 0
+        # the least positive rate, next to the zero rate the walkers leave out
+        assert binom_first(10, 5e-324, 0.95, False) == 0
 
     def test_upper_poisson_unit(self):
         assert poisson_first(1.0, 0.95, False) == 3
@@ -294,18 +296,24 @@ class TestQuantiles:
             assert binom_cdf(lo, n, p) <= tail
             assert binom_cdf(lo + 1, n, p) > tail
 
-    def test_poisson_scan_cap_is_internal_error(self, monkeypatch):
-        # no partial sum exceeds 1.0, so the exact search at mean 1 stops at
-        # cap + 1, past which the walker raises; the walk itself, too close
-        # to call near 1.0, hands the count to that search
-        searches = []
-        search = pure.first_count
-        monkeypatch.setattr(pure, "first_count",
-                            lambda *args: searches.append(search(*args)) or searches[-1])
+    def test_poisson_scan_cap_is_internal_error(self):
+        # no CDF value exceeds 1.0, so the exact search at mean 1 steps up
+        # count by count to cap + 1 and re-seeds there, past the cap, where
+        # the walker raises; the walk itself, too close to call near 1.0,
+        # hands the count to that search
+        counts = []
+
+        class Counted(pure._Walk):
+            __slots__ = ()
+
+            def exact(self, k):
+                counts.append(k)
+                return super().exact(k)
+
         cap = pure.poisson_cap(10 * 0.1)
         with pytest.raises(SolverError, match="exceeded cap %d at mean 1$" % cap):
-            pure._Walk(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
-        assert searches == [cap + 1]
+            Counted(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
+        assert counts == list(range(counts[0], cap + 2))
 
 
 class TestNormal:
