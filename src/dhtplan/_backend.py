@@ -17,8 +17,7 @@ element bit for bit its scalar run.
 """
 
 import math
-from itertools import accumulate
-from math import exp, ldexp, log, log1p
+from math import exp, expm1, ldexp, log, log1p
 
 from .errors import SolverError
 
@@ -218,9 +217,12 @@ def poisson_cap(lam):
 # a.  So one loop moves the walker, with g_i = P(X_n = k - i) stepped down
 # by the recurrence:
 #     P(X <= k) -= sum_i g_i P(Y > i),    P(X = k) = sum_i g_i P(Y = i).
-# The sums stop at the last i = M where P(Y = i) still matters; what they
-# leave out of either is at most P(X_n <= k) P(Y > M), which the CDF's
-# error bound carries as it is and the pmf's relative error divided by it.
+# The same loop steps P(Y = i) up by the recurrence and P(Y > i) down from
+# P(Y > 0) as it goes, so a move makes only the terms it sums.  The sums end
+# at i = k, complete, or once P(Y = i) no longer matters, at the last i = M
+# before that; what they then leave out of either is at most P(X_n <= k)
+# P(Y > M), which the CDF's error bound carries as it is and the pmf's
+# relative error divided by it.
 #
 # A count changes only about once every 1/p trials, so the scans visit only
 # the n where one could.  After each n a walker's hold bounds how far its
@@ -235,7 +237,6 @@ def poisson_cap(lam):
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
-_KEPT = 1 << 13            # a table keeps at most this many (P(Y = i), P(Y > i)) pairs, < 3 MB
 _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal double
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
@@ -257,57 +258,6 @@ def _span(r, x, lx):
     return log1p(t) / lx
 
 
-def _increments(d, rate, da, ratio, kb):
-    """P(Y = i) and P(Y > i) for i = 0 .. M, Y the increment of one move:
-    Binomial(d, p) or Poisson(d), whose P(Y = 0) = exp(-d rate) is normal.
-
-    Returns (P(Y = 0), P(Y > 0), steps, rel, trunc), steps the pairs for
-    i = 1 .. M: the walker's two sums over them are off by at most rel of
-    themselves beyond the running pmf's own error, and P(Y > M), left out
-    of them, is below trunc.
-    """
-    lead = d * rate
-    y0 = y = exp(-lead)
-    ys = []
-    a = d
-    i = 1.0
-    tiny = _U / 32.0
-    while True:
-        y = y * (a / i) * ratio  # P(Y = i)
-        a -= da
-        i += 1.0
-        # the terms past y fall by ratios of at most a / i ratio: once that
-        # is below 1 and y negligible, they sum to at most y / (1 - a / i ratio)
-        if y < tiny and a / i * ratio < 1.0:
-            break
-        ys.append(y)
-    tails = list(accumulate(reversed(ys), initial=0.0))
-    tails.reverse()
-    m = len(ys)
-    # P(Y = i) is off by (3 lead + 1) u + i kb, a tail sum by m u more; the
-    # convolution's steps down cost i kb, its products and sums (m + 1) u.
-    # A list, not tuple(zip(...)): CPython would keep each freed tuple of up
-    # to 20 pairs on a free list that tuple() of an iterator never draws from
-    return (y0, tails[0], list(zip(ys, tails[1:])),
-            (3.0 * lead + 16.0 + 2.0 * m) * _U + 2.0 * m * kb, 4.0 * y / (1.0 - a / i * ratio))
-
-
-class _Moves:
-    """The increments of each distinct move of one scan's walkers of one p
-    and family: known maps d to them, as _increments returns them.
-
-    room counts the (P(Y = i), P(Y > i)) pairs, i = 0 .. M, known may still
-    take.  The increments of a move that do not fit are worked out afresh
-    at each such move, so a scan up to max_n cannot grow a table past
-    _KEPT pairs.
-    """
-
-    __slots__ = ("known", "room")
-
-    def __init__(self):
-        self.known, self.room = {}, _KEPT
-
-
 class _Walk:
     """One count k of Binomial(n, p), or Poisson(n p) when poisson, followed
     as n grows, 0 < p < 1.
@@ -315,15 +265,14 @@ class _Walk:
     cdf and pmf are running values of P(X <= k) and P(X = k); cdf_err
     bounds |cdf - P(X <= k)| and pmf_rel the relative error of pmf.  At the
     current n the exact kernel's value lies within cdf * (ka + kb * k) of
-    P(X <= k), with room left for rounding the comparison itself.  moves
-    holds the increments of each distinct move, up to its bound, and may
-    be shared with another walker of the same p and family.
+    P(X <= k), with room left for rounding the comparison itself.  A move
+    makes each term of its increment as its convolution reads it.
     """
 
     __slots__ = ("p", "poisson", "size", "da", "ratio", "rate", "ka_a", "ka_0", "kb",
-                 "piece", "moves", "n", "a", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka")
+                 "piece", "n", "a", "k", "cdf", "pmf", "cdf_err", "pmf_rel", "ka")
 
-    def __init__(self, p, poisson, moves=None):
+    def __init__(self, p, poisson):
         self.p, self.poisson = p, poisson
         if poisson:
             self.size, self.da, self.ratio, self.rate = p, 0.0, 1.0, 1.0
@@ -343,7 +292,6 @@ class _Walk:
         # Below a rate of about 4e-306 the quotient overflows: 2**53 trials,
         # more than any scan runs, stand in for it
         self.piece = max(1, int(min(_LEAD / (self.size * self.rate), 2.0 ** 53)))
-        self.moves = _Moves() if moves is None else moves
         # n = 0: all mass at zero failures
         self.n = self.k = 0
         self.a = 0.0
@@ -535,6 +483,32 @@ class _Walk:
         t = _span(r / w * _SAFE, c, log1p(c * da) / da if da else c) * _SAFE
         return (t - 3.0 * _U * a) / (self.size * (1.0 + 2.0 * _U))
 
+    # One piece's error bound.  Let i run over the terms the loop sums, up to
+    # m: m = k when j reaches 0, the last i before the stop test otherwise,
+    # and let lead = d rate.
+    # - P(Y = i), from exp(-lead) by the recurrence, is off by (3 lead + 1) u
+    #   + i kb of itself: lead by 2u of itself, exp by u, each step by kb.
+    # - P(Y > i) is made forward, from P(Y > 0) = -expm1(-lead) less y_1 ..
+    #   y_i, so its error is not relative to itself but to P(Y > 0): expm1
+    #   costs u of it and the rounding of lead 2u (lead exp(-lead) <=
+    #   1 - exp(-lead)), the y_j (3 lead + 1) u + m kb of their sum, which is
+    #   at most P(Y > 0), and each subtraction u of a value no larger.  So
+    #   every P(Y > i) is within E = ((m + 3 lead + 4) u + m kb) P(Y > 0), and
+    #   the sum of g_i P(Y > i) within E times the sum of the g_i, which the
+    #   true P(X_n <= k) bounds: at most cdf + cdf_err, not cdf.
+    # - Each g_i carries the pmf's relative error and i kb from its steps
+    #   down, and the products and sums cost (m + 1) u.  So beyond E the CDF's
+    #   fall is off by at most rel of itself, and so is the new pmf, with
+    #   the error of P(Y = i) too, once rel grows by (3 lead + 16 + 2m) u +
+    #   2m kb, which leaves room to spare.
+    # - A loop that ends with j at 0 has summed every term, and leaves out
+    #   nothing.  One that ends at the stop test leaves out the terms past m,
+    #   each g_i times P(Y > i) <= P(Y > m) for the CDF's fall and times
+    #   P(Y = i) for the pmf: at most P(X_n <= k) P(Y > m) <= (cdf + cdf_err)
+    #   trunc in either, trunc bounding the tail past m with a factor 4 to
+    #   spare.  The CDF's bound carries it as it is, the pmf's relative
+    #   error divided by the pmf.
+    # The subtraction cdf - s adds u of the result.
     def move(self, n):
         """Carry cdf and pmf from the current trial count to n, by a convolution
         with each increment Y of at most piece trials."""
@@ -543,7 +517,8 @@ class _Walk:
             return
         k, cdf, pmf, err, rel, a = (self.k, self.cdf, self.pmf, self.cdf_err,
                                     self.pmf_rel, self.a)
-        size, da, ratio, known = self.size, self.da, self.ratio, self.moves.known
+        size, rate, da, ratio, kb = self.size, self.rate, self.da, self.ratio, self.kb
+        tiny = _U / 32.0
         while m < n:
             h = n - m
             if h > 1:
@@ -557,36 +532,43 @@ class _Walk:
                 a2 = (m + h) * size
                 d = a2 - a
             m += h
-            try:
-                y, above, steps, trel, trunc = known[d]
-            except KeyError:
-                fresh = _increments(d, self.rate, da, ratio, self.kb)
-                y, above, steps, trel, trunc = fresh
-                moves = self.moves
-                if len(steps) < moves.room:
-                    moves.room -= len(steps) + 1
-                    known[d] = fresh
-            s = pmf * above
+            # Y is Binomial(d, p) or Poisson(d), with P(Y = 0) = exp(-d rate)
+            lead = d * rate
+            y = exp(-lead)
+            top = -expm1(-lead)  # P(Y > 0)
+            above = top  # P(Y > i)
+            s = pmf * top
             t = pmf * y
             g = pmf
             j = k + 0.0  # a float, for float arithmetic in the loop
             b = a - (j - 1.0) * da  # P(X = j-1) = P(X = j) j / (b ratio)
-            for y, above in steps:
-                if not j:
+            c, i = d, 1.0  # P(Y = i) = P(Y = i-1) c / i ratio
+            trunc = 0.0
+            while j:
+                y = y * (c / i) * ratio
+                c -= da
+                i += 1.0
+                # the terms from y on fall by ratios of at most c / i ratio:
+                # once that is below 1 and y negligible, they sum to at most
+                # y / (1 - c / i ratio)
+                if y < tiny and c / i * ratio < 1.0:
+                    trunc = 4.0 * y / (1.0 - c / i * ratio)
                     break
                 g = g * j / (b * ratio)
                 b += da
                 j -= 1.0
+                above -= y
                 s += g * above
                 t += g * y
-            # left out: at most P(X_m <= k) P(Y > M) of the CDF's fall and
-            # of the pmf, less than trunc times the CDF before the move
-            rel += trel
-            err += s * rel + trunc * cdf + _U * (cdf - s)
+            i = k - j  # m, the terms summed past i = 0
+            high = cdf + err
+            rel += (3.0 * lead + 16.0 + 2.0 * i) * _U + 2.0 * i * kb
+            err += (s * rel + (((i + 3.0 * lead + 4.0) * _U + i * kb) * top + trunc) * high
+                    + _U * (cdf - s))
             if t < _MIN_PMF:
                 err = math.inf  # a subnormal pmf lost its relative error bound
             else:
-                rel += cdf * trunc / t
+                rel += high * trunc / t
             cdf -= s
             pmf = t
             a = a2
@@ -703,7 +685,7 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
     Returns (converged, n, m, c).
     """
     median = _Walk(p1, use_poisson)
-    risk = _Walk(p1, use_poisson, median.moves)  # the same increments
+    risk = _Walk(p1, use_poisson)
     n = 1
     while n <= max_n:
         m = median.first(n, 0.5, False)

@@ -138,14 +138,11 @@ def test_scans_sweep(method, p0, ratio, alpha, beta, eps, max_n):
 
 def test_exact_fallback_gives_the_same_scans(monkeypatch):
     # a unit roundoff of 1e-7 leaves most decisions to the exact kernel and
-    # makes the walkers re-seed from it; tables that keep no increments
-    # make every move work its own out afresh; the scans must not change
-    for name, value in [("_U", 1e-7), ("_KEPT", 0)]:
-        with monkeypatch.context() as patched:
-            patched.setattr(pure, name, value)
-            for method in ("Bin", "Poiss"):
-                for p0, p1 in [(0.0, 0.02), (0.02, 0.05), (0.10, 0.15)]:
-                    assert_same_scan(*scan_args(method, p0, p1))
+    # makes the walkers re-seed from it; the scans must not change
+    monkeypatch.setattr(pure, "_U", 1e-7)
+    for method in ("Bin", "Poiss"):
+        for p0, p1 in [(0.0, 0.02), (0.02, 0.05), (0.10, 0.15)]:
+            assert_same_scan(*scan_args(method, p0, p1))
 
 
 def outcome(scan, args):
@@ -348,7 +345,7 @@ def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
 def walk_zero(use_poisson, p1, b_tail, max_n):
     """zero_scan at every n, with each hold checked against the n it spans."""
     median = pure._Walk(p1, use_poisson)
-    risk = pure._Walk(p1, use_poisson, median.moves)
+    risk = pure._Walk(p1, use_poisson)
     held = {}
     for n in range(1, max_n + 1):
         m = median.first(n, 0.5, False)
@@ -473,25 +470,64 @@ def test_hold_checks_the_count_below(poisson):
 
 
 # (n, p) around the scans' regimes: q**n subnormal at (3273, 0.3) and
-# (2000, 0.33), lam > 700 at (1943, 0.45) and (5049, 0.33)
+# (2000, 0.33), lam > 700 at (1943, 0.45) and (5049, 0.33); the median is 0
+# throughout at (1, 1e-4) and 1 or 2 at (1000, 0.001)
 JUMP_POINTS = [(2641, 0.02), (5790, 0.06), (3273, 0.3), (2000, 0.33), (1943, 0.45),
-               (5049, 0.33), (21000, 0.0004), (40, 0.1)]
+               (5049, 0.33), (21000, 0.0004), (40, 0.1), (1, 1e-4), (1000, 0.001)]
 
 
 @FAMILIES
-@pytest.mark.parametrize("h", [1, 2, 9, 15, 40, 300, 3000])
-def test_one_jump_within_bound(poisson, h):
+@pytest.mark.parametrize("h", [1, 2, 9, 15, 40, 300, 1200, 3000])
+def test_one_jump_within_bound(monkeypatch, poisson, h):
     # a walker re-seeded at (k, n) crosses h trials in one move, a single
     # convolution up to the piece of about 700 / p trials; k is the median
-    # halfway through, so its pmf stays normal at both ends
+    # halfway through, so its pmf stays normal at both ends.  A spy on
+    # expm1, which each piece calls once for P(Y > 0), logs each piece's
+    # lead and the terms its loop sums past i = 0, one subtraction from
+    # P(Y > i) each: k of them where the loop ends at i = k, fewer where the
+    # stop test ends it, and then truncated unless the Binomial Y has no
+    # term past them
+    pieces, ends = [], set()
+
+    class Tail(float):
+        def __neg__(self):
+            return Tail(-float(self))
+
+        def __sub__(self, y):
+            pieces[-1][1] += 1
+            return Tail(float(self) - y)
+
+    def spy(x):
+        pieces.append([-x, 0])
+        return Tail(math.expm1(x))
+
+    monkeypatch.setattr(pure, "expm1", spy)
     for n, p in JUMP_POINTS:
         k = min(n, exact_first(False, n + h // 2, p, 0.5, False))
         w = pure._Walk(p, poisson)
         w.move(n)
         w.reseed(k)
+        del pieces[:]
         w.move(n + h)
         assert w.n == n + h and w.pmf >= pure._MIN_PMF, (n, p)
         assert_within_bound(w)
+        for lead, terms in pieces:
+            assert terms <= k
+            if not k:
+                ends.add("k = 0")
+            elif terms == k:
+                ends.add("k reached")
+            else:
+                ends.add("stop test")
+                if poisson or terms < round(lead / w.rate):
+                    ends.add("truncated")
+            if lead > pure._LEAD - 1.0:
+                ends.add("near _LEAD")
+    assert {"k = 0", "k reached", "stop test"} <= ends
+    # a Binomial increment of one or two trials has no term past its last
+    assert "truncated" in ends or (not poisson and h <= 2)
+    # pieces of about 700 / (p rate) trials, cut from the jumps at p = 0.45
+    assert "near _LEAD" in ends or h < 3000
 
 
 @given(st.sampled_from(["Bin", "Poiss"]), st.floats(0.0005, 0.02), st.floats(1.2, 4.0),
@@ -510,7 +546,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     # a scan that re-sums from k = 0 at each n computes the leading term
     # q**n, or exp(-lam), at every n; the walkers compute it only to re-seed.
     # A move's increment Y has a leading term exp(-d rate) of its own, and
-    # d may equal some m p: the count leaves out the increment helper
+    # d may equal some m p: the count leaves out the moves
     calls = {"lead": 0, "exact": 0}
     leading = {-(m * p) for p in (p0, p1) for m in range(2, n + 1)}
     increment = []
@@ -546,7 +582,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     monkeypatch.setattr(pure, "pow", counted_pow, raising=False)
     monkeypatch.setattr(pure, "math", CountedMath())
     monkeypatch.setattr(pure, "exp", CountedMath.exp)
-    monkeypatch.setattr(pure, "_increments", uncounted(pure._increments))
+    monkeypatch.setattr(pure._Walk, "move", uncounted(pure._Walk.move))
     for name in ("binom_cdf", "poisson_cdf"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     assert solve(TestSpec(p0, p1), method).n == n
@@ -554,73 +590,15 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     assert calls["exact"] <= 4
 
 
-def recording_increments(monkeypatch):
-    """Log each _increments call as (the moving walker's table, d), and the
-    table of each walker made; both lists keep the tables alive, so their
-    ids stay distinct."""
-    calls, tables, moving = [], [], []
-    increments = pure._increments
-
-    class Recorded(pure._Walk):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self.moves)
-
-        def move(self, n):
-            moving.append(self.moves)
-            try:
-                super().move(n)
-            finally:
-                moving.pop()
-
-    def recorded(d, *args):
-        calls.append((moving[-1], d))
-        return increments(d, *args)
-
-    monkeypatch.setattr(pure, "_Walk", Recorded)
-    monkeypatch.setattr(pure, "_increments", recorded)
-    return calls, tables
-
-
-def table_pairs(table):
-    """The (P(Y = i), P(Y > i)) pairs, i = 0 .. M, that a table keeps."""
-    return sum(len(steps) + 1 for _, _, steps, _, _ in table.known.values())
-
-
-@pytest.mark.parametrize("method,p0,p1,distinct", [("Bin", 0.05, 0.06, 43),
-                                                   ("Poiss", 0.02, 0.03, 48),
-                                                   ("Bin", 0.0, 0.0005, 15)])
-def test_each_move_is_worked_out_once_per_solve(monkeypatch, method, p0, p1, distinct):
-    # a walker keeps the increments of every distinct move, and zero_scan's
-    # two walkers, of one p and family, keep them in one table: keeping only
-    # moves under 16 trials took 362 calls for Bin 0.05/0.06 and 104 for
-    # Poiss 0.02/0.03, and two tables took 28 for Bin 0/0.0005
-    calls, tables = recording_increments(monkeypatch)
-    solve(TestSpec(p0, p1), method)
-    assert len({id(t) for t in tables}) == (1 if p0 == 0.0 else 2)
-    assert len(calls) == len({(id(t), d) for t, d in calls}) == distinct
-
-
 @pytest.mark.parametrize("kind,args,expected", [
-    # visits every n; its producer walker keeps 72 moves, 4,692 pairs
+    # visits every n, moving both walkers mostly one trial at a time
     ("discrete", (True, 0.3, 0.33, 0.025, 0.025, EPS_POISS, 200_000), (True, 5049, 1592, 1587)),
-    # reach max_n, the second with zero_scan's one table
+    # reach max_n
     ("discrete", (False, 0.05, 0.06, 0.025, 0.025, EPS_BIN, 3000), (False, 3000, 0, 0)),
     ("zero", (True, 0.0005, 0.05, 5000), (False, 5000, 0, 0)),
 ])
-def test_tables_keep_within_their_bound(monkeypatch, kind, args, expected):
-    # a full table keeps no more moves, which are then worked out at each
-    # visit; with a bound of 64 pairs the scan must not change
-    calls, tables = recording_increments(monkeypatch)
-    for bound in (pure._KEPT, 64):
-        monkeypatch.setattr(pure, "_KEPT", bound)
-        del calls[:], tables[:]
-        assert SCANS[kind][0](*args) == expected
-        for table in tables:
-            assert table_pairs(table) == bound - table.room <= bound
-        assert (len(calls) > len({(id(t), d) for t, d in calls})) == (bound == 64)
+def test_scans_that_visit_every_n_or_reach_max_n(kind, args, expected):
+    assert SCANS[kind][0](*args) == expected
 
 
 # (k, n, p) with q**n normal, subnormal and underflowed, the last two summed
