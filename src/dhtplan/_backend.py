@@ -233,6 +233,15 @@ def poisson_cap(lam):
 # quantile cannot fall below it, below_cap those through which it cannot
 # give up at the cap, and discrete_scan asks the producer walker again only
 # where a stale count could stop it.
+#
+# Where the consumer count changes every few trials, discrete_scan also
+# certifies whole blocks of n at once.  A copy of the consumer walker, moved
+# to the block's far end, certifies a count there whose kernel CDF exceeds
+# the target.  The exact CDF at a count only falls as n grows and the
+# kernel's error bound only grows, so that count bounds the consumer
+# quantile from above at every n of the block; while the producer count,
+# which never falls, exceeds it by more than eps times the far end, no n in
+# the block can stop the scan, and the scan goes on past it.
 
 _U = 2.0 ** -53            # unit roundoff of a double
 _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
@@ -241,6 +250,8 @@ _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal doub
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
 _ROOM = 4.0                # a hold is worked out only past this many trials' fall
 _TAIL = 1e-30              # P(X > poisson_cap) at any mean lies below this
+_BLOCK = 3.0               # a block is probed only where l1 could change this often in it
+_QUIET = 64.0              # L1 is refreshed for a block only below a_half / _QUIET of margin
 
 
 def _span(r, x, lx):
@@ -298,6 +309,57 @@ class _Walk:
         self.cdf = self.pmf = 1.0
         self.cdf_err = self.pmf_rel = 0.0
         self.ka = self.linear_bound(0)[0]
+
+    def copy(self):
+        """A walker in the same state, which moves and steps on its own."""
+        other = object.__new__(type(self))
+        (other.p, other.poisson, other.size, other.da, other.ratio, other.rate,
+         other.ka_a, other.ka_0, other.kb, other.piece, other.n, other.a, other.k,
+         other.cdf, other.pmf, other.cdf_err, other.pmf_rel, other.ka) = (
+            self.p, self.poisson, self.size, self.da, self.ratio, self.rate,
+            self.ka_a, self.ka_0, self.kb, self.piece, self.n, self.a, self.k,
+            self.cdf, self.pmf, self.cdf_err, self.pmf_rel, self.ka)
+        return other
+
+    def probe(self, n, target, top):
+        """A copy moved to a later n, at a count below top that first's own
+        test certifies there as the first count whose CDF exceeds target;
+        None where no such count below top is found.  This walker, at a
+        trial count past 0, is left as it was either way.
+
+        The exact CDF at a count only falls as n grows, and the kernel's
+        error bound only grows, so the kernel's CDF at that count exceeds
+        target at every trial count from this walker's n to n: the first
+        count at target, strict, lies at or below the copy's count at each.
+
+        The copy starts at the count that k's average slope since n = 0
+        reaches.  A quantile below the mean rises faster than that, so the
+        start lies at or below the quantile at n, and yet near it: a count
+        left deep in the lower tail would lose its pmf's relative error
+        bound to the move's truncation, which is relative to the CDF.
+        """
+        other = self.copy()
+        k = self.k
+        for _ in range(min(int((n - self.n) * (k / self.n)), top - 1 - k)):
+            other.step()
+            k += 1
+        if other.pmf < _MIN_PMF:
+            return None  # a move from so small a pmf would carry no error bound
+        other.move(n)
+        while k < top:
+            cdf = other.cdf
+            if cdf - other.cdf_err - cdf * (other.ka + other.kb * k) > target:
+                break
+            other.step()
+            k += 1
+        else:
+            return None
+        # as in first: the count below certainly falls short
+        pmf = other.pmf
+        low = cdf - pmf
+        if low + other.cdf_err + pmf * other.pmf_rel + low * (other.ka + other.kb * (k - 1) + _U) < target:
+            return other
+        return None
 
     def first(self, n, target, strict):
         """Smallest count whose exact CDF at n is >= target (> target when strict).
@@ -628,6 +690,26 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     the gap and at that trial count.  Where the walker certifies no later
     n (a target within the kernel's error of 1), the scan steps one n.
 
+    Where the slack G = L1 - l1 - eps*n leaves room for _BLOCK changes of
+    l1, the scan first tries to cross a whole block: G closes by about
+    p1 + eps per trial, so a probe of the consumer walker at
+    n_b = n + G / (p1 + eps), cut at until and max_n, looks for a count
+    l1_b certified there, below L1 - eps*n_b.  Both exact quantiles are
+    non-decreasing in n, and the certificate holds at every n' <= n_b, so
+    at each n' in the block l1 <= l1_b and the producer count is at least
+    L1: none of them stops the scan, and it goes on at n_b + 1.  A probe
+    that finds no such count leaves the walker as it was, and halves the
+    share of G the next block spans (a certified one doubles it, up to all
+    of G).  A probe fails where the copy's error bound, absolute from n on,
+    is too wide for b_half at n_b, and a shorter move fails less often.
+
+    Where G is too small for a block, but L1 could have grown enough to
+    open one since the producer walker last answered (by about p0 per
+    trial), the scan asks that walker again first.  It does so only at an
+    n where no cap error is possible, and only where the walker's margin
+    lies far below a_half, so that the answer rarely needs the exact
+    kernel.  It keeps the new L1 only if the walker keeps it past n.
+
     Returns (converged, n, L1, l1) where L1/l1 are the two limit counts at
     the stopping n (l1 = -1 entries never escape: non-convergence returns
     converged=False with the last examined n).
@@ -642,15 +724,44 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     fall = _ROOM * p1
     skips = fall < 1.0
     last = upper.below_cap(target, max_n)
+    # the slack L1 - l1 - eps n closes by about p1 + eps per trial, so a
+    # slack of at least wide spans _BLOCK changes of l1
+    close = p1 + eps
+    wide = _BLOCK * close / p1
+    quiet = a_half / _QUIET
+    reach = 1.0  # the share of the slack a block spans: halved by each failed probe
     L1 = until = 0  # the producer count is at least L1 through trial count until
+    given = 0  # the n of the producer walker's last answer
     n = 1
     while n <= max_n:
         l1 = lower_first(n, b_half, True)
-        if l1 and (n > until or L1 - l1 <= eps * n):
-            L1 = upper_first(n, target, False) + 1
-            if L1 <= l1 or abs(L1 - l1) <= eps * n:
-                return True, n, L1, l1
-            until = upper.keeps(target, last)
+        if l1:
+            # the scan stops where the slack is <= 0; a stale L1 understates it
+            slack = L1 - l1 - eps * n
+            due = n > until or slack <= 0.0
+            # not due, n <= until <= last: the producer walker cannot give up
+            # at the cap here
+            if due or (slack < wide <= slack + p0 * (n - given)
+                       and upper.cdf_err + upper.ka + upper.kb * upper.k < quiet):
+                count = upper_first(n, target, False) + 1
+                given = n
+                if count <= l1 or abs(count - l1) <= eps * n:
+                    return True, n, count, l1
+                kept = upper.keeps(target, last)
+                # a count asked for a block serves only if kept past n
+                if due or kept > n:
+                    L1, until = count, kept
+                    slack = L1 - l1 - eps * n
+            end = min(n + int(max(slack * reach, wide) / close), until, max_n)
+            if slack >= wide and end > n:
+                # a count below L1 - int(eps end) keeps L1 - l1 > eps n' at every n' <= end
+                probe = lower.probe(end, b_half, L1 - int(eps * end))
+                if probe is not None:
+                    lower, lower_first = probe, probe.first
+                    reach = min(2.0 * reach, 1.0)
+                    n = end + 1
+                    continue
+                reach *= 0.5
         # until == n: the next n needs L1 again, so no hold can help
         if not skips or until == n or lower.cdf - b_half < fall * lower.pmf:
             n += 1

@@ -278,10 +278,16 @@ def assert_within_bound(w):
         assert abs(low - w.exact(k - 1)) <= bound
 
 
-def checking(log, kept):
+def slots(w):
+    return [getattr(w, name) for name in pure._Walk.__slots__]
+
+
+def checking(log, kept, blocks):
     """The walker, checked against the exact kernel after every move and
-    every count it returns, with those counts logged as (p, n, k) and the
-    trial count each keeps returns logged at its n."""
+    every count it returns, with those counts logged as (p, n, k), the
+    trial count each keeps returns logged at its n, and each probe that
+    certifies a block logged at its n as (far end, count).  A probe
+    leaves the walker it copies as it was."""
 
     class Checked(pure._Walk):
         __slots__ = ()
@@ -300,21 +306,34 @@ def checking(log, kept):
             kept[self.n] = until = super().keeps(target, limit)
             return until
 
+        def probe(self, n, target, top):
+            before = slots(self)
+            other = super().probe(n, target, top)
+            assert slots(self) == before
+            if other is not None:
+                assert_within_bound(other)
+                assert other.k < top
+                blocks[self.n] = (n, other.k)
+            return other
+
     return Checked
 
 
 def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     """discrete_scan, jump for jump, with every walker move checked against
     the exact kernel, and every n from one evaluated n up to the next
-    against the exact quantiles there: l1 is the one held, L1 at least the
-    last one the producer walker gave, and the scan does not stop.  A stale
-    L1 serves only through the trial count that keeps gave with it.
+    against the exact quantiles there.  Past a hold, l1 is the one held; in
+    a block the scan crossed on a probe of the consumer walker, l1 is at
+    most the count l1_b the probe certified at the block's far end.  In
+    both L1 is at least the last one the producer walker gave, and the scan
+    does not stop.  A stale L1 serves only through the trial count that
+    keeps gave with it.
 
-    Returns the scan's tuple, the number of n evaluated and the number of
-    producer-walker answers.
+    Returns the scan's tuple, the number of n evaluated, the number of
+    producer-walker answers and the number of blocks.
     """
-    log, kept = [], {}
-    with mock.patch.object(pure, "_Walk", checking(log, kept)):
+    log, kept, blocks = [], {}, {}
+    with mock.patch.object(pure, "_Walk", checking(log, kept, blocks)):
         got = pure.discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n)
     converged, last, L1_last, l1_last = got
     held = {}  # evaluated n -> [l1, the last L1 given at or before n, its keeps]
@@ -329,17 +348,22 @@ def walk_discrete(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     assert evaluated[-1] == last or not converged
     for n, after in zip(evaluated, evaluated[1:] + [last + 1 if converged else max_n + 1]):
         l1, L1, until = held[n]
+        end, l1_b = blocks.get(n, (n, l1))
+        assert end == n or after == end + 1  # a block ends where the next n is evaluated
         for m in range(n, after):
             l1_m, L1_m = exact_counts(use_poisson, p0, p1, a_half, b_half, m)
             if converged and m == last:
                 assert (L1_m, l1_m) == (L1, l1) == (L1_last, l1_last) and stops(L1, l1, eps, m)
                 continue
-            assert l1_m == l1, m
+            if m <= n or m > end:
+                assert l1_m == l1, m
+            else:
+                assert l1_m <= l1_b, m
             if l1:
                 assert L1_m >= L1, m
-                assert not stops(L1_m, l1, eps, m), m
+                assert not stops(L1_m, l1_m, eps, m), m
                 assert m <= until, m
-    return got, len(evaluated), sum(p == p0 for p, _, _ in log)
+    return got, len(evaluated), sum(p == p0 for p, _, _ in log), len(blocks)
 
 
 def walk_zero(use_poisson, p1, b_tail, max_n):
@@ -373,15 +397,103 @@ def test_running_cdf_within_bound(method, p0, p1):
 
 
 def test_running_cdf_within_bound_past_the_linear_branch():
-    walk_discrete(*scan_args("Bin", 0.3, 0.33)[1])
     walk_zero(True, 0.49, 1e-50, 5000)
+
+
+@pytest.mark.parametrize("method", ["Bin", "Poiss"])
+@pytest.mark.parametrize("p0,p1", [(0.2, 0.25), (0.3, 0.33)])
+def test_blocks_within_their_certificate(method, p0, p1):
+    # from p1 = 1/_ROOM on no hold skips an n, so every n the scan does not
+    # evaluate lies in a block, and each one is checked against the exact
+    # quantiles there (Bin 0.3/0.33 crosses the kernel's log branch too)
+    _, evaluated, _, blocks = walk_discrete(*scan_args(method, p0, p1)[1])
+    assert blocks and evaluated < 300
+
+
+def test_failed_probe_leaves_the_walker_as_it_was():
+    # some probes at Bin 0.3/0.33 find the consumer count at the block's far
+    # end too close to L1; the walker they copied goes on untouched.  A scan
+    # of every n asks the consumer walker at all 3,273 n
+    probes, answers = [], []
+
+    class Spied(pure._Walk):
+        __slots__ = ()
+
+        def first(self, n, target, strict):
+            if self.p == 0.33:
+                answers.append(n)
+            return super().first(n, target, strict)
+
+        def probe(self, n, target, top):
+            before = slots(self)
+            other = super().probe(n, target, top)
+            assert slots(self) == before
+            probes.append(other is not None)
+            return other
+
+    with mock.patch.object(pure, "_Walk", Spied):
+        got = pure.discrete_scan(*scan_args("Bin", 0.3, 0.33)[1])
+    assert got == (True, 3273, 1034, 1028)
+    assert any(probes) and not all(probes)
+    assert len(answers) < 400
+
+
+def test_block_refresh_leaves_the_exact_kernel_alone():
+    # the scan refreshes L1 for a block only where the producer walker's
+    # margin lies far below alpha/2; refreshed wherever a block could open,
+    # the producer walker here went to the exact kernel 569 times, against
+    # 91 for a scan with no blocks
+    calls = []
+
+    class Counted(pure._Walk):
+        __slots__ = ()
+
+        def exact(self, k):
+            calls.append(k)
+            return super().exact(k)
+
+    with mock.patch.object(pure, "_Walk", Counted):
+        got = pure.discrete_scan(False, 0.06003910565410209, 0.07211161526884771,
+                                 3.7937040603423524e-11, 1.2112817108557352e-09, 0.0019, 20000)
+    assert got == (False, 20000, 0, 0)
+    assert len(calls) <= 91
+
+
+def test_probes_back_off_where_beta_is_tiny():
+    # at beta/2 = 8e-15 a long move leaves the consumer walker's absolute
+    # error bound wider than b_half, so a probe across the whole slack fails.
+    # Each failure halves the next block: probing the whole slack every time,
+    # the scan made 5,160 probes (5,122 failed) and took 14 times as long as
+    # a scan with no blocks.  A probe adopts a count only where the one below
+    # certainly falls short: adopting any certified count sent the consumer
+    # walker to the exact kernel 231 times here, against 35 with no blocks
+    probes, calls = [], []
+
+    class Counted(pure._Walk):
+        __slots__ = ()
+
+        def exact(self, k):
+            calls.append(k)
+            return super().exact(k)
+
+        def probe(self, n, target, top):
+            other = super().probe(n, target, top)
+            probes.append(other is not None)
+            return other
+
+    with mock.patch.object(pure, "_Walk", Counted):
+        got = pure.discrete_scan(True, 0.2169416566543814, 0.2170585851120332,
+                                 0.0046888946190244045, 8.253181325896243e-15, 0.001, 35401)
+    assert got == (False, 35401, 0, 0)
+    assert any(probes) and len(probes) < 500
+    assert len(calls) < 100
 
 
 def test_stale_producer_count_within_its_keeps():
     # at alpha/2 = 1e-13 the producer walker keeps its count from n = 40
     # through n = 90 only, while the consumer walker's hold and the eps test
     # would let the scan jump past 90: it must ask the producer walker again
-    got, _, _ = walk_discrete(False, 0.04, 0.10, 1e-13, 0.025, EPS_BIN, 100_000)
+    got, _, _, _ = walk_discrete(False, 0.04, 0.10, 1e-13, 0.025, EPS_BIN, 100_000)
     assert got == (True, 1336, 115, 113)
 
 
@@ -389,9 +501,9 @@ def test_discrete_scan_skips_most_n():
     # the counts change about once every 1/p trials, so most n are skipped,
     # and the producer count is worked out again only where the gap to a
     # stale one could pass the eps test (an eager scan asks at every n)
-    _, evaluated, producer = walk_discrete(*scan_args("Bin", 0.015, 0.02)[1])
+    _, evaluated, producer, _ = walk_discrete(*scan_args("Bin", 0.015, 0.02)[1])
     assert evaluated < 600 and producer < 40    # of n = 5790
-    _, evaluated, producer = walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1])
+    _, evaluated, producer, _ = walk_discrete(*scan_args("Poiss", 0.02, 0.03)[1])
     assert evaluated < 400 and producer < 40    # of n = 3171
 
 
