@@ -13,7 +13,9 @@ back by ldexp at the end.  A subnormal leading term would carry its
 rounding into every later term.  In the normal range e = 0: a sum of
 probabilities never reaches 2**512, so the rescale never runs.
 _term_sum also sums one numpy array of leads at once, normal or scaled, each
-element bit for bit its scalar run.
+element bit for bit its scalar run.  It returns the last term with the sum,
+so one pass of a kernel, _binom_pass or _poisson_pass, gives P(X <= c) and
+P(X = c) together; binom_cdf and poisson_cdf are its first value.
 """
 
 import math
@@ -26,8 +28,8 @@ _LN2 = math.log(2.0)
 _BIG = 2.0 ** 512          # a scaled sum shrinks by _SHRINK once it passes this
 _SHRINK = 2.0 ** -512
 _UP = 1.0 + 2.0 ** -40     # a bound's margin over the roundings of one round
-# binom_cdf and poisson_cdf return 0.0 once their Chernoff bound is below
-# 2**-1076, half of the 2**-1075 below which ldexp rounds the scaled sum to zero
+# the kernels return 0.0 once their Chernoff bound is below 2**-1076, half of
+# the 2**-1075 below which ldexp rounds the scaled sum to zero
 _UNDERFLOW = 1076.0 * _LN2
 
 
@@ -43,7 +45,8 @@ def _scaled_lead(x):
 
 
 def _term_sum(term, e, c, a, da, ratio):
-    """Kahan sum of term_0 .. term_c as (total, e), the sum being total * 2**e.
+    """Kahan sum of term_0 .. term_c as (total, e, term), the sum being
+    total * 2**e and term_c being term * 2**e.
 
     term_k = term_{k-1} (a / k) ratio, after which a falls by da:
     Binomial(n, p) is a = n, da = 1, ratio = p/q and Poisson(lam) is
@@ -92,76 +95,77 @@ def _term_sum(term, e, c, a, da, ratio):
                 term *= _SHRINK
                 e += 512
         a -= da
-    return total, e
+    return total, e, term
 
 
 def binom_cdf(c, n, p):
-    """P(X <= c) for X ~ Binomial(n, p), by _term_sum from q**n.
+    """P(X <= c) for X ~ Binomial(n, p): the first value of _binom_pass."""
+    return _binom_pass(c, n, p)[0]
+
+
+def _binom_pass(c, n, p):
+    """(P(X <= c), P(X = c)) for X ~ Binomial(n, p), by one _term_sum from q**n.
 
     Where q**n leaves the normal range the sum runs from it scaled by a
     power of two.  There, for c < n p, a Chernoff bound below 2**-1076
-    returns 0.0 at once: the full sum, within a factor 2 of the tail it
+    returns zeros at once: the full sum, within a factor 2 of the tail it
     approximates, would round to 0.0 under ldexp as well, so the result
     equals the full sum's bit for bit either way.
-    oc_curve takes the same leads and sums them in one array run of
-    _term_sum, with _binom_zero_bits in place of the Chernoff cut.
+    oc_curve takes the same leads and the same cut, and sums them in one
+    array run of _term_sum.
     """
     if c < 0:
-        return 0.0
+        return 0.0, 0.0
     if c >= n:
-        return 1.0
+        return 1.0, (p ** n if c == n else 0.0)
     if p <= 0.0:
-        return 1.0
+        return 1.0, float(c == 0)
     if p >= 1.0:
-        return 0.0
+        return 0.0, 0.0
     q = 1.0 - p
     term, e = pow(q, float(n)), 0
     if term < _NORMAL:
         x = n * log(q)
-        # P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))) for c < np,
-        # with this q = fl(1 - p) as well.  The margin covers the bound's own
-        # rounding, about 2u n + 4u (|a| + |b|).  With n log(1/q) < 2**48 the
-        # sum is off by less than 1/4 of itself: m by 4u n log(1/q), the terms
-        # up to c < np by 4u c more.
-        if 0 < c < n * p and x > -2.0 ** 48:
-            a = c * log(c / (n * p))
-            b = (n - c) * log((n - c) / (n * q))
-            if a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW:
-                return 0.0
+        # with n log(1/q) < 2**48 the sum is off by less than 1/4 of itself:
+        # m by 4u n log(1/q), the terms up to c < np by 4u c more
+        if 0 < c < n * p and x > -2.0 ** 48 and _binom_vanishes(c, n, p, q, log):
+            return 0.0, 0.0
         term, e = _scaled_lead(x)
-    total, e = _term_sum(term, e, c, float(n), 1.0, p / q)
-    return min(ldexp(total, e), 1.0)
+    total, e, term = _term_sum(term, e, c, float(n), 1.0, p / q)
+    return min(ldexp(total, e), 1.0), ldexp(term, e)
 
 
-def _binom_zero_bits(c, n):
-    """t such that binom_cdf(c, n, p) is 0.0 wherever 0 < c < n p,
-    x = n log(q) > -2**48 and x log2(e) + c E < t, with p / q = f 2**E and
-    f in [1/2, 1).  The test takes one log and one frexp per point, where
-    the Chernoff cut takes three logs; oc_curve applies it to whole grids.
+def _binom_vanishes(c, n, p, q, log):
+    """Whether the Chernoff bound on P(X <= c), 0 < c < n p, lies below
+    2**-1076, half of the 2**-1075 below which ldexp rounds to zero.
 
-    For c < n p the terms rise up to c, so the tail is at most
-    (c + 1) C(n, c) (p/q)**c q**n < (c + 1) n**c / c! 2**(c E) q**n, which
-    t puts below 2**-1079; the roundings of t and of x log2(e) (2u |x| <
-    2**-4) take far less than the 4 bits left to 2**-1075.  With
-    n log(1/q) < 2**48 the sum binom_cdf would run is within 1/4 of the
-    tail, so ldexp rounds it to 0.0, the value its Chernoff cut returns.
+    P(X <= c) <= exp(-(c log(c/np) + (n-c) log((n-c)/nq))), with this
+    q = fl(1 - p) as well.  The margin covers the bound's own rounding,
+    about 2u n + 4u (|a| + |b|), with room for a log a few ulps off: log is
+    math.log, or numpy's log where p and q are arrays, as in oc_curve.
     """
-    bits = math.log2(c + 1.0) + c * math.log2(n) - math.lgamma(c + 1.0) / _LN2
-    return -1079.0 - bits - abs(bits) * 2.0 ** -40
+    a = c * log(c / (n * p))
+    b = (n - c) * log((n - c) / (n * q))
+    return a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW
 
 
 def poisson_cdf(c, lam):
-    """P(X <= c) for X ~ Poisson(lam), by _term_sum from exp(-lam).
+    """P(X <= c) for X ~ Poisson(lam): the first value of _poisson_pass."""
+    return _poisson_pass(c, lam)[0]
+
+
+def _poisson_pass(c, lam):
+    """(P(X <= c), P(X = c)) for X ~ Poisson(lam), by one _term_sum from exp(-lam).
 
     Past lam = 700 the sum runs from exp(-lam) scaled by a power of two.
-    There, for c < lam, a Chernoff bound below 2**-1076 returns 0.0 at once,
-    as in binom_cdf: the full sum would round to 0.0 as well, so the result
-    equals the full sum's bit for bit either way.
+    There, for c < lam, a Chernoff bound below 2**-1076 returns zeros at
+    once, as in _binom_pass: the full sum would round to 0.0 as well, so the
+    result equals the full sum's bit for bit either way.
     """
     if c < 0:
-        return 0.0
+        return 0.0, 0.0
     if lam <= 0.0:
-        return 1.0
+        return 1.0, float(c == 0)
     if lam <= 700.0:
         term, e = exp(-lam), 0
     else:
@@ -172,10 +176,10 @@ def poisson_cdf(c, lam):
         if 0 < c < lam < 2.0 ** 48:
             a = c * log(c / lam)
             if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
-                return 0.0
+                return 0.0, 0.0
         term, e = _scaled_lead(-lam)
-    total, e = _term_sum(term, e, c, lam, 0.0, 1.0)
-    return min(ldexp(total, e), 1.0)
+    total, e, term = _term_sum(term, e, c, lam, 0.0, 1.0)
+    return min(ldexp(total, e), 1.0), ldexp(term, e)
 
 
 def _reaches(value, target, strict):
@@ -201,10 +205,13 @@ def poisson_cap(lam):
 # that grows with every operation; the exact kernel's own error bound at
 # (k, n) is added to it.  A comparison with the target is decided from the
 # running value only when the target lies outside that interval, and by the
-# exact kernel otherwise.  The kernel's partial sums are non-decreasing in
-# k, so certifying the count and the one below it fixes the quantile; where
-# the kernel finds the count off, the walker steps through the kernel's
-# values from it to the quantile, rarely more than one count.  So every
+# exact kernel otherwise.  Each such interval is written once, as one of
+# three walker methods: cdf_low and cdf_high bound the kernel's CDF at k,
+# below_high the one at k - 1.  The kernel's partial sums are non-decreasing
+# in k, so certifying the count and the one below it fixes the quantile;
+# where the kernel finds the count off, the walker steps through the
+# kernel's values from it to the quantile, rarely more than one count, and
+# re-seeds from the last pass, which gives P(X = k) with P(X <= k).  So every
 # decision, and every plan, is the one the per-n partial sums give.
 #
 # One walker serves both families, which differ only in data.  Binomial(n, p)
@@ -275,9 +282,11 @@ class _Walk:
 
     cdf and pmf are running values of P(X <= k) and P(X = k); cdf_err
     bounds |cdf - P(X <= k)| and pmf_rel the relative error of pmf.  At the
-    current n the exact kernel's value lies within cdf * (ka + kb * k) of
-    P(X <= k), with room left for rounding the comparison itself.  A move
-    makes each term of its increment as its convolution reads it.
+    current n the exact kernel's CDF and last term at k lie within
+    ka + kb k, relative, of P(X <= k) and P(X = k); cdf_low, cdf_high and
+    below_high turn the two error bounds into the ones every comparison
+    uses, with room left for rounding the comparison itself.  A move makes
+    each term of its increment as its convolution reads it.
     """
 
     __slots__ = ("p", "poisson", "size", "da", "ratio", "rate", "ka_a", "ka_0", "kb",
@@ -308,7 +317,7 @@ class _Walk:
         self.a = 0.0
         self.cdf = self.pmf = 1.0
         self.cdf_err = self.pmf_rel = 0.0
-        self.ka = self.linear_bound(0)[0]
+        self.ka = self.linear_bound(0)
 
     def copy(self):
         """A walker in the same state, which moves and steps on its own."""
@@ -339,26 +348,17 @@ class _Walk:
         bound to the move's truncation, which is relative to the CDF.
         """
         other = self.copy()
-        k = self.k
-        for _ in range(min(int((n - self.n) * (k / self.n)), top - 1 - k)):
+        for _ in range(min(int((n - self.n) * (self.k / self.n)), top - 1 - self.k)):
             other.step()
-            k += 1
         if other.pmf < _MIN_PMF:
             return None  # a move from so small a pmf would carry no error bound
         other.move(n)
-        while k < top:
-            cdf = other.cdf
-            if cdf - other.cdf_err - cdf * (other.ka + other.kb * k) > target:
-                break
+        ka = other.ka
+        while other.k < top:
+            if other.cdf_low(ka) > target:
+                # as in first: the count below certainly falls short
+                return other if other.below_high(ka) < target else None
             other.step()
-            k += 1
-        else:
-            return None
-        # as in first: the count below certainly falls short
-        pmf = other.pmf
-        low = cdf - pmf
-        if low + other.cdf_err + pmf * other.pmf_rel + low * (other.ka + other.kb * (k - 1) + _U) < target:
-            return other
         return None
 
     def first(self, n, target, strict):
@@ -368,16 +368,11 @@ class _Walk:
         strict and raises SolverError past cap otherwise, for both families.
         """
         self.move(n)
-        k, cdf, err, ka, kb = self.k, self.cdf, self.cdf_err, self.ka, self.kb
+        ka = self.ka
         # usual case: the count of the previous n still reaches the target,
         # and the one below it still falls short, both certified
-        if cdf - err - cdf * (ka + kb * k) > target:
-            if k == 0:
-                return k
-            pmf = self.pmf
-            low = cdf - pmf
-            if low + err + pmf * self.pmf_rel + low * (ka + kb * (k - 1) + _U) < target:
-                return k
+        if self.cdf_low(ka) > target and self.below_high(ka) < target:
+            return self.k
         return self._settle(target, strict)
 
     def _settle(self, target, strict):
@@ -386,35 +381,34 @@ class _Walk:
             self.reseed(self.k)
         cap = self.cap()
         stop = cap + (2 if strict else 1)
+        ka = self.ka
         k0 = k = self.k
         while k < stop:
-            cdf = self.cdf
-            bound = self.cdf_err + cdf * (self.ka + self.kb * k)
-            if cdf - bound > target:
-                break
-            if cdf + bound >= target:
-                # too close to call: the exact kernel decides, and on a
-                # shortfall steps up to the first count that reaches
-                if not _reaches(self.exact(k), target, strict):
-                    k += 1
-                    while k < stop and not _reaches(self.exact(k), target, strict):
+            if self.cdf_high(ka) >= target:
+                if not self.cdf_low(ka) > target:
+                    # too close to call: the exact kernel decides, and on a
+                    # shortfall steps up to the first count that reaches, each
+                    # count summed once and the last pass re-seeding the walker
+                    found = self.exact(k)
+                    while k < stop and not _reaches(found[0], target, strict):
                         k += 1
-                    self.reseed(k)
+                        found = self.exact(k)
+                    if k > self.k:
+                        self.reseed(k, found)
                 break
             self.step()
             k += 1
-        if k == k0 and k > 0:
-            # the walk did not move, so certify that k - 1 still falls short
-            pmf = self.pmf
-            low = self.cdf - pmf
-            bound = (self.cdf_err + pmf * self.pmf_rel
-                     + low * (self.ka + self.kb * (k - 1) + _U))
-            if low + bound >= target and _reaches(self.exact(k - 1), target, strict):
-                # it reaches too: step down to the first count that does
-                k -= 1
-                while k and _reaches(self.exact(k - 1), target, strict):
-                    k -= 1
-                self.reseed(k)
+        if k == k0 and self.below_high(ka) >= target:
+            # the walk did not move and k - 1 may reach too: step down to
+            # the first count that does
+            found = None
+            while k:
+                below = self.exact(k - 1)
+                if not _reaches(below[0], target, strict):
+                    break
+                k, found = k - 1, below
+            if found:
+                self.reseed(k, found)
         if k > cap and not strict:
             raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, self.n * self.p))
         return k
@@ -427,21 +421,14 @@ class _Walk:
         """Whether the exact CDF at count j and trial count n is <= tail."""
         self.move(n)
         if j < self.k:
-            self.reseed(j)
+            return self.reseed(j) <= tail
         while self.k < j:
             self.step()
-        for fresh in (False, True):
-            # a second pass follows a re-seed of a running value that lost
-            # too much to decide from
-            cdf = self.cdf
-            bound = self.cdf_err + cdf * (self.ka + self.kb * j)
-            if cdf + bound < tail:
-                return True
-            if cdf - bound > tail:
-                return False
-            if fresh or self.cdf_err <= _REFRESH * cdf:
-                return self.exact(j) <= tail
-            self.reseed(j)
+        ka = self.ka
+        if self.cdf_low(ka) > tail:
+            return False
+        # once re-seeded, the running CDF is the kernel's value
+        return self.cdf_high(ka) < tail or self.reseed(j) <= tail
 
     def hold(self, target, limit, left):
         """Trial counts past n, at most limit, for which the exact CDF at k
@@ -456,14 +443,10 @@ class _Walk:
         pmf = self.pmf
         if self.cdf - target < _ROOM * self.p * pmf:
             return 0  # a log costs more than the few trials it could skip
-        k = self.k
-        ka, kb = self.linear_bound(self.n + limit)
-        if left and k:
-            low = self.cdf - pmf
-            high = low + self.cdf_err + pmf * self.pmf_rel + low * _U
-            if not high * (1.0 + ka + kb * (k - 1)) < target:
-                return 0
-        room = (self.cdf - self.cdf_err) * (1.0 - ka - kb * k) * _SAFE - target
+        ka = self.linear_bound(self.n + limit)
+        if left and not self.below_high(ka) < target:
+            return 0
+        room = self.cdf_low(ka) * _SAFE - target
         if not room > 0.0 or not pmf:
             return 0
         h = self.span(room / (pmf * (1.0 + self.pmf_rel)))
@@ -494,34 +477,57 @@ class _Walk:
         above; n when none past n.
 
         P(X <= k - 1) only falls as n grows, so the kernel's CDF at k - 1
-        stays below target while the running bound on it, widened by the
-        kernel's error bound at the last trial count, does: hold's left
-        test.  That bound grows linearly in the trial count, so it gives
-        the last one in closed form; the test is then made there as
-        written, and being monotone in the trial count it holds below too.
+        stays below target while below_high, at the kernel's error term of
+        the last trial count, does: hold's left test.  That bound grows
+        linearly in the trial count, by at most its value at trial count 0
+        times size ka_a u per trial, so that gives the last one in closed
+        form; the test is then made there as written, and being monotone in
+        the trial count it holds below too.
         """
-        n, k = self.n, self.k
+        n = self.n
         if limit <= n:
             return n
-        if k:
-            low = self.cdf - self.pmf
-            high = low + self.cdf_err + self.pmf * self.pmf_rel + low * _U
-            kb = self.kb * (k - 1)
-            room = target * _SAFE - high * (1.0 + self.ka_0 * _U + kb)
-            if not room > 0.0:
+        base = self.below_high(self.ka_0 * _U)
+        room = target * _SAFE - base
+        if not room > 0.0:
+            return n
+        grow = base * self.size * self.ka_a * _U
+        if room < grow * limit:
+            limit = int(room / grow)
+            if limit <= n:
                 return n
-            grow = high * self.size * self.ka_a * _U  # the bound's growth per trial
-            if room < grow * limit:
-                limit = int(room / grow)
-                if limit <= n:
-                    return n
-            if not high * (1.0 + self.linear_bound(limit)[0] + kb) < target:
-                return n
+        if not self.below_high(self.linear_bound(limit)) < target:
+            return n
         return limit
 
     def linear_bound(self, n):
-        """(ka, kb) of the kernel's error bound at trial count n."""
-        return (n * self.size * self.ka_a + self.ka_0) * _U, self.kb
+        """ka, the kernel's error term at trial count n: its CDF and its
+        last term at count k lie within ka + kb k of their own values."""
+        return (n * self.size * self.ka_a + self.ka_0) * _U
+
+    # The certified bounds, each on the kernel's value at the current n
+    # given ka there or at a later trial count: the kernel's error bound,
+    # ka + kb k relative, only grows with n.  A running value off by err
+    # absolute and a kernel off by kappa relative put the kernel's CDF
+    # within (1 -+ kappa) (cdf -+ err); k - 1 adds the pmf's error and the
+    # rounding of cdf - pmf.  The products leave room for their own rounding.
+    def cdf_low(self, ka):
+        """Lower bound on the kernel's CDF at k."""
+        return (self.cdf - self.cdf_err) * (1.0 - ka - self.kb * self.k)
+
+    def cdf_high(self, ka):
+        """Upper bound on the kernel's CDF at k."""
+        return (self.cdf + self.cdf_err) * (1.0 + ka + self.kb * self.k)
+
+    def below_high(self, ka):
+        """Upper bound on the kernel's CDF at k - 1, 0.0 at k = 0."""
+        k = self.k
+        if not k:
+            return 0.0
+        pmf = self.pmf
+        low = self.cdf - pmf
+        high = low + self.cdf_err + pmf * self.pmf_rel + low * _U
+        return high * (1.0 + ka + self.kb * (k - 1))
 
     def span(self, r):
         """Real trial count past n over which the CDF at k falls by at most
@@ -647,28 +653,20 @@ class _Walk:
         self.k, self.cdf, self.pmf, self.pmf_rel = k + 1, cdf, pmf, rel
 
     def exact(self, k):
+        """(P(X <= k), P(X = k)) at the current n, from one kernel pass."""
         if self.poisson:
-            return poisson_cdf(k, self.a)
-        return binom_cdf(k, self.n, self.p)
+            return _poisson_pass(k, self.a)
+        return _binom_pass(k, self.n, self.p)
 
-    def reseed(self, k):
-        a, da, ratio = self.a, self.da, self.ratio
+    def reseed(self, k, found=None):
+        """Start afresh at count k from the kernel's pass there, found when
+        the caller has it already; returns the new CDF, the kernel's value.
+        The pmf is the pass's last term, within ka + kb k of P(X = k)."""
         self.k = k
-        self.cdf = cdf = self.exact(k)
-        # P(X = k) by the kernels' recurrence, from exp(-x) scaled as they scale it
-        x = a * self.rate
-        term, e = (exp(-x), 0) if x <= 700.0 else _scaled_lead(-x)
-        for j in range(1, k + 1):
-            term = term * (a / j) * ratio
-            a -= da
-            if term > _BIG:
-                term *= _SHRINK
-                e += 512
-        self.pmf = pmf = ldexp(term, e)
-        # x is off by 2u of itself, the scaled exp(-x) by (2x + 2) u more
-        # and each step by kb
-        self.pmf_rel = (4.0 * x + 3.0) * _U + k * self.kb
-        self.cdf_err = cdf * (self.ka + self.kb * k) if pmf >= _MIN_PMF else math.inf
+        self.cdf, self.pmf = cdf, pmf = found or self.exact(k)
+        self.pmf_rel = rel = self.ka + self.kb * k
+        self.cdf_err = cdf * rel if pmf >= _MIN_PMF else math.inf
+        return cdf
 
 
 def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
@@ -717,12 +715,6 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     upper, lower = _Walk(p0, use_poisson), _Walk(p1, use_poisson)
     upper_first, lower_first = upper.first, lower.first
     target = 1.0 - a_half
-    # a hold is worth working out only where the CDF has room for a few
-    # trials' fall (hold checks this too; here it costs no call).  Above
-    # its quantile a CDF has less room than the pmf there, so from
-    # p1 = 1/_ROOM on no n is skipped
-    fall = _ROOM * p1
-    skips = fall < 1.0
     last = upper.below_cap(target, max_n)
     # the slack L1 - l1 - eps n closes by about p1 + eps per trial, so a
     # slack of at least wide spans _BLOCK changes of l1
@@ -763,7 +755,7 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
                     continue
                 reach *= 0.5
         # until == n: the next n needs L1 again, so no hold can help
-        if not skips or until == n or lower.cdf - b_half < fall * lower.pmf:
+        if until == n:
             n += 1
             continue
         skip = lower.hold(b_half, max_n - n, True)

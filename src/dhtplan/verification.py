@@ -3,7 +3,7 @@
 The exact side evaluates binomial tails directly.  An OC curve takes, for
 each point in (0, 1) after the first, the leading term binom_cdf would sum
 from, q**n or below the normal range q**n scaled by 2**-e, drops the points
-whose sum _binom_zero_bits shows to round to 0.0, and sums the rest in one
+that binom_cdf's own Chernoff cut sets to 0.0, and sums the rest in one
 run of the kernel's term loop, _term_sum, over numpy arrays.  Each element
 equals its scalar binom_cdf bit for bit; a scaled one shrinks on the rounds
 its own total passes 2**512, as the scalar does.  The first point (which
@@ -22,7 +22,7 @@ import math
 from itertools import repeat
 from math import ldexp, log
 
-from ._backend import _LN2, _NORMAL, _binom_zero_bits, _scaled_lead, _term_sum
+from ._backend import _NORMAL, _binom_vanishes, _scaled_lead, _term_sum
 from ._record import _Record
 from .errors import DomainError
 from .stat_kernels import _whole, binom_cdf
@@ -95,12 +95,13 @@ def _grid_values(plan, ps, first, n, k):
 
     Each p in (0, 1) after the first starts from binom_cdf's own lead:
     q**n by Python's pow or, below the normal range, _scaled_lead(n log q)
-    with its log and exp per point in Python.  Where _binom_zero_bits shows
-    that the sum rounds to 0.0 the value is 0.0 and there is no lead to
-    sum.  With _ARRAY_POINTS or more leads, one run of _term_sum sums them
-    all over numpy arrays; with fewer, each takes its scalar run.  numpy
-    computes only IEEE operations (q = 1 - p, p / q, the bound's products
-    and sums, the term loop, the clip) and the exact frexp and ldexp.
+    with its log and exp per point in Python.  Where binom_cdf's Chernoff
+    cut, _binom_vanishes over the arrays, shows that the sum rounds to 0.0
+    the value is 0.0 and there is no lead to sum.  With _ARRAY_POINTS or
+    more leads, one run of _term_sum sums them all over numpy arrays; with
+    fewer, each takes its scalar run.  numpy computes the cut's logs, which
+    its margin lets be a few ulps off, and otherwise only IEEE operations
+    (q = 1 - p, p / q, the term loop, the clip) and the exact ldexp.
     """
     import numpy as np
 
@@ -116,9 +117,11 @@ def _grid_values(plan, ps, first, n, k):
     e = np.zeros(leads.size, dtype=np.int64)
     low = np.flatnonzero(leads < _NORMAL)
     if low.size:
-        x = fn * np.array(list(map(log, q[low].tolist())))
-        zero = ((k > 0) & (k < fn * p[low]) & (x > -2.0 ** 48)
-                & (x / _LN2 + k * np.frexp(ratio[low])[1] < _binom_zero_bits(k, n)))
+        pl, ql = p[low], q[low]
+        x = fn * np.array(list(map(log, ql.tolist())))
+        zero = (k > 0) & (k < fn * pl) & (x > -2.0 ** 48)
+        if zero.any():
+            zero &= _binom_vanishes(k, fn, pl, ql, np.log)
         leads[low[zero]] = 0.0
         if not zero.all():
             leads[low[~zero]], e[low[~zero]] = zip(*map(_scaled_lead, x[~zero].tolist()))
@@ -126,10 +129,10 @@ def _grid_values(plan, ps, first, n, k):
     leads, e, ratio = leads[live], e[live], ratio[live]
     values = np.zeros(len(ps))
     if live.size >= _ARRAY_POINTS:
-        total, e = _term_sum(leads, e if e.any() else 0, k, fn, 1.0, ratio)
+        total, e, _ = _term_sum(leads, e if e.any() else 0, k, fn, 1.0, ratio)
         values[rows[live]] = np.minimum(np.ldexp(total, e), 1.0)
     else:
-        values[rows[live]] = [min(ldexp(*_term_sum(t, ej, k, fn, 1.0, r)), 1.0)
+        values[rows[live]] = [min(ldexp(*_term_sum(t, ej, k, fn, 1.0, r)[:2]), 1.0)
                               for t, ej, r in zip(leads.tolist(), e.tolist(), ratio.tolist())]
     rest = np.flatnonzero(~inner).tolist()
     values[rest] = [first] + [accept_probability(plan.n, plan.c, ps[i]) for i in rest[1:]]

@@ -115,7 +115,8 @@ def test_walker_search_ties_and_stop():
 @pytest.mark.parametrize("poisson", [False, True])
 def test_walker_steps_down_to_the_quantile(poisson):
     # a count re-seeded three above the median: the count below it reaches
-    # too, so the search steps down, one exact sum per count, to the median
+    # too, so the search steps down, one exact sum per count, to the median,
+    # and re-seeds there from the pass that reached
     calls = []
 
     class Counted(pure._Walk):
@@ -131,12 +132,63 @@ def test_walker_steps_down_to_the_quantile(poisson):
     w.reseed(k + 3)
     calls.clear()
     assert w.first(200, 0.5, False) == k
-    # the last call re-seeds at k
-    assert calls == [k + 2, k + 1, k, k - 1, k]
-    assert w.exact(k - 1) < 0.5 <= w.exact(k)
+    assert calls == [k + 2, k + 1, k, k - 1]
+    assert (w.k, w.cdf, w.pmf) == (k, *w.exact(k))
+    assert w.exact(k - 1)[0] < 0.5 <= w.cdf
 
 
-TARGETS = (0.0, 1e-12, 0.0125, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9875, 1.0)
+@pytest.mark.parametrize("poisson", [False, True])
+def test_walker_sums_each_count_once(monkeypatch, poisson):
+    # a spy on the kernels' one term-sum loop: a re-seed costs one pass, and
+    # an exact search that steps up sums each count it visits once, then
+    # re-seeds from the pass that reached
+    k = pure._Walk(0.3, poisson).first(200, 0.5, False)
+    passes = []
+    term_sum = pure._term_sum
+    monkeypatch.setattr(pure, "_term_sum", lambda *a: passes.append(a[2]) or term_sum(*a))
+    w = pure._Walk(0.3, poisson)
+    w.move(200)
+    w.reseed(k - 3)
+    assert passes == [k - 3]
+    # a running CDF at the target itself is too close to call
+    passes.clear()
+    w.cdf = 0.5
+    assert w.first(200, 0.5, False) == k
+    assert passes == [k - 3, k - 2, k - 1, k]
+    assert (w.k, w.cdf, w.pmf) == (k, *w.exact(k))
+
+
+# q**n is subnormal at (3273, 0.3) and (2000, 0.33), lam above 700 at
+# (1943, 0.45) and (5049, 0.33)
+PMF_POINTS = [(40, 0.1), (2641, 0.02), (3273, 0.3), (2000, 0.33), (1943, 0.45),
+              (5049, 0.33), (10**6, 0.001)]
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+def test_reseeded_pmf_within_its_bound(poisson):
+    # a re-seed takes the pmf from the kernel pass's last term, within the
+    # kernel's own term bound ka + kb k of the 50-digit P(X = k), in the
+    # tails and at the mode, with a scaled leading term too
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n, p in PMF_POINTS:
+            w = pure._Walk(p, poisson)
+            w.move(n)
+            mean, sd = n * p, math.sqrt(n * p)
+            counts = {min(n, max(0, int(mean + z * sd))) for z in (-6, -2, 0, 2, 6)}
+            for k in sorted(counts | ({0, n} if n < 100 else set())):
+                w.reseed(k)
+                if poisson:
+                    lam = mpmath.mpf(w.a)
+                    want = mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+                else:
+                    P = mpmath.mpf(p)
+                    want = mpmath.binomial(n, k) * P ** k * (1 - P) ** (n - k)
+                assert w.pmf >= pure._MIN_PMF, (n, p, k)
+                assert abs(w.pmf - want) <= w.pmf_rel * want, (n, p, k)
+
+
+TARGETS =(0.0, 1e-12, 0.0125, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9875, 1.0)
 # the reference scans cost O(K^2) CDF terms, so large cases take two targets
 LARGE_TARGETS = (0.025, 0.975)
 

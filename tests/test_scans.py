@@ -242,9 +242,9 @@ def test_exact_search_steps_both_ways(method, p0, p1, alpha, beta, plan):
     class Spied(pure._Walk):
         __slots__ = ()
 
-        def reseed(self, k):
+        def reseed(self, k, found=None):
             moves.append(k - self.k)
-            super().reseed(k)
+            return super().reseed(k, found)
 
     with mock.patch.object(pure, "_Walk", Spied):
         got = solve(TestSpec(p0, p1, alpha, beta, max_n=3000), method)
@@ -268,14 +268,19 @@ def test_binomial_walker_keeps_the_cap():
 
 
 def assert_within_bound(w):
-    """The running CDF at k and at k - 1 against the exact kernel."""
-    k = w.k
-    bound = w.cdf_err + w.cdf * (w.ka + w.kb * k)
-    assert abs(w.cdf - w.exact(k)) <= bound
+    """The running CDF at k and at k - 1 against the exact kernel, and the
+    walker's certified bounds on the kernel's values there."""
+    k, ka = w.k, w.ka
+    cdf = w.exact(k)[0]
+    bound = w.cdf_err + w.cdf * (ka + w.kb * k)
+    assert abs(w.cdf - cdf) <= bound
+    assert w.cdf_low(ka) <= cdf <= w.cdf_high(ka)
     if k:
+        below = w.exact(k - 1)[0]
         low = w.cdf - w.pmf
-        bound = w.cdf_err + w.pmf * w.pmf_rel + low * (w.ka + w.kb * (k - 1) + pure._U)
-        assert abs(low - w.exact(k - 1)) <= bound
+        bound = w.cdf_err + w.pmf * w.pmf_rel + low * (ka + w.kb * (k - 1) + pure._U)
+        assert abs(low - below) <= bound
+        assert below <= w.below_high(ka)
 
 
 def slots(w):
@@ -571,12 +576,26 @@ def test_keeps_nothing_it_cannot_certify(poisson):
 
 
 @FAMILIES
+def test_bound_below_covers_the_pmf_error(poisson):
+    # the bound on the kernel's CDF at k - 1 holds with the running pmf off
+    # by as much as pmf_rel allows, either way, and not only the CDF
+    w = pure._Walk(0.05, poisson)
+    k = w.first(400, 0.5, False)
+    below = w.exact(k - 1)[0]
+    for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        w.reseed(k)
+        w.pmf *= factor
+        w.pmf_rel = 1.01e-6
+        assert w.below_high(w.ka) >= below
+
+
+@FAMILIES
 def test_hold_checks_the_count_below(poisson):
     # at the 0.975 quantile k of n = 1000, P(X <= k - 1) is far above 0.5:
     # the count stays above 0.5 for a while, but it is no quantile of 0.5
     w = pure._Walk(0.02, poisson)
     k = w.first(1000, 0.975, False)
-    assert w.exact(k - 1) > 0.5
+    assert w.exact(k - 1)[0] > 0.5
     assert w.hold(0.5, 1000, False) > 0
     assert w.hold(0.5, 1000, True) == 0
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (DomainError, SolverError, TailMass, binom_cdf, normal_cdf,
-                     poisson_cdf, z_value)
+from dhtplan import (Applicability, DomainError, SamplingPlan, SolverError, TailMass,
+                     binom_cdf, normal_cdf, poisson_cdf, verification, z_value)
 from dhtplan import _backend as pure
 from kernel_reference import poisson_trials
 
@@ -169,13 +169,14 @@ class TestTermSumArrays:
         arr = np.array(ps)
         term = np.array([t for t, _ in leads])
         e0 = np.array([e for _, e in leads])
-        total, e = pure._term_sum(term, e0 if e0.any() else 0, c, float(n), 1.0,
-                                  arr / (1.0 - arr))
+        total, e, last = pure._term_sum(term, e0 if e0.any() else 0, c, float(n), 1.0,
+                                        arr / (1.0 - arr))
         want = [pure._term_sum(t, e, c, float(n), 1.0, p / (1.0 - p))
                 for (t, e), p in zip(leads, ps)]
         e = np.broadcast_to(e, total.shape)
-        assert [(v.hex(), int(x)) for v, x in zip(total.tolist(), e)] == [
-            (v.hex(), x) for v, x in want]
+        got = zip(total.tolist(), e, last.tolist())
+        assert [(v.hex(), int(x), t.hex()) for v, x, t in got] == [
+            (v.hex(), x, t.hex()) for v, x, t in want]
         values = np.minimum(np.ldexp(total, e), 1.0).tolist()
         # a point binom_cdf cuts by its Chernoff bound sums to 0.0 in full
         assert [v.hex() for v in values] == [pure.binom_cdf(c, n, p).hex() for p in ps]
@@ -212,28 +213,27 @@ class TestTermSumArrays:
 
 
 class TestZeroBits:
-    """Where oc_curve's quick test of _binom_zero_bits gives 0.0, the full
-    scaled sum binom_cdf would run rounds to 0.0 under ldexp."""
+    """Every point an OC grid drops by binom_cdf's Chernoff cut, with no
+    lead to sum, is one at which binom_cdf returns 0.0."""
 
     @pytest.mark.parametrize("n,c", [(50, 3), (383, 12), (1543, 21), (7360, 127),
                                      (20_000, 500), (10**6, 2000)])
-    def test_zeroed_points_sum_to_zero(self, n, c):
+    def test_zeroed_points_sum_to_zero(self, monkeypatch, n, c):
         p_sub = -math.expm1(-1022 * math.log(2.0) / n)
         ps = [p_sub + (1.0 - p_sub) * (j / 1000) ** 2 for j in range(1, 1000)]
-        zero_bits = pure._binom_zero_bits(c, n)
-        zeroed = 0
-        for p in ps:
-            q = 1.0 - p
-            x = n * math.log(q)
-            if pow(q, float(n)) >= 2.0**-1022 or not (
-                    0 < c < n * p and x > -2.0**48
-                    and x / math.log(2.0) + c * math.frexp(p / q)[1] < zero_bits):
-                continue
-            zeroed += 1
-            total, e = pure._term_sum(*pure._scaled_lead(x), c, float(n), 1.0, p / q)
-            assert math.ldexp(total, e) == 0.0, p
-            assert pure.binom_cdf(c, n, p) == 0.0, p
-        assert zeroed > 50
+        # the grid scales the lead of each subnormal q**n it keeps, by n log q
+        led, lead = [], pure._scaled_lead
+        monkeypatch.setattr(verification, "_scaled_lead", lambda x: led.append(x) or lead(x))
+        plan = SamplingPlan(n=n, c=c + 1, t_h=(c + 1) / n, np0=0.0, method="Bin",
+                            iterations=1, converged=True,
+                            applicability=Applicability(True, True, True))
+        points = verification.oc_curve(plan, [0.5] + ps).points[1:]
+        led = set(led)
+        cut = [(p, v) for p, v in points
+               if pow(1.0 - p, float(n)) < 2.0**-1022 and n * math.log(1.0 - p) not in led]
+        assert len(cut) > 50
+        for p, v in cut:
+            assert v == binom_cdf(c, n, p) == 0.0, p
 
 
 def binom_first(n, p, target, strict):
@@ -296,23 +296,19 @@ class TestQuantiles:
             assert binom_cdf(lo, n, p) <= tail
             assert binom_cdf(lo + 1, n, p) > tail
 
-    def test_poisson_scan_cap_is_internal_error(self):
+    def test_poisson_scan_cap_is_internal_error(self, monkeypatch):
         # no CDF value exceeds 1.0, so the exact search at mean 1 steps up
         # count by count to cap + 1 and re-seeds there, past the cap, where
         # the walker raises; the walk itself, too close to call near 1.0,
-        # hands the count to that search
+        # hands the count to that search, which sums each count once and
+        # re-seeds from the last pass
         counts = []
-
-        class Counted(pure._Walk):
-            __slots__ = ()
-
-            def exact(self, k):
-                counts.append(k)
-                return super().exact(k)
-
+        term_sum = pure._term_sum
+        monkeypatch.setattr(pure, "_term_sum",
+                            lambda *a: counts.append(a[2]) or term_sum(*a))
         cap = pure.poisson_cap(10 * 0.1)
         with pytest.raises(SolverError, match="exceeded cap %d at mean 1$" % cap):
-            Counted(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
+            pure._Walk(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
         assert counts == list(range(counts[0], cap + 2))
 
 
