@@ -214,7 +214,8 @@ class TestTermSumArrays:
 
 class TestZeroBits:
     """Every point an OC grid drops by binom_cdf's Chernoff cut, with no
-    lead to sum, is one at which binom_cdf returns 0.0."""
+    lead to sum, is one at which binom_cdf returns 0.0 and the full scaled
+    term sum rounds to 0.0."""
 
     @pytest.mark.parametrize("n,c", [(50, 3), (383, 12), (1543, 21), (7360, 127),
                                      (20_000, 500), (10**6, 2000)])
@@ -234,6 +235,9 @@ class TestZeroBits:
         assert len(cut) > 50
         for p, v in cut:
             assert v == binom_cdf(c, n, p) == 0.0, p
+            lead = pure._scaled_lead(n * math.log(1.0 - p))
+            total, e, _ = pure._term_sum(*lead, c, float(n), 1.0, p / (1.0 - p))
+            assert math.ldexp(total, e) == 0.0, p
 
 
 def binom_first(n, p, target, strict):
