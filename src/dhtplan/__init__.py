@@ -22,18 +22,13 @@ _EXPORTS = {
     "SolverError": "errors", "StateError": "errors", "LadderError": "errors",
     "NoRecommendationError": "errors",
     "TailMass": "stat_kernels", "binom_cdf": "stat_kernels",
-    "poisson_cdf": "stat_kernels", "normal_cdf": "stat_kernels",
-    "z_value": "stat_kernels",
+    "poisson_cdf": "stat_kernels", "z_value": "stat_kernels",
     "TestSpec": "plan_solvers", "SamplingPlan": "plan_solvers",
-    "Applicability": "plan_solvers", "closed_form_norm": "plan_solvers",
-    "solve": "plan_solvers", "solve_bin": "plan_solvers",
-    "solve_poiss": "plan_solvers", "solve_norm_newton": "plan_solvers",
-    "solve_norm_iterative": "plan_solvers",
+    "Applicability": "plan_solvers", "solve": "plan_solvers",
     "SflQuery": "run_limits", "sfl_r": "run_limits",
     "mean_recurrence": "run_limits",
     "MembershipFunction": "fuzzy_selector", "FuzzyRuleBase": "fuzzy_selector",
-    "SelectorInput": "fuzzy_selector", "membership_degree": "fuzzy_selector",
-    "infer": "fuzzy_selector", "classify": "fuzzy_selector",
+    "SelectorInput": "fuzzy_selector", "infer": "fuzzy_selector",
     "response_surface": "fuzzy_selector",
     "LevelLadder": "inspection_engine", "InspectionState": "inspection_engine",
     "build_ladder": "inspection_engine", "observe": "inspection_engine",

@@ -31,6 +31,11 @@ _UP = 1.0 + 2.0 ** -40     # a bound's margin over the roundings of one round
 # the kernels return 0.0 once their Chernoff bound is below 2**-1076, half of
 # the 2**-1075 below which ldexp rounds the scaled sum to zero
 _UNDERFLOW = 1076.0 * _LN2
+# the Chernoff cut's relative margin over the bound's own rounding, and the
+# range of n log(1/q) or lam below which the scaled sum is off by less than
+# 1/4 of itself, so that the cut can stand for the sum
+_CUT_MARGIN = 2.0 ** -45
+_CUT_RANGE = 2.0 ** 48
 
 
 def _scaled_lead(x):
@@ -128,7 +133,7 @@ def _binom_pass(c, n, p):
         x = n * log(q)
         # with n log(1/q) < 2**48 the sum is off by less than 1/4 of itself:
         # m by 4u n log(1/q), the terms up to c < np by 4u c more
-        if 0 < c < n * p and x > -2.0 ** 48 and _binom_vanishes(c, n, p, q, log):
+        if 0 < c < n * p and x > -_CUT_RANGE and _binom_vanishes(c, n, p, q, log):
             return 0.0, 0.0
         term, e = _scaled_lead(x)
     total, e, term = _term_sum(term, e, c, float(n), 1.0, p / q)
@@ -146,7 +151,7 @@ def _binom_vanishes(c, n, p, q, log):
     """
     a = c * log(c / (n * p))
     b = (n - c) * log((n - c) / (n * q))
-    return a + b - (n + b - a) * 2.0 ** -45 > _UNDERFLOW
+    return a + b - (n + b - a) * _CUT_MARGIN > _UNDERFLOW
 
 
 def poisson_cdf(c, lam):
@@ -173,9 +178,9 @@ def _poisson_pass(c, lam):
         # covers the bound's own rounding, about 4u (lam + c + |a|).  With
         # lam < 2**48 the sum is off by less than 1/4 of itself: m by 2u lam,
         # the terms up to c < lam by 2u c more.
-        if 0 < c < lam < 2.0 ** 48:
+        if 0 < c < lam < _CUT_RANGE:
             a = c * log(c / lam)
-            if lam - c + a - (lam + c - a) * 2.0 ** -45 > _UNDERFLOW:
+            if lam - c + a - (lam + c - a) * _CUT_MARGIN > _UNDERFLOW:
                 return 0.0, 0.0
         term, e = _scaled_lead(-lam)
     total, e, term = _term_sum(term, e, c, lam, 0.0, 1.0)

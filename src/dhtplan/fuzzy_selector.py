@@ -96,7 +96,7 @@ class MembershipFunction(_Record):
             raise DomainError("trapezoid breakpoints must be ordered: %r" % (self,))
 
 
-def membership_degree(value, mf):
+def _membership_degree(value, mf):
     """Piecewise-linear trapezoid evaluation; 0 outside [a, d], 1 on [b, c]."""
     if value < mf.a or value > mf.d:
         return 0.0
@@ -141,6 +141,10 @@ class FuzzyRuleBase:
                  rules=DEFAULT_RULES):
         if len(rules) != 8:
             raise DomainError("rule base must hold exactly 8 rules, got %d" % len(rules))
+        for var in memberships:
+            if var not in UNIVERSES:
+                raise DomainError("unknown input variable %r; expected one of %s"
+                                  % (var, ", ".join(UNIVERSES)))
         self._mfs = {
             var: {lab: MembershipFunction(lab, *pts) for lab, pts in labs.items()}
             for var, labs in memberships.items()
@@ -150,15 +154,13 @@ class FuzzyRuleBase:
         self._out_mfs = {}
         for label, pts in outputs.items():
             mf = MembershipFunction(label, *pts)
-            self._out_mfs[label] = [membership_degree(x, mf) for x in _GRID]
+            self._out_mfs[label] = [_membership_degree(x, mf) for x in _GRID]
         for ants, out in self._rules:
             if out not in self._out_mfs:
                 raise DomainError("rule consequent %r has no output set" % (out,))
             for var, lab, _ in ants:
                 if var not in self._mfs or lab not in self._mfs[var]:
                     raise DomainError("rule references unknown set %s.%s" % (var, lab))
-        self._memberships_src = memberships
-        self._outputs_src = outputs
 
     def rule_strengths(self, inp):
         vals = {"step": inp.step, "t_h": inp.t_h,
@@ -167,7 +169,7 @@ class FuzzyRuleBase:
         for ants, _ in self._rules:
             s = 1.0
             for var, lab, neg in ants:
-                mu = membership_degree(vals[var], self._mfs[var][lab])
+                mu = _membership_degree(vals[var], self._mfs[var][lab])
                 if neg:
                     mu = 1.0 - mu
                 s = min(s, mu)
@@ -198,22 +200,10 @@ class FuzzyRuleBase:
         moment = sum(map(operator.mul, agg[1:-1], _GRID[1:-1])) + 0.5 * agg[-1]
         return moment / mass
 
-    def to_config(self):
-        return {"memberships": {v: {l: list(p) for l, p in labs.items()}
-                                for v, labs in self._memberships_src.items()},
-                "outputs": {l: list(p) for l, p in self._outputs_src.items()},
-                "rules": [{"if": [[v, l, neg] for v, l, neg in ants], "then": out}
-                          for ants, out in self._rules]}
-
-    def save(self, path):
-        import json
-        with open(path, "w") as fh:
-            json.dump(self.to_config(), fh, indent=2)
-
     @classmethod
     def load(cls, path):
-        """Read a rule base written by save; a malformed one raises DomainError
-        naming the key or field at fault."""
+        """Read a rule base from a JSON config laid out as README's template;
+        a malformed one raises DomainError naming the key or field at fault."""
         import json
         with open(path) as fh:
             cfg = json.load(fh)
@@ -260,7 +250,7 @@ def _trapezoid(points, where):
     return tuple(points)
 
 
-def classify(score):
+def _classify(score):
     """Map a defuzzified score to a method label; <= 0.1 is no recommendation."""
     if not (0.0 <= score <= 1.0):
         raise DomainError("score must lie in [0, 1]")
@@ -282,7 +272,7 @@ def infer(inp, base=None):
     strengths = base.rule_strengths(inp)
     agg = base.aggregate(strengths)
     score = base.centroid(agg)
-    label = classify(score)
+    label = _classify(score)
     return score, label, [(i + 1, s) for i, s in enumerate(strengths)]
 
 

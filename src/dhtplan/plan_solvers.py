@@ -1,4 +1,4 @@
-"""The four plan-computation algorithms and the closed-form normal oracle.
+"""The four plan-computation algorithms, behind one entry point, solve.
 
 Each solver maps a TestSpec (the rate pair plus tolerances) to a
 SamplingPlan (trials n, acceptance number c, threshold t_h).  The accept
@@ -30,7 +30,9 @@ Method notes
     possible, and asks that walker again only where a stop could follow.
     The plans and errors are therefore those of the exact quantiles
     recomputed at every n, at a cost per change of a limit count rather
-    than per n.
+    than per n.  ``poiss`` is intended for p < 0.1; outside that regime the
+    plan is still returned with its p_lt_0_1 flag cleared (a warning, not
+    an error).
 
 ``norm_n``
     Generalized Newton-Raphson on the two-equation system equating the
@@ -146,7 +148,7 @@ def _applicability(n, p0, p1):
                          p_lt_0_1=p1 < 0.1)
 
 
-def closed_form_norm(spec):
+def _closed_form_norm(spec):
     """Exact real-valued solution of the two-limit normal system.
 
     Eliminating the threshold gives
@@ -167,7 +169,7 @@ def closed_form_norm(spec):
     return n_real, t_h
 
 
-def solve_norm_newton(spec):
+def _solve_norm_newton(spec):
     """Newton-Raphson on the paired normal limits (method Norm_N).
 
     Stops on any of: maxit iterations, step norm < 1e-9, residual norm
@@ -178,7 +180,7 @@ def solve_norm_newton(spec):
     s0 = math.sqrt(spec.p0 * (1.0 - spec.p0))
     s1 = math.sqrt(spec.p1 * (1.0 - spec.p1))
     # start at the midpoint threshold and the closed-form trial count
-    n_real, _ = closed_form_norm(spec)
+    n_real, _ = _closed_form_norm(spec)
     x1, x2 = (spec.p0 + spec.p1) / 2.0, math.ceil(n_real)
     converged = False
     iterations = 0
@@ -215,7 +217,7 @@ def solve_norm_newton(spec):
                         n_real=x2)
 
 
-def solve_norm_iterative(spec):
+def _solve_norm_iterative(spec):
     """Unit-step normal method (Norm_I).
 
     Raises NoConvergenceError when no integer n brings the two limits
@@ -269,32 +271,15 @@ def _solve_discrete(spec, method):
                         applicability=_applicability(n, spec.p0, spec.p1))
 
 
-def solve_bin(spec):
-    """Exact-binomial plan search (method Bin)."""
-    return _solve_discrete(spec, "Bin")
-
-
-def solve_poiss(spec):
-    """Poisson-approximation plan search (method Poiss).
-
-    Intended for p < 0.1; outside that regime the plan is still returned
-    with its p_lt_0_1 flag cleared (a warning, not an error).
-    """
-    return _solve_discrete(spec, "Poiss")
-
-
-_SOLVERS = {
-    "Bin": solve_bin,
-    "Poiss": solve_poiss,
-    "Norm_N": solve_norm_newton,
-    "Norm_I": solve_norm_iterative,
-}
+_NORMAL_SOLVERS = {"Norm_N": _solve_norm_newton, "Norm_I": _solve_norm_iterative}
 
 
 def solve(spec, method):
-    """Dispatch to one of the four methods by label."""
+    """Plan for spec by one of the four methods, named by its label."""
+    if method in ("Bin", "Poiss"):
+        return _solve_discrete(spec, method)
     try:
-        fn = _SOLVERS[method]
+        fn = _NORMAL_SOLVERS[method]
     except KeyError:
         raise DomainError("unknown method %r; expected one of %s"
                           % (method, ", ".join(METHODS))) from None

@@ -36,17 +36,14 @@ class SflQuery(_Record):
                               % self.ex)
 
 
-def sfl_r(query, ex=None):
-    """Run-length limit for a defect rate.
+def sfl_r(query):
+    """Run-length limit for the defect rate and horizon of an SflQuery.
 
-    Accepts an SflQuery or a bare probability (with ex supplied separately).
     Returns (r_raw, r) where r = ceil(r_raw); a run strictly longer than r
     rejects the level.  r_raw is the fixed point of
     r = log((1 - p**r) / (ex (1 - p))) / log(p), that is of
     p**r (1 + ex (1 - p)) = 1, in closed form.
     """
-    if not isinstance(query, SflQuery):
-        query = SflQuery(float(query), DEFAULT_EX if ex is None else float(ex))
     p, horizon = query.p, query.ex
     if horizon * (1.0 - p) <= 1.0:
         raise DomainError(

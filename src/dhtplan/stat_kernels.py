@@ -1,8 +1,8 @@
 """Numerically careful probability primitives.
 
 Checked entry points to the binomial and Poisson CDF kernels in
-``_backend``, plus the standard-normal CDF and the upper-tail quantile used
-by the normal-approximation solvers, the latter from the standard library's
+``_backend``, plus the upper-tail standard-normal quantile used by the
+normal-approximation solvers, from the standard library's
 ``statistics.NormalDist``.
 """
 
@@ -21,10 +21,6 @@ class TailMass(_Record):
     def __post_init__(self):
         if not (0.0 < self.value < 0.5):
             raise DomainError("tail mass must be in (0, 0.5), got %r" % (self.value,))
-
-
-def _tail_value(tail):
-    return tail.value if isinstance(tail, TailMass) else TailMass(float(tail)).value
 
 
 #: Largest trial count and mean: past 2**53 a double no longer holds every
@@ -70,20 +66,13 @@ def poisson_cdf(c, lam):
     return _backend.poisson_cdf(c, float(lam))
 
 
-def normal_cdf(x):
-    """Standard normal CDF; absolute error well under 1e-7."""
-    if not math.isfinite(x):
-        raise DomainError("normal_cdf requires a finite argument")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def z_value(tail, paper_compat=False):
     """Inverse standard normal at 1 - tail.
 
     With paper_compat=True the two-decimal constant 1.64 is substituted at
     tail = 0.05, which the table-reproduction paths rely on.
     """
-    t = _tail_value(tail)
+    t = TailMass(float(tail)).value
     if paper_compat and t == 0.05:
         return 1.64
     # Wichura's AS 241, which inverts a small tail from t itself, not from

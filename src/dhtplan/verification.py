@@ -22,7 +22,7 @@ import math
 from itertools import repeat
 from math import ldexp, log
 
-from ._backend import _NORMAL, _binom_vanishes, _scaled_lead, _term_sum
+from ._backend import _CUT_RANGE, _NORMAL, _binom_vanishes, _scaled_lead, _term_sum
 from ._record import _Record
 from .errors import DomainError
 from .stat_kernels import _whole, binom_cdf
@@ -119,7 +119,7 @@ def _grid_values(plan, ps, first, n, k):
     if low.size:
         pl, ql = p[low], q[low]
         x = fn * np.array(list(map(log, ql.tolist())))
-        zero = (k > 0) & (k < fn * pl) & (x > -2.0 ** 48)
+        zero = (k > 0) & (k < fn * pl) & (x > -_CUT_RANGE)
         if zero.any():
             zero &= _binom_vanishes(k, fn, pl, ql, np.log)
         leads[low[zero]] = 0.0

@@ -331,10 +331,9 @@ class TestSmallCommands:
         assert err == "warning: t_exec=20 outside universe [0, 12]; clamped\n"
         assert ".py:" not in err
 
-    def test_select_config_file(self, tmp_path):
-        from dhtplan import FuzzyRuleBase
+    def test_select_config_file(self, tmp_path, readme_fuzzy_config):
         path = tmp_path / "cfg.json"
-        FuzzyRuleBase().save(path)
+        path.write_text(json.dumps(readme_fuzzy_config()))
         argv = ["select", "--step", "0.001", "--th", "0.05",
                 "--texec", "3", "--prec", "5e-4"]
         assert run(argv + ["--fuzzy-config", str(path)]) == run(argv)
@@ -576,43 +575,50 @@ class TestErrorBoundary:
         path.write_text(json.dumps(cfg))
         return self._one_line_error(self.SELECT + ["--fuzzy-config", str(path)])
 
-    @staticmethod
-    def _default_config():
-        from dhtplan import FuzzyRuleBase
-        return FuzzyRuleBase().to_config()
-
-    def test_select_fuzzy_config_missing_key(self, tmp_path):
+    def test_select_fuzzy_config_missing_key(self, tmp_path, readme_fuzzy_config):
         assert "'memberships'" in self._bad_fuzzy_config(tmp_path, {})
-        cfg = self._default_config()
+        cfg = readme_fuzzy_config()
         del cfg["outputs"]
         assert "'outputs'" in self._bad_fuzzy_config(tmp_path, cfg)
 
-    def test_select_fuzzy_config_rules_not_a_list(self, tmp_path):
-        cfg = self._default_config()
+    def test_select_fuzzy_config_rules_not_a_list(self, tmp_path, readme_fuzzy_config):
+        cfg = readme_fuzzy_config()
         cfg["rules"] = 3
         assert "'rules'" in self._bad_fuzzy_config(tmp_path, cfg)
 
-    def test_select_fuzzy_config_rule_without_if_or_then(self, tmp_path):
+    def test_select_fuzzy_config_rule_without_if_or_then(self, tmp_path,
+                                                         readme_fuzzy_config):
         for key in ("if", "then"):
-            cfg = self._default_config()
+            cfg = readme_fuzzy_config()
             del cfg["rules"][2][key]
             err = self._bad_fuzzy_config(tmp_path, cfg)
             assert "rule 3" in err and repr(key) in err
 
-    def test_select_fuzzy_config_trapezoid_without_four_points(self, tmp_path):
-        cfg = self._default_config()
+    def test_select_fuzzy_config_trapezoid_without_four_points(self, tmp_path,
+                                                               readme_fuzzy_config):
+        cfg = readme_fuzzy_config()
         var, labs = next(iter(cfg["memberships"].items()))
         label = next(iter(labs))
         labs[label] = labs[label][:3]
         err = self._bad_fuzzy_config(tmp_path, cfg)
         assert "memberships.%s.%s" % (var, label) in err and "4" in err
 
-    def test_select_fuzzy_config_string_negation_flag(self, tmp_path):
+    def test_select_fuzzy_config_string_negation_flag(self, tmp_path, readme_fuzzy_config):
         # a JSON "false" is no boolean; read as truthy it negated rule 8
-        cfg = self._default_config()
+        cfg = readme_fuzzy_config()
         cfg["rules"][7]["if"][0][2] = "false"
         err = self._bad_fuzzy_config(tmp_path, cfg)
         assert "rule 8" in err and "boolean" in err
+
+    def test_select_fuzzy_config_unknown_input_variable(self, tmp_path,
+                                                        readme_fuzzy_config):
+        # a rule may name the set of a variable that is no selector input;
+        # inference would find no value for it
+        cfg = readme_fuzzy_config()
+        cfg["memberships"]["speed"] = {"Fast": [0, 0, 1, 2]}
+        cfg["rules"][0]["if"].append(["speed", "Fast", False])
+        err = self._bad_fuzzy_config(tmp_path, cfg)
+        assert "'speed'" in err and "step, t_h, t_exec, prec_abs" in err
 
 
 # flag values at and past the edges of every domain; a flag draws from

@@ -13,31 +13,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtplan import (DomainError, FuzzyRuleBase, MembershipFunction,
-                     NoRecommendationError, SelectorInput, classify, infer,
-                     membership_degree, response_surface)
-from dhtplan.fuzzy_selector import DEFAULT_OUTPUTS, UNIVERSES
+                     NoRecommendationError, SelectorInput, infer, response_surface)
+from dhtplan.fuzzy_selector import (DEFAULT_OUTPUTS, DEFAULT_RULES, UNIVERSES,
+                                    _classify, _membership_degree)
 
 
 def trapezoid_centroid(a, b, c, d):
     # independent moment integration on a fine grid
     xs = np.linspace(0, 1, 40001)
     mf = MembershipFunction("t", a, b, c, d)
-    mu = np.array([membership_degree(x, mf) for x in xs])
+    mu = np.array([_membership_degree(x, mf) for x in xs])
     return float(np.trapezoid(mu * xs, xs) / np.trapezoid(mu, xs))
 
 
 class TestMembership:
     def test_plateau_start(self):
         mf = MembershipFunction("m", 0.0, 0.2, 0.6, 1.0)
-        assert membership_degree(0.2, mf) == 1.0
+        assert _membership_degree(0.2, mf) == 1.0
 
     def test_outside_support(self):
         mf = MembershipFunction("m", 0.1, 0.2, 0.6, 1.0)
-        assert membership_degree(0.05, mf) == 0.0
+        assert _membership_degree(0.05, mf) == 0.0
 
     def test_ramp_midpoint(self):
         mf = MembershipFunction("m", 0.0, 0.2, 0.6, 1.0)
-        assert membership_degree(0.1, mf) == pytest.approx(0.5)
+        assert _membership_degree(0.1, mf) == pytest.approx(0.5)
 
     def test_breakpoint_order_enforced(self):
         with pytest.raises(DomainError):
@@ -92,7 +92,7 @@ class TestInfer:
         except NoRecommendationError:
             return
         assert 0.0 <= score <= 1.0
-        assert classify(score) == label
+        assert _classify(score) == label
 
     def test_rule8_dominance_monotone(self):
         base = FuzzyRuleBase()
@@ -114,16 +114,15 @@ class TestInfer:
                 reached = reached or label == "Norm_N"
 
 
-def numpy_scorer(base):
+def numpy_scorer(outputs):
     """The numpy aggregate (max of clipped output sets) and trapezoid-rule
     centroid on linspace(0, 1, 1001), kept as the oracle for the list code:
-    a function from rule strengths to the score."""
+    a function from the default rules' strengths to the score."""
     grid = np.linspace(0.0, 1.0, 1001)
-    cfg = base.to_config()
-    out_mfs = {label: np.array([membership_degree(x, MembershipFunction(label, *pts))
+    out_mfs = {label: np.array([_membership_degree(x, MembershipFunction(label, *pts))
                                 for x in grid])
-               for label, pts in cfg["outputs"].items()}
-    consequents = [rule["then"] for rule in cfg["rules"]]
+               for label, pts in outputs.items()}
+    consequents = [out for _, out in DEFAULT_RULES]
     w = np.ones_like(grid)
     w[0] = w[-1] = 0.5
 
@@ -154,7 +153,7 @@ class TestAggregateAgainstNumpy:
                              ids=["default", "overlapping"])
     def test_scores_match_numpy_oracle(self, outputs):
         base = FuzzyRuleBase(outputs=outputs)
-        numpy_score = numpy_scorer(base)
+        numpy_score = numpy_scorer(outputs)
         rng = np.random.Generator(np.random.Philox(key=2024))
         raised = 0
         for i in range(1500):
@@ -183,27 +182,28 @@ class TestClassify:
         (0.15, "Bin"), (0.32, "Poiss"), (0.71, "Norm_I"), (1.0, "Norm_N"),
     ])
     def test_bands(self, score, label):
-        assert classify(score) == label
+        assert _classify(score) == label
 
     def test_below_first_band(self):
         with pytest.raises(NoRecommendationError):
-            classify(0.05)
+            _classify(0.05)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            classify(1.5)
+            _classify(1.5)
 
 
 class TestConfig:
-    def test_roundtrip_scores_identical(self, tmp_path):
+    def test_readme_template_scores_as_default(self, tmp_path, readme_fuzzy_config):
         base = FuzzyRuleBase()
         path = tmp_path / "fuzzy.json"
-        base.save(path)
+        path.write_text(json.dumps(readme_fuzzy_config()))
         loaded = FuzzyRuleBase.load(path)
         rng = np.random.Generator(np.random.Philox(key=7))
         for _ in range(100):
             inp = SelectorInput(*(rng.uniform(lo, hi)
                                   for lo, hi in UNIVERSES.values()))
+            assert loaded.rule_strengths(inp) == base.rule_strengths(inp)
             try:
                 s1, l1, f1 = infer(inp, base)
             except NoRecommendationError:
@@ -216,9 +216,9 @@ class TestConfig:
             assert f1 == f2
 
     @pytest.mark.parametrize("field,value", [(2, "false"), (2, 0), (0, 1), (1, ["S"])])
-    def test_antecedent_types_refused(self, tmp_path, field, value):
+    def test_antecedent_types_refused(self, tmp_path, readme_fuzzy_config, field, value):
         # a negation flag must be a JSON boolean, a variable and a label strings
-        cfg = FuzzyRuleBase().to_config()
+        cfg = readme_fuzzy_config()
         cfg["rules"][7]["if"][0][field] = value
         path = tmp_path / "fuzzy.json"
         path.write_text(json.dumps(cfg))

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtplan import (DegenerateSpecError, DomainError, NoConvergenceError,
-                     SolverError, TestSpec, binom_cdf, closed_form_norm, solve,
-                     solve_bin, solve_norm_iterative, solve_norm_newton,
-                     solve_poiss)
+                     SolverError, TestSpec, binom_cdf, solve)
+from dhtplan.plan_solvers import _closed_form_norm
 
 
 def realized(plan, p0, p1):
@@ -25,12 +24,12 @@ def realized(plan, p0, p1):
 
 class TestClosedForm:
     def test_fifteen_twenty_permille(self):
-        n_real, t_h = closed_form_norm(TestSpec(0.015, 0.02))
+        n_real, t_h = _closed_form_norm(TestSpec(0.015, 0.02))
         assert n_real == pytest.approx(7359.8, abs=0.5)
         assert t_h == pytest.approx(0.0173, abs=5e-5)
 
     def test_two_five_percent(self):
-        n_real, t_h = closed_form_norm(TestSpec(0.02, 0.05))
+        n_real, t_h = _closed_form_norm(TestSpec(0.02, 0.05))
         assert n_real == pytest.approx(382.89, abs=0.01)
         assert t_h == pytest.approx(0.0317, abs=5e-5)
 
@@ -42,7 +41,7 @@ class TestClosedForm:
     def test_trial_count_beyond_the_float_range(self, p1):
         # (z1 s1 / p1)**2 overflows, which Norm_N would take the ceiling of
         with pytest.raises(SolverError, match="beyond the float range"):
-            closed_form_norm(TestSpec(0.0, p1))
+            _closed_form_norm(TestSpec(0.0, p1))
 
 
 class TestNormNewton:
@@ -52,7 +51,7 @@ class TestNormNewton:
         (0.05, 0.10, 289, 21, 0.0710),
     ])
     def test_reference_plans(self, p0, p1, n, c, t_h):
-        plan = solve_norm_newton(TestSpec(p0, p1))
+        plan = solve(TestSpec(p0, p1), "Norm_N")
         assert plan.n == n
         assert plan.c == c
         assert plan.t_h == pytest.approx(t_h, abs=5e-4)
@@ -61,8 +60,8 @@ class TestNormNewton:
 
     def test_matches_closed_form(self):
         spec = TestSpec(0.02, 0.05)
-        n_real, t_h = closed_form_norm(spec)
-        plan = solve_norm_newton(spec)
+        n_real, t_h = _closed_form_norm(spec)
+        plan = solve(spec, "Norm_N")
         assert plan.n_real == pytest.approx(n_real, abs=1e-4)
         assert plan.t_h == pytest.approx(t_h, abs=1e-9)
 
@@ -75,13 +74,13 @@ class TestNormIterative:
         (0.01, 0.02, 1e-4, 1513, 21),
     ])
     def test_reference_plans(self, p0, p1, eps, n, c):
-        plan = solve_norm_iterative(TestSpec(p0, p1, epsilon=eps))
+        plan = solve(TestSpec(p0, p1, epsilon=eps), "Norm_I")
         assert plan.n == n
         assert plan.c == c
         assert plan.iterations == plan.n
 
     def test_threshold_is_limit_midpoint(self):
-        plan = solve_norm_iterative(TestSpec(0.05, 0.10))
+        plan = solve(TestSpec(0.05, 0.10), "Norm_I")
         z = 1.64
         rn = math.sqrt(plan.n)
         upper = 0.05 + z * math.sqrt(0.05 * 0.95) / rn
@@ -90,14 +89,14 @@ class TestNormIterative:
 
     def test_no_convergence_for_wide_pair(self):
         with pytest.raises(NoConvergenceError) as exc:
-            solve_norm_iterative(TestSpec(0.2, 0.4, epsilon=1e-6))
+            solve(TestSpec(0.2, 0.4, epsilon=1e-6), "Norm_I")
         assert exc.value.best_gap == pytest.approx(4.685e-4, abs=1e-6)
         assert exc.value.iterations is not None
 
 
 class TestDiscreteSolvers:
     def test_bin_zero_start(self):
-        plan = solve_bin(TestSpec(0.0, 0.02))
+        plan = solve(TestSpec(0.0, 0.02), "Bin")
         assert (plan.n, plan.c) == (313, 3)
         assert plan.t_h == pytest.approx(0.00958, abs=1e-4)
         a, b = realized(plan, 0.0, 0.02)
@@ -105,51 +104,51 @@ class TestDiscreteSolvers:
         assert b <= 0.05
 
     def test_bin_two_five(self):
-        plan = solve_bin(TestSpec(0.02, 0.05))
+        plan = solve(TestSpec(0.02, 0.05), "Bin")
         assert (plan.n, plan.c) == (527, 18)
         assert plan.t_h == pytest.approx(0.03321, abs=1e-4)
 
     def test_bin_five_ten(self):
-        plan = solve_bin(TestSpec(0.05, 0.10))
+        plan = solve(TestSpec(0.05, 0.10), "Bin")
         assert (plan.n, plan.c) == (422, 31)
 
     def test_poiss_reference_trio(self):
-        assert (solve_poiss(TestSpec(0.0, 0.02)).n,
-                solve_poiss(TestSpec(0.0, 0.02)).c) == (315, 3)
-        assert (solve_poiss(TestSpec(0.02, 0.05)).n,
-                solve_poiss(TestSpec(0.02, 0.05)).c) == (569, 19)
-        assert (solve_poiss(TestSpec(0.05, 0.10)).n,
-                solve_poiss(TestSpec(0.05, 0.10)).c) == (452, 33)
+        assert (solve(TestSpec(0.0, 0.02), "Poiss").n,
+                solve(TestSpec(0.0, 0.02), "Poiss").c) == (315, 3)
+        assert (solve(TestSpec(0.02, 0.05), "Poiss").n,
+                solve(TestSpec(0.02, 0.05), "Poiss").c) == (569, 19)
+        assert (solve(TestSpec(0.05, 0.10), "Poiss").n,
+                solve(TestSpec(0.05, 0.10), "Poiss").c) == (452, 33)
 
     def test_poiss_out_of_regime_is_flagged_not_fatal(self):
-        plan = solve_poiss(TestSpec(0.2, 0.4))
+        plan = solve(TestSpec(0.2, 0.4), "Poiss")
         assert not plan.applicability.p_lt_0_1
         assert abs(plan.n - 117) <= 0.25 * 117
         assert abs(plan.c - 35) <= 2
 
     def test_bin_wide_pair_tracks_reference(self):
-        plan = solve_bin(TestSpec(0.2, 0.4))
+        plan = solve(TestSpec(0.2, 0.4), "Bin")
         assert abs(plan.n - 82) <= 0.25 * 82
         assert abs(plan.c - 24) <= 2
 
     def test_iterations_equal_n(self):
-        plan = solve_bin(TestSpec(0.2, 0.4))
+        plan = solve(TestSpec(0.2, 0.4), "Bin")
         assert plan.iterations == plan.n
 
     def test_realized_errors_bounded_by_construction(self):
         # the scan stops on quantile crossing, so both risks sit inside
         # the halved tails (plus one pmf term when the eps rule fires)
-        for solver in (solve_bin, solve_poiss):
+        for method in ("Bin", "Poiss"):
             for (p0, p1) in [(0.0, 0.02), (0.02, 0.05), (0.05, 0.10),
                              (0.01, 0.02), (0.2, 0.4)]:
-                plan = solver(TestSpec(p0, p1))
+                plan = solve(TestSpec(p0, p1), method)
                 a, b = realized(plan, p0, p1)
                 assert a <= 0.05 + 0.03
                 assert b <= 0.05 + 0.03
 
     def test_max_n_exhaustion(self):
         with pytest.raises(NoConvergenceError):
-            solve_bin(TestSpec(0.02, 0.05, max_n=100))
+            solve(TestSpec(0.02, 0.05, max_n=100), "Bin")
 
 
 class TestPlanProperties:
@@ -176,11 +175,11 @@ class TestPlanProperties:
         for p0, p1 in [(0.02, 0.05), (0.05, 0.10), (0.015, 0.02), (0.01, 0.02),
                        (0.07, 0.08), (0.1, 0.14)]:
             spec = TestSpec(p0, p1)
-            n_real, t_h = closed_form_norm(spec)
-            newton = solve_norm_newton(spec)
+            n_real, t_h = _closed_form_norm(spec)
+            newton = solve(spec, "Norm_N")
             assert abs(newton.n - n_real) <= 2, (p0, p1)
             assert abs(newton.t_h - t_h) <= 5e-4
-            unit = solve_norm_iterative(spec)
+            unit = solve(spec, "Norm_I")
             eps = spec.eps_for("Norm_I")
             slope = (1.64 * (math.sqrt(p0 * (1 - p0)) + math.sqrt(p1 * (1 - p1)))
                      / (2.0 * n_real ** 1.5))
@@ -196,8 +195,8 @@ class TestPlanProperties:
             return
         mid = (p0 + p1) / 2
         half = (p1 - p0) / 4
-        wide, _ = closed_form_norm(TestSpec(mid - 2 * half, mid + 2 * half))
-        narrow, _ = closed_form_norm(TestSpec(mid - half, mid + half))
+        wide, _ = _closed_form_norm(TestSpec(mid - 2 * half, mid + 2 * half))
+        narrow, _ = _closed_form_norm(TestSpec(mid - half, mid + half))
         assert narrow > wide
 
     def test_unknown_method(self):
@@ -232,20 +231,20 @@ class TestApplicability:
     def test_degenerate_normal_plan_is_meaningless(self):
         # np0 = 0 <= 5: the normal approximation does not hold, and the
         # solved plan carries that flag
-        plan = solve_norm_newton(TestSpec(0.0, 0.01))
+        plan = solve(TestSpec(0.0, 0.01), "Norm_N")
         assert plan.np0 == 0.0
         assert not plan.applicability.np0_gt5
 
     def test_healthy_newton_plan(self):
         spec = TestSpec(0.02, 0.05)
-        flags = solve_norm_newton(spec).applicability
+        flags = solve(spec, "Norm_N").applicability
         assert flags.np0_gt5           # 383 * 0.02 = 7.66
         assert flags.nq0_gt5
         assert flags.p_lt_0_1
 
     def test_bin_plan_flags_reported_without_judgement(self):
         spec = TestSpec(0.0, 0.02)
-        plan = solve_bin(spec)
+        plan = solve(spec, "Bin")
         flags = plan.applicability
         assert not flags.np0_gt5       # np0 = 0; exact method, not invalid
         assert plan.converged

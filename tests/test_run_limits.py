@@ -45,9 +45,6 @@ class TestFixedPoint:
         assert abs(raw - rhs) <= 1e-7 * max(1.0, raw)
         assert r == math.ceil(raw)
 
-    def test_scalar_convenience_form(self):
-        assert sfl_r(0.02, ex=1e6)[1] == 4
-
     def test_no_fixed_point(self):
         with pytest.raises(DomainError):
             sfl_r(SflQuery(0.4, 1.5))
