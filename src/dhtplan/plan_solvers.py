@@ -30,9 +30,10 @@ Method notes
     possible, and asks that walker again only where a stop could follow.
     The plans and errors are therefore those of the exact quantiles
     recomputed at every n, at a cost per change of a limit count rather
-    than per n.  ``poiss`` is intended for p < 0.1; outside that regime the
-    plan is still returned with its p_lt_0_1 flag cleared (a warning, not
-    an error).
+    than per n.  Both refuse a tail whose half lies below _MIN_HALF_TAIL,
+    where the walker's error bound would be lost.  ``poiss`` is intended
+    for p < 0.1; outside that regime the plan is still returned with its
+    p_lt_0_1 flag cleared (a warning, not an error).
 
 ``norm_n``
     Generalized Newton-Raphson on the two-equation system equating the
@@ -64,6 +65,17 @@ NEWTON_STEP_TOL = 1e-9
 NEWTON_RESIDUAL_TOL = 1e-8
 
 _DEFAULT_EPS = {"Bin": EPS_BIN, "Poiss": EPS_POISS, "Norm_I": EPS_NORM_I}
+
+#: Smallest half tail, alpha/2 or beta/2, that Bin and Poiss plan for.  In
+#: the lower tail the pmf rises up to the mode, so pmf(k) >= CDF(k) / (k + 1).
+#: The consumer count's CDF exceeds beta/2, so its pmf stays above the
+#: walker's floor _backend._MIN_PMF = 2**-960, below which its error bound
+#: is lost and every answer falls to the exact kernel, while
+#: (beta/2) / (cap + 1) >= 2**-960.  Counts stay below 2**53, so a half
+#: tail of at least 2**-900 meets that with a factor 2**7 to spare.
+#: alpha/2 takes the same floor: below 2**-54 the producer target
+#: 1 - alpha/2 rounds to 1.0, so a plan there does not depend on alpha.
+_MIN_HALF_TAIL = 2.0 ** -900
 
 METHODS = ("Bin", "Poiss", "Norm_N", "Norm_I")
 
@@ -245,6 +257,13 @@ def _solve_norm_iterative(spec):
 
 
 def _solve_discrete(spec, method):
+    tails = [("beta", spec.beta_tail)]
+    if spec.p0 > 0.0:  # with p0 = 0 the scan reads the full beta tail and no alpha
+        tails.insert(0, ("alpha", spec.alpha_tail))
+    for name, tail in tails:
+        if tail / 2.0 < _MIN_HALF_TAIL:
+            raise DomainError("%s needs %s >= 2**-899 (about %.2g), got %r"
+                              % (method, name, 2.0 * _MIN_HALF_TAIL, tail))
     use_poisson = method == "Poiss"
     eps = spec.eps_for(method)
     if spec.p0 == 0.0:

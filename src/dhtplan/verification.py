@@ -4,18 +4,20 @@ The exact side evaluates binomial tails directly.  An OC curve takes, for
 each point in (0, 1) after the first, the leading term binom_cdf would sum
 from, q**n or below the normal range q**n scaled by 2**-e, drops the points
 that binom_cdf's own Chernoff cut sets to 0.0, and sums the rest in one
-run of the kernel's term loop, _term_sum, over numpy arrays.  Each element
-equals its scalar binom_cdf bit for bit; a scaled one shrinks on the rounds
-its own total passes 2**512, as the scalar does.  The first point (which
-checks n and c), p = 0 or 1 and bad points take scalar calls, and so does
-every point of a grid shorter than _ARRAY_POINTS.  The Monte Carlo side
-draws each lot's failure count as one Binomial(n, p) variate from a
-counter-based generator (Philox), so lot i is the i-th variate of the
-seed's stream and the result is bit-identical however the lots are
-blocked.  The count is sampled by numpy's BTPE/inversion algorithm, not
-from the exact CDF, so the check is independent of it.  numpy is imported
-only by a simulation or an OC curve on a grid of _ARRAY_POINTS points or
-more; accept_probability, and so the CLI's oc, does without it.
+run of the kernel's term loop, _term_sum, over numpy arrays.  numpy's
+n log q sorts the points first, so that pow and math.log run only where
+the value needs their bits.  Each element equals its scalar binom_cdf bit
+for bit; a scaled one shrinks on the rounds its own total passes 2**512,
+as the scalar does.  The first point (which checks n and c), p = 0 or 1
+and bad points take scalar calls, and so does every point of a grid
+shorter than _ARRAY_POINTS.  The Monte Carlo side draws each lot's failure
+count as one Binomial(n, p) variate from a counter-based generator
+(Philox), so lot i is the i-th variate of the seed's stream and the result
+is bit-identical however the lots are blocked.  The count is sampled by
+numpy's BTPE/inversion algorithm, not from the exact CDF, so the check is
+independent of it.  numpy is imported only by a simulation or an OC curve
+on a grid of _ARRAY_POINTS points or more; accept_probability, and so the
+CLI's oc, does without it.
 """
 
 import math
@@ -36,9 +38,16 @@ _BLOCK_LOTS = 65_536
 #: Fewest grid points, and leads to sum, for one numpy array run.  A run
 #: costs c - 1 rounds of about six numpy calls however few points it holds.
 #: On the 12 criterion-9 plans, with every point of a grid on [0, 0.1]
-#: summed, the array path took 0.9-1.5x the time of the per-point loop at
-#: 16 points, 0.7-1.3x at 24 and 0.6-0.9x at 32 (2-vCPU host, numpy 2.4.6).
+#: summed, the array path took 1.3-1.9x the time of the per-point loop at
+#: 16 points, 0.9-1.3x at 24 and 0.7-1.0x at 32 (2-vCPU host, numpy 2.4.6).
 _ARRAY_POINTS = 32
+
+#: log 2**-1022: q**n lies below the normal range where n log q is below it
+_LOG_NORMAL = math.log(_NORMAL)
+#: Relative and absolute slack of numpy's n log q against math.log's, far
+#: wider than their few-ulp difference; a point within it of a limit takes
+#: the scalar pow or math.log that binom_cdf takes.
+_LOG_SLACK = 2.0 ** -20
 
 
 class OcCurve(_Record):
@@ -93,39 +102,53 @@ def oc_curve(plan, grid):
 def _grid_values(plan, ps, first, n, k):
     """accept_probability(plan.n, plan.c, p) for each p of ps, first given.
 
-    Each p in (0, 1) after the first starts from binom_cdf's own lead:
-    q**n by Python's pow or, below the normal range, _scaled_lead(n log q)
-    with its log and exp per point in Python.  Where binom_cdf's Chernoff
-    cut, _binom_vanishes over the arrays, shows that the sum rounds to 0.0
-    the value is 0.0 and there is no lead to sum.  With _ARRAY_POINTS or
-    more leads, one run of _term_sum sums them all over numpy arrays; with
-    fewer, each takes its scalar run.  numpy computes the cut's logs, which
-    its margin lets be a few ulps off, and otherwise only IEEE operations
-    (q = 1 - p, p / q, the term loop, the clip) and the exact ldexp.
+    Each p in (0, 1) after the first starts from binom_cdf's own lead, q**n
+    by Python's pow or, below the normal range, _scaled_lead(n log q) by
+    math.log.  numpy's n log q sorts the points first: where it lies below
+    log 2**-1022 by more than its slack, _LOG_SLACK of itself plus
+    _LOG_SLACK, q**n is certainly below the normal range and pow is not
+    called.  Where binom_cdf's Chernoff cut, _binom_vanishes over the
+    arrays, shows that the sum rounds to 0.0 the value is 0.0 and there is
+    no lead to sum; the cut's range test calls math.log only within the
+    slack of its limit.  So only the points whose lead is summed pay for
+    math.log and _scaled_lead.  With _ARRAY_POINTS or more leads, one run
+    of _term_sum sums them all over numpy arrays; with fewer, each takes
+    its scalar run.  numpy computes the logs that sort the points and the
+    cut's, whose slack and margin let them be a few ulps off, and otherwise
+    only IEEE operations (q = 1 - p, p / q, the term loop, the clip) and
+    the exact ldexp.
     """
     import numpy as np
 
-    p = np.array(ps)
+    p = np.fromiter(ps, float, count=len(ps))
     inner = (p > 0.0) & (p < 1.0)
     inner[0] = False
-    rows = np.flatnonzero(inner)
+    rows = inner.nonzero()[0]
     p = p[rows]
     q = 1.0 - p
     ratio = p / q
     fn = float(n)
-    leads = np.array(list(map(pow, q.tolist(), repeat(fn))))
-    e = np.zeros(leads.size, dtype=np.int64)
-    low = np.flatnonzero(leads < _NORMAL)
+    x = fn * np.log(q)
+    slack = np.abs(x) * _LOG_SLACK + _LOG_SLACK
+    leads = np.zeros(rows.size)
+    near = (x + slack >= _LOG_NORMAL).nonzero()[0]
+    leads[near] = np.fromiter(map(pow, q[near].tolist(), repeat(fn)), float, count=near.size)
+    e = np.zeros(rows.size, dtype=np.int64)
+    low = (leads < _NORMAL).nonzero()[0]
     if low.size:
-        pl, ql = p[low], q[low]
-        x = fn * np.array(list(map(log, ql.tolist())))
-        zero = (k > 0) & (k < fn * pl) & (x > -_CUT_RANGE)
+        pl, ql, xl, sl = p[low], q[low], x[low], slack[low]
+        # binom_cdf's range test, n log q > -_CUT_RANGE, by math.log within the slack
+        ranged = xl - sl > -_CUT_RANGE
+        edge = ((xl + sl > -_CUT_RANGE) & ~ranged).nonzero()[0]
+        if edge.size:
+            ranged[edge] = [fn * log(v) > -_CUT_RANGE for v in ql[edge].tolist()]
+        zero = (k > 0) & (k < fn * pl) & ranged
         if zero.any():
             zero &= _binom_vanishes(k, fn, pl, ql, np.log)
-        leads[low[zero]] = 0.0
-        if not zero.all():
-            leads[low[~zero]], e[low[~zero]] = zip(*map(_scaled_lead, x[~zero].tolist()))
-    live = np.flatnonzero(leads)
+        kept = low[~zero]
+        if kept.size:
+            leads[kept], e[kept] = zip(*[_scaled_lead(fn * log(v)) for v in q[kept].tolist()])
+    live = leads.nonzero()[0]
     leads, e, ratio = leads[live], e[live], ratio[live]
     values = np.zeros(len(ps))
     if live.size >= _ARRAY_POINTS:
@@ -134,7 +157,7 @@ def _grid_values(plan, ps, first, n, k):
     else:
         values[rows[live]] = [min(ldexp(*_term_sum(t, ej, k, fn, 1.0, r)[:2]), 1.0)
                               for t, ej, r in zip(leads.tolist(), e.tolist(), ratio.tolist())]
-    rest = np.flatnonzero(~inner).tolist()
+    rest = (~inner).nonzero()[0].tolist()
     values[rest] = [first] + [accept_probability(plan.n, plan.c, ps[i]) for i in rest[1:]]
     return values.tolist()
 

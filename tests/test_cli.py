@@ -442,6 +442,14 @@ class TestErrorBoundary:
                                     "--p", "nan"], exit_code=2)
         assert err == "error: p_true must be in [0, 1], got nan\n"
 
+    @pytest.mark.parametrize("command", [["table", "--step", "0.05", "--rows", "3"],
+                                         ["inspect", "--levels", "0,0.05,0.1", "--input", "-"]])
+    def test_bin_tail_below_the_walker_floor(self, command):
+        # without the floor the (0.05, 0.10) scan at this beta runs past 15 s
+        err = self._one_line_error(command + ["--beta", "1e-320", "--method", "bin"],
+                                   exit_code=2)
+        assert "needs beta >= 2**-899" in err and "1e-320" in err
+
     def test_table_step_nan(self):
         err = self._one_line_error(["table", "--step", "nan"])
         assert "--step" in err and "nan" in err
@@ -655,12 +663,8 @@ def odd_argvs(draw):
 
     tails = dict(alpha=maybe(odd("0.05", "1e-6")), beta=maybe(odd("0.05", "0.1")),
                  eps=maybe(odd("0.01", "1e-5")), z_mode=st.sampled_from(["paper", "exact"]))
-    # table and inspect take no --max-n and plan up to the default max_n: a
-    # subnormal beta, whose Bin scans ask the exact kernel at every n up to
-    # 200,000, is drawn by plan only
-    normal = tuple(v for v in ODD_FLOATS if v != "1e-320")
-    ladder = dict(tails, beta=maybe(odd("0.05", "0.1", values=normal)),
-                  method=st.sampled_from(METHODS), first_method=maybe(st.sampled_from(METHODS)),
+    ladder = dict(tails, method=st.sampled_from(METHODS),
+                  first_method=maybe(st.sampled_from(METHODS)),
                   ex=maybe(odd("1e6", "10")))
     command = draw(st.sampled_from(["plan", "table", "inspect", "sfl", "select", "oc",
                                     "simulate"]))

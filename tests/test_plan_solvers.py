@@ -150,6 +150,22 @@ class TestDiscreteSolvers:
         with pytest.raises(NoConvergenceError):
             solve(TestSpec(0.02, 0.05, max_n=100), "Bin")
 
+    @pytest.mark.parametrize("method", ["Bin", "Poiss"])
+    @pytest.mark.parametrize("p0,alpha,beta,name", [
+        (0.05, 0.05, 1e-320, "beta"), (0.05, 1e-300, 0.05, "alpha"),
+        (0.05, 0.05, math.nextafter(2.0 ** -899, 0.0), "beta"),
+        (0.0, 0.05, 1e-300, "beta")])
+    def test_tail_below_the_walker_floor_is_refused(self, method, p0, alpha, beta, name):
+        with pytest.raises(DomainError, match=r"needs %s >= 2\*\*-899" % name):
+            solve(TestSpec(p0, 0.10, alpha_tail=alpha, beta_tail=beta), method)
+
+    @pytest.mark.parametrize("method", ["Bin", "Poiss"])
+    def test_tails_at_the_walker_floor_plan(self, method):
+        # with p0 = 0 no alpha is read, so none is refused
+        for spec in (TestSpec(0.05, 0.10, beta_tail=2.0 ** -899),
+                     TestSpec(0.0, 0.05, alpha_tail=1e-300, beta_tail=2.0 ** -899)):
+            assert solve(spec, method).converged
+
 
 class TestPlanProperties:
     SPECS = [(0.0, 0.02), (0.02, 0.05), (0.05, 0.10), (0.015, 0.02)]

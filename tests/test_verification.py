@@ -45,6 +45,15 @@ def exact_accept(n, c, p_frac):
                      for k in range(c)))
 
 
+def _steps(p, k):
+    """p and the k doubles either side of it, in increasing order."""
+    below, above = [p], [p]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
 def per_point_oc(plan, grid):
     """The OC curve as one accept_probability call per point."""
     if not plan.converged:
@@ -139,13 +148,36 @@ class TestOcCurve:
          + [1.0 - 2.0**-j for j in range(20, 54)] + [1.0]),
         # c - 1 near n p, so terms still grow at the last count
         (10**6, 10**4 + 1, [0.0095 + k * 0.001 / 40 for k in range(41)]),
-    ], ids=["7360-rescale", "1e6-cut", "1e6-c-near-np"])
+        # a few ulps either side of p_sub, where n log q crosses log 2**-1022
+        # within numpy's slack, so pow decides whether a lead is normal; at
+        # n = 1419 numpy's n log q lies below log 2**-1022 at 3 of them
+        # whose q**n is normal (numpy 2.4.6, x86-64)
+        (7360, 700, _steps(-math.expm1(_LOG_NORMAL / 7360), 20)),
+        (1419, 560, _steps(-math.expm1(_LOG_NORMAL / 1419), 20)),
+        # n log q near -2**48, where math.log decides the cut's range test
+        (2**50 + 3, 20, _steps(-math.expm1(-2.0**48 / (2**50 + 3)), 20)
+         + [-math.expm1(-2.0**48 * t / (2**50 + 3)) for t in (0.99, 0.99999, 1.00001, 1.01)]),
+    ], ids=["7360-rescale", "1e6-cut", "1e6-c-near-np", "7360-p-sub", "1419-p-sub",
+            "2e50-cut-range"])
     def test_pinned_grids_equal_per_point_loop(self, n, c, grid):
         plan = _plan(n, c)
         want = _hex_or_raise(per_point_oc, plan, grid)
         for array_points in (1, verification._ARRAY_POINTS, 10**9):
             with mock.patch.object(verification, "_ARRAY_POINTS", array_points):
                 assert _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid) == want
+
+    def test_numpy_log_within_the_slack(self):
+        # _grid_values sorts points by numpy's n log q; a numpy whose log
+        # strays past the slack of math.log's must fail here, not move a lead
+        p = np.concatenate([np.geomspace(2.0**-60, 0.5, 4001),
+                            np.linspace(0.5, 1.0 - 2.0**-53, 4001),
+                            [2.0**-j for j in range(1, 54)], [1.0 - 2.0**-j for j in range(1, 54)]])
+        q = 1.0 - p
+        for n in (1, 2, 13, 383, 7360, 10**6, 2**40 + 1, 2**50 + 3, 2**53 - 1):
+            got = float(n) * np.log(q)
+            want = np.array([float(n) * math.log(v) for v in q.tolist()])
+            slack = np.abs(got) * verification._LOG_SLACK + verification._LOG_SLACK
+            assert np.all(np.abs(got - want) <= slack), n
 
     def test_criterion_9_points_bit_for_bit(self):
         digest = hashlib.sha256()
