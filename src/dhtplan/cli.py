@@ -51,37 +51,21 @@ def _fmt(v):
     return str(v)
 
 
-class _Emitter:
-    """Writes records in one of the three output formats."""
-
-    def __init__(self, fmt, schema, out):
-        self.fmt = fmt
-        self.schema = schema
-        self.out = out
-        self._csv_header_done = False
-        if fmt == "jsonl":
-            import json
-            self._dumps = json.dumps
-
-    def record(self, fields):
-        if self.fmt == "jsonl":
-            self.out.write(self._dumps(fields) + "\n")
-        elif self.fmt == "csv":
-            if not self._csv_header_done:
-                self.out.write("# %s.v1\n" % self.schema)
-                self.out.write(",".join(fields) + "\n")
-                self._csv_header_done = True
-            self.out.write(",".join(_fmt(v) for v in fields.values()) + "\n")
-        else:
-            self.out.write(" ".join("%s=%s" % (k, _fmt(v))
-                                    for k, v in fields.items()) + "\n")
-
-
-def _spec_from_args(args):
-    from .plan_solvers import TestSpec
-    return TestSpec(p0=args.p0, p1=args.p1, alpha_tail=args.alpha,
-                    beta_tail=args.beta, epsilon=args.eps, max_n=args.max_n,
-                    paper_compat_z=(args.z_mode == "paper"))
+def _write(fmt, schema, out, records):
+    """Write each field dict of records in one of the three output formats;
+    csv heads the first record with the schema line and the field names."""
+    if fmt == "jsonl":
+        from json import dumps
+        for fields in records:
+            out.write(dumps(fields) + "\n")
+    elif fmt == "csv":
+        for i, fields in enumerate(records):
+            if not i:
+                out.write("# %s.v1\n%s\n" % (schema, ",".join(fields)))
+            out.write(",".join(map(_fmt, fields.values())) + "\n")
+    else:
+        for fields in records:
+            out.write(" ".join("%s=%s" % (k, _fmt(v)) for k, v in fields.items()) + "\n")
 
 
 def _ladder_from_args(args, levels, err):
@@ -100,24 +84,11 @@ def _ladder_from_args(args, levels, err):
         return None
 
 
-def _plan_fields(plan):
-    return {
-        "method": plan.method,
-        "n": plan.n,
-        "c": plan.c,
-        "t_h": plan.t_h,
-        "np0": plan.np0,
-        "iterations": plan.iterations,
-        "converged": plan.converged,
-        "np0_gt5": plan.applicability.np0_gt5,
-        "nq0_gt5": plan.applicability.nq0_gt5,
-        "p_lt_0.1": plan.applicability.p_lt_0_1,
-    }
-
-
 def cmd_plan(args, out, err):
-    from .plan_solvers import solve
-    spec = _spec_from_args(args)
+    from .plan_solvers import TestSpec, solve
+    spec = TestSpec(p0=args.p0, p1=args.p1, alpha_tail=args.alpha,
+                    beta_tail=args.beta, epsilon=args.eps, max_n=args.max_n,
+                    paper_compat_z=(args.z_mode == "paper"))
     try:
         plan = solve(spec, _METHOD_FLAGS[args.method])
     except NoConvergenceError as exc:
@@ -129,7 +100,18 @@ def cmd_plan(args, out, err):
     except DhtError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_COMPUTE
-    _Emitter(args.format, "dhtplan.plan", out).record(_plan_fields(plan))
+    _write(args.format, "dhtplan.plan", out, [{
+        "method": plan.method,
+        "n": plan.n,
+        "c": plan.c,
+        "t_h": plan.t_h,
+        "np0": plan.np0,
+        "iterations": plan.iterations,
+        "converged": plan.converged,
+        "np0_gt5": plan.applicability.np0_gt5,
+        "nq0_gt5": plan.applicability.nq0_gt5,
+        "p_lt_0.1": plan.applicability.p_lt_0_1,
+    }])
     return EXIT_OK
 
 
@@ -149,9 +131,9 @@ def cmd_table(args, out, err):
     ladder = _ladder_from_args(args, levels, err)
     if ladder is None:
         return EXIT_COMPUTE
-    emit = _Emitter(args.format, "dhtplan.table", out)
-    for plan, r in zip(ladder.plans, ladder.run_limits):
-        emit.record({"n": plan.n, "c": plan.c, "t_h": plan.t_h, "r": r})
+    _write(args.format, "dhtplan.table", out,
+           ({"n": plan.n, "c": plan.c, "t_h": plan.t_h, "r": r}
+            for plan, r in zip(ladder.plans, ladder.run_limits)))
     return EXIT_OK
 
 
@@ -167,7 +149,7 @@ def _read_outcomes(source):
         yield value
 
 
-#: One event record per format, as ``_Emitter`` would write it: the fields
+#: One event record per format, as ``_write`` would write it: the fields
 #: are ints and one of five plain ASCII transition names, which ``str`` and
 #: ``json.dumps`` write as these templates do.  An event is one ``%`` and
 #: one write, the per-outcome cost of a long stream.
@@ -204,20 +186,15 @@ def cmd_inspect(args, out, err):
     with nullcontext(sys.stdin) if args.input == "-" else open(args.input) as source:
         state = run_stream(ladder, _read_outcomes(source), sink=record)
 
-    verdict = _Emitter(args.format, "dhtplan.verdict", out)
-    if state.status == ACCEPTED:
-        verdict.record({"status": "accepted", "level": state.accepted_level,
-                        "t_h": state.accepted_t_h, "trials": state.trials,
-                        "failures": state.failures})
-        return EXIT_OK
-    if state.status == REJECTED:
-        verdict.record({"status": "rejected_beyond_last",
-                        "level": state.level_index, "trials": state.trials,
-                        "failures": state.failures})
-        return EXIT_REJECT
-    verdict.record({"status": "inconclusive", "level": state.level_index,
-                    "trials": state.trials, "failures": state.failures})
-    return EXIT_INCONCLUSIVE
+    # a verdict's status value is the engine's, "accepted" or "rejected_beyond_last"
+    code = {ACCEPTED: EXIT_OK, REJECTED: EXIT_REJECT}.get(state.status, EXIT_INCONCLUSIVE)
+    verdict = {"status": "inconclusive" if code == EXIT_INCONCLUSIVE else state.status,
+               "level": state.level_index}
+    if code == EXIT_OK:
+        verdict["t_h"] = state.accepted_t_h
+    verdict.update(trials=state.trials, failures=state.failures)
+    _write(args.format, "dhtplan.verdict", out, [verdict])
+    return code
 
 
 def cmd_sfl(args, out, err):
@@ -228,8 +205,8 @@ def cmd_sfl(args, out, err):
     except DomainError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_COMPUTE
-    _Emitter(args.format, "dhtplan.sfl", out).record(
-        {"p": args.p, "ex": args.ex, "r_raw": raw, "r": r, "mean_recurrence": mean})
+    _write(args.format, "dhtplan.sfl", out,
+           [{"p": args.p, "ex": args.ex, "r_raw": raw, "r": r, "mean_recurrence": mean}])
     return EXIT_OK
 
 
@@ -253,7 +230,7 @@ def cmd_select(args, out, err):
     fields = {"score": score, "label": label}
     for idx, s in firings:
         fields["rule_%d" % idx] = s
-    _Emitter(args.format, "dhtplan.select", out).record(fields)
+    _write(args.format, "dhtplan.select", out, [fields])
     return EXIT_OK
 
 
@@ -293,10 +270,8 @@ def cmd_oc(args, out, err):
     if args.c > _MAX_OC_C:
         err.write("error: --c must be at most %d, got %d\n" % (_MAX_OC_C, args.c))
         return EXIT_USAGE
-    emit = _Emitter("csv" if args.format == "kv" else args.format,
-                    "dhtplan.oc", out)
-    for p in grid:
-        emit.record({"p": p, "accept_prob": accept_probability(args.n, args.c, p)})
+    _write("csv" if args.format == "kv" else args.format, "dhtplan.oc", out,
+           ({"p": p, "accept_prob": accept_probability(args.n, args.c, p)} for p in grid))
     return EXIT_OK
 
 
@@ -320,9 +295,9 @@ def cmd_simulate(args, out, err):
     except DomainError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_COMPUTE
-    _Emitter(args.format, "dhtplan.simulate", out).record(
-        {"n": args.n, "c": args.c, "p": args.p, "reps": args.reps,
-         "seed": args.seed, "rate": rate, "half_width": hw})
+    _write(args.format, "dhtplan.simulate", out,
+           [{"n": args.n, "c": args.c, "p": args.p, "reps": args.reps,
+             "seed": args.seed, "rate": rate, "half_width": hw}])
     return EXIT_OK
 
 

@@ -30,8 +30,9 @@ Method notes
     possible, and asks that walker again only where a stop could follow.
     The plans and errors are therefore those of the exact quantiles
     recomputed at every n, at a cost per change of a limit count rather
-    than per n.  Both refuse a tail whose half lies below _MIN_HALF_TAIL,
-    where the walker's error bound would be lost.  ``poiss`` is intended
+    than per n.  Both refuse a beta whose half lies below _MIN_HALF_TAIL,
+    where the walker's error bound would be lost, and an alpha at which the
+    producer target 1 - alpha/2 rounds to 1.0.  ``poiss`` is intended
     for p < 0.1; outside that regime the plan is still returned with its
     p_lt_0_1 flag cleared (a warning, not an error).
 
@@ -73,8 +74,6 @@ _DEFAULT_EPS = {"Bin": EPS_BIN, "Poiss": EPS_POISS, "Norm_I": EPS_NORM_I}
 #: is lost and every answer falls to the exact kernel, while
 #: (beta/2) / (cap + 1) >= 2**-960.  Counts stay below 2**53, so a half
 #: tail of at least 2**-900 meets that with a factor 2**7 to spare.
-#: alpha/2 takes the same floor: below 2**-54 the producer target
-#: 1 - alpha/2 rounds to 1.0, so a plan there does not depend on alpha.
 _MIN_HALF_TAIL = 2.0 ** -900
 
 METHODS = ("Bin", "Poiss", "Norm_N", "Norm_I")
@@ -257,13 +256,14 @@ def _solve_norm_iterative(spec):
 
 
 def _solve_discrete(spec, method):
-    tails = [("beta", spec.beta_tail)]
-    if spec.p0 > 0.0:  # with p0 = 0 the scan reads the full beta tail and no alpha
-        tails.insert(0, ("alpha", spec.alpha_tail))
-    for name, tail in tails:
-        if tail / 2.0 < _MIN_HALF_TAIL:
-            raise DomainError("%s needs %s >= 2**-899 (about %.2g), got %r"
-                              % (method, name, 2.0 * _MIN_HALF_TAIL, tail))
+    # at alpha <= 2**-53 the producer target 1 - alpha/2 rounds to 1.0, and a
+    # plan would not depend on alpha; with p0 = 0 the scan reads no alpha
+    if spec.p0 > 0.0 and 1.0 - spec.alpha_tail / 2.0 == 1.0:
+        raise DomainError("%s needs alpha > 2**-53 (about 1.1e-16), got %r"
+                          % (method, spec.alpha_tail))
+    if spec.beta_tail / 2.0 < _MIN_HALF_TAIL:
+        raise DomainError("%s needs beta >= 2**-899 (about %.2g), got %r"
+                          % (method, 2.0 * _MIN_HALF_TAIL, spec.beta_tail))
     use_poisson = method == "Poiss"
     eps = spec.eps_for(method)
     if spec.p0 == 0.0:

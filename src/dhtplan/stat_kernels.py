@@ -1,9 +1,9 @@
 """Numerically careful probability primitives.
 
 Checked entry points to the binomial and Poisson CDF kernels in
-``_backend``, plus the upper-tail standard-normal quantile used by the
-normal-approximation solvers, from the standard library's
-``statistics.NormalDist``.
+``_backend``, each the first value of one kernel pass, plus the upper-tail
+standard-normal quantile used by the normal-approximation solvers, from the
+standard library's ``statistics.NormalDist``.
 """
 
 import math
@@ -51,7 +51,7 @@ def binom_cdf(c, n, p):
         c = _whole(c, "count c")
     if c > n:
         raise DomainError("count c = %r exceeds trial count n = %r" % (c, n))
-    return _backend.binom_cdf(c, n, float(p))
+    return _backend._binom_pass(c, n, float(p))[0]
 
 
 def poisson_cdf(c, lam):
@@ -63,7 +63,7 @@ def poisson_cdf(c, lam):
         raise DomainError("lambda must be in [0, 2**53], got %r" % (lam,))
     if type(c) is not int:
         c = _whole(c, "count c")
-    return _backend.poisson_cdf(c, float(lam))
+    return _backend._poisson_pass(c, float(lam))[0]
 
 
 def z_value(tail, paper_compat=False):

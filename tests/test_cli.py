@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhtplan import TestSpec, solve
-from dhtplan.cli import _METHOD_FLAGS, main
+from dhtplan.cli import _METHOD_FLAGS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -450,6 +450,14 @@ class TestErrorBoundary:
                                    exit_code=2)
         assert "needs beta >= 2**-899" in err and "1e-320" in err
 
+    @pytest.mark.parametrize("command", [["plan", "--p0", "0.10", "--p1", "0.15"],
+                                         ["table", "--step", "0.05", "--rows", "3"]])
+    def test_bin_alpha_whose_target_rounds_to_one(self, command):
+        # plan exited 0 with (3386, 471) here, a plan that ignores alpha
+        err = self._one_line_error(command + ["--alpha", "1e-20", "--method", "bin"],
+                                   exit_code=2)
+        assert "needs alpha > 2**-53" in err and "1e-20" in err
+
     def test_table_step_nan(self):
         err = self._one_line_error(["table", "--step", "nan"])
         assert "--step" in err and "nan" in err
@@ -740,6 +748,46 @@ class TestOddArgv:
             assert lines[0].startswith(("error: ", "no ")), (argv, err)
 
 
+class TestParserDefaults:
+    """The parser repeats the library's defaults, so that building it
+    imports no solver; each must equal the one it repeats."""
+
+    def _parse(self, *argv):
+        return build_parser().parse_args(list(argv))
+
+    def test_plan_defaults_are_test_specs(self):
+        args = self._parse("plan", "--method", "bin", "--p0", "0.02", "--p1", "0.05")
+        spec = TestSpec(0.02, 0.05)
+        assert args.max_n == spec.max_n
+        assert (args.alpha, args.beta, args.eps) == (spec.alpha_tail, spec.beta_tail,
+                                                     spec.epsilon)
+        assert (args.z_mode == "paper") is spec.paper_compat_z
+
+    @pytest.mark.parametrize("argv", [["table", "--step", "0.03"],
+                                      ["inspect", "--levels", "0,0.03,0.06"]])
+    def test_ladder_defaults_are_build_ladders(self, argv):
+        import inspect
+
+        from dhtplan.inspection_engine import build_ladder
+        from dhtplan.run_limits import DEFAULT_EX
+
+        args = self._parse(*argv)
+        defaults = {name: p.default
+                    for name, p in inspect.signature(build_ladder).parameters.items()}
+        assert (args.alpha, args.beta, args.eps) == (defaults["alpha_tail"],
+                                                     defaults["beta_tail"],
+                                                     defaults["epsilon"])
+        assert args.ex == defaults["ex"] == DEFAULT_EX
+        assert _METHOD_FLAGS[args.method] == defaults["method"]
+        assert args.first_method is defaults["first_method"] is None
+        assert (args.z_mode == "paper") is defaults["paper_compat_z"]
+
+    def test_sfl_ex_is_run_limits(self):
+        from dhtplan.run_limits import DEFAULT_EX, SflQuery
+
+        assert self._parse("sfl", "--p", "0.02").ex == DEFAULT_EX == SflQuery(0.02).ex
+
+
 class TestLeanImport:
     """Only Monte Carlo and oc_curve need numpy; every other path runs without it."""
 
@@ -782,7 +830,7 @@ v.oc_curve(plan, [0.0, 1.0])
 assert "numpy" not in sys.modules, "oc_curve on endpoints"
 v.oc_curve(type("Plan", (), dict(n=7360, c=128, converged=True)), [0.0, 0.015])
 assert "numpy" not in sys.modules, "oc_curve on two points"
-short = [i / 1000 for i in range(v._ARRAY_POINTS - 1)]
+short = [i / 1000 for i in range(v._backend._ARRAY_POINTS - 1)]
 v.oc_curve(plan, short)
 assert "numpy" not in sys.modules, "oc_curve on a short grid"
 v.oc_curve(plan, short + [0.5])

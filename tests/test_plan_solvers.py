@@ -156,8 +156,27 @@ class TestDiscreteSolvers:
         (0.05, 0.05, math.nextafter(2.0 ** -899, 0.0), "beta"),
         (0.0, 0.05, 1e-300, "beta")])
     def test_tail_below_the_walker_floor_is_refused(self, method, p0, alpha, beta, name):
-        with pytest.raises(DomainError, match=r"needs %s >= 2\*\*-899" % name):
+        floor = {"alpha": r"alpha > 2\*\*-53", "beta": r"beta >= 2\*\*-899"}[name]
+        with pytest.raises(DomainError, match="needs " + floor):
             solve(TestSpec(p0, 0.10, alpha_tail=alpha, beta_tail=beta), method)
+
+    @pytest.mark.parametrize("method", ["Bin", "Poiss"])
+    def test_alpha_whose_target_rounds_to_one_is_refused(self, method):
+        # 1 - 2**-54 rounds to 1.0; at 0.10/0.15 the parent planned (3386,
+        # 471) for Bin at alpha 1e-20, with a producer risk of 3.3e-13
+        with pytest.raises(DomainError, match=r"needs alpha > 2\*\*-53 .*got 1.1102"):
+            solve(TestSpec(0.10, 0.15, alpha_tail=2.0 ** -53), method)
+        with pytest.raises(DomainError, match=r"needs alpha > 2\*\*-53"):
+            solve(TestSpec(0.10, 0.15, alpha_tail=1e-20), method)
+
+    def test_alpha_above_the_rounding_edge_is_read(self):
+        # 1 - alpha/2 rounds to 1 - 2**-53 < 1.0: Bin plans, Poiss's scan
+        # gives up at its cap as it does at alpha 1e-15
+        alpha = math.nextafter(2.0 ** -53, 1.0)
+        plan = solve(TestSpec(0.10, 0.15, alpha_tail=alpha), "Bin")
+        assert (plan.n, plan.c) == (3386, 471)
+        with pytest.raises(SolverError, match="exceeded cap"):
+            solve(TestSpec(0.10, 0.15, alpha_tail=alpha), "Poiss")
 
     @pytest.mark.parametrize("method", ["Bin", "Poiss"])
     def test_tails_at_the_walker_floor_plan(self, method):

@@ -1,6 +1,7 @@
-"""The package's public surface: every name it exports resolves, and each
-has a caller beyond the tests."""
+"""The package's public surface: every name it exports resolves, each has
+a caller beyond the tests, and each CDF has one checked entry point."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -50,3 +51,20 @@ def test_every_exported_name_has_a_caller_beyond_the_tests():
                    if path not in (home, package / "__init__.py"))
 
     assert [name for name in dhtplan.__all__ if not called(name)] == []
+
+
+def test_each_cdf_has_one_kernel_entry_and_one_checked_entry():
+    # modules reach _backend through the module object, so a patch of one of
+    # its names reaches every caller; the checked CDFs live in stat_kernels only
+    package = Path(__file__).resolve().parents[1] / "src" / "dhtplan"
+    imports, defined = [], set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports += [path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "_backend"]
+        if path.name == "_backend.py":
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert imports == []
+    assert {"_binom_pass", "_poisson_pass", "_binom_grid"} <= defined
+    assert not {"binom_cdf", "poisson_cdf"} & defined

@@ -17,23 +17,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import SolverError, TestSpec, solve
+from dhtplan import SolverError, TestSpec, binom_cdf, poisson_cdf, solve
 from dhtplan import _backend as pure
 from kernel_reference import binom_sums, first_reaching, poisson_sums, poisson_trials
 
 
 def scan_binom_ge(n, p, target):
     k = 0
-    while k < n and pure.binom_cdf(k, n, p) < target:
+    while k < n and binom_cdf(k, n, p) < target:
         k += 1
     return k
 
 
 def scan_binom_le(n, p, tail):
-    if pure.binom_cdf(0, n, p) > tail:
+    if binom_cdf(0, n, p) > tail:
         return -1
     k = 0
-    while k < n and pure.binom_cdf(k + 1, n, p) <= tail:
+    while k < n and binom_cdf(k + 1, n, p) <= tail:
         k += 1
     return k
 
@@ -41,17 +41,17 @@ def scan_binom_le(n, p, tail):
 def scan_poisson_ge(lam, target, cap):
     k = 0
     while k <= cap:
-        if pure.poisson_cdf(k, lam) >= target:
+        if poisson_cdf(k, lam) >= target:
             return k
         k += 1
     return None
 
 
 def scan_poisson_le(lam, tail, cap):
-    if pure.poisson_cdf(0, lam) > tail:
+    if poisson_cdf(0, lam) > tail:
         return -1
     k = 0
-    while k <= cap and pure.poisson_cdf(k + 1, lam) <= tail:
+    while k <= cap and poisson_cdf(k + 1, lam) <= tail:
         k += 1
     return k
 
@@ -97,7 +97,7 @@ def test_walker_search_ties_and_stop():
     # Binomial(4, 1/2): CDF 1/16, 5/16, 11/16, 15/16, 1 at counts 0 to 4.  A
     # target equal to a CDF value is within every error bound of it, so the
     # exact kernel decides, and a strict search steps past the tie
-    cdf = [pure.binom_cdf(k, 4, 0.5) for k in range(5)]
+    cdf = [binom_cdf(k, 4, 0.5) for k in range(5)]
     assert cdf == [1 / 16, 5 / 16, 11 / 16, 15 / 16, 1.0]
     first = lambda target, strict: pure._Walk(0.5, False).first(4, target, strict)  # noqa: E731
     assert first(5 / 16, False) == 1
@@ -210,14 +210,14 @@ def assert_non_decreasing(values):
 # values never fall as the count grows, which the walkers' search rests on
 @pytest.mark.parametrize("n,p", BINOM_CASES)
 def test_binom_partial_sums_are_the_cdf(n, p):
-    cdf = [pure.binom_cdf(k, n, p) for k in range(min(n, 900))]
+    cdf = [binom_cdf(k, n, p) for k in range(min(n, 900))]
     assert list(islice(binom_sums(n, p), len(cdf))) == cdf
     assert_non_decreasing(cdf)
 
 
 @pytest.mark.parametrize("lam", POISSON_CASES)
 def test_poisson_partial_sums_are_the_cdf(lam):
-    cdf = [pure.poisson_cdf(k, lam) for k in range(min(pure.poisson_cap(lam), 900))]
+    cdf = [poisson_cdf(k, lam) for k in range(min(pure.poisson_cap(lam), 900))]
     assert list(islice(poisson_sums(lam), len(cdf))) == cdf
     assert_non_decreasing(cdf)
 
@@ -267,14 +267,14 @@ def normal_binomials(draw):
 @settings(max_examples=100, deadline=None)
 def test_normal_range_binom_cdf_is_its_partial_sum(case):
     k, n, p = case
-    assert pure.binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
+    assert binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
 
 
 @given(st.floats(0.0, 700.0, exclude_min=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_normal_range_poisson_cdf_is_its_partial_sum(lam, data):
     k = data.draw(st.integers(0, pure.poisson_cap(lam)))
-    assert pure.poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
+    assert poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
 
 
 @st.composite
@@ -294,24 +294,24 @@ def scaled_binomials(draw):
 def test_scaled_binom_cdf_is_its_partial_sum(case):
     # binom_cdf's underflow exit too must give the value the full sum gives
     k, n, p = case
-    assert pure.binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
+    assert binom_cdf(k, n, p) == nth_partial(binom_sums(n, p), k)
 
 
 @given(st.floats(700.0, 3000.0, exclude_min=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_scaled_poisson_cdf_is_its_partial_sum(lam, data):
     k = data.draw(st.integers(0, pure.poisson_cap(lam)))
-    assert pure.poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
+    assert poisson_cdf(k, lam) == nth_partial(poisson_sums(lam), k)
 
 
 def test_scaled_sum_shrinks_many_times():
     # 0.5**20000 = 2**-20000 and P(X <= 9900) is about 0.079, so the sum runs
     # from m = 1 up through 2**19996 and shrinks by 2**-512 more than 30 times;
     # exp(-3000) is about 2**-4328
-    value = pure.binom_cdf(9900, 20000, 0.5)
+    value = binom_cdf(9900, 20000, 0.5)
     assert math.log2(value) + 20000 > 30 * 512
     assert value == nth_partial(binom_sums(20000, 0.5), 9900)
-    value = pure.poisson_cdf(3000, 3000.0)
+    value = poisson_cdf(3000, 3000.0)
     assert math.log2(value) + 4328 > 8 * 512
     assert value == nth_partial(poisson_sums(3000.0), 3000)
 
@@ -323,7 +323,7 @@ def test_underflow_exit(monkeypatch):
     assert nth_partial(binom_sums(7360, 0.5), 127) == 0.0
     leads = []
     monkeypatch.setattr(pure, "_scaled_lead", lambda x: leads.append(x))
-    assert pure.binom_cdf(127, 7360, 0.5) == 0.0
+    assert binom_cdf(127, 7360, 0.5) == 0.0
     assert leads == []
 
 
@@ -352,10 +352,10 @@ def test_poisson_underflow_exit(monkeypatch):
     leads = []
     real_lead = pure._scaled_lead
     monkeypatch.setattr(pure, "_scaled_lead", lambda x: leads.append(x) or real_lead(x))
-    assert pure.poisson_cdf(10 ** 6, 3.0e6) == 0.0
-    assert pure.poisson_cdf(69, 1000.0) == 0.0
+    assert poisson_cdf(10 ** 6, 3.0e6) == 0.0
+    assert poisson_cdf(69, 1000.0) == 0.0
     assert leads == []
-    assert [pure.poisson_cdf(c, 1000.0) for c in (70, 71)] == partials[70:]
+    assert [poisson_cdf(c, 1000.0) for c in (70, 71)] == partials[70:]
     assert len(leads) == 2
 
 
@@ -364,7 +364,7 @@ def test_poisson_underflow_exit(monkeypatch):
 def test_poisson_underflow_exit_is_its_partial_sum(lam, offset):
     # counts on both sides of where the exit ends give the full sum's value
     c = max(0, poisson_edge(lam) + offset)
-    assert pure.poisson_cdf(c, lam) == nth_partial(poisson_sums(lam), c)
+    assert poisson_cdf(c, lam) == nth_partial(poisson_sums(lam), c)
 
 
 def test_poisson_cap_bounds_both_quantiles():
@@ -405,7 +405,7 @@ def test_discrete_scan_calls_no_cdf(monkeypatch, method, n, c):
             return fn(*args)
         return wrapper
 
-    for name in ("binom_cdf", "poisson_cdf"):
+    for name in ("_binom_pass", "_poisson_pass"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     plan = solve(TestSpec(p0=0.02, p1=0.03), method)
     assert (plan.n, plan.c) == (n, c)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhtplan import NoConvergenceError, SolverError, TestSpec, solve
+from dhtplan import NoConvergenceError, SolverError, TestSpec, binom_cdf, poisson_cdf, solve
 from dhtplan import _backend as pure
 from dhtplan.plan_solvers import EPS_BIN, EPS_POISS
 from dhtplan.stat_kernels import z_value
@@ -60,9 +60,9 @@ def reference_zero_scan(use_poisson, p1, b_tail, max_n):
         m = exact_first(use_poisson, n, p1, 0.5, False)
         c = int(math.floor(m / 2.0 + 0.5))
         if use_poisson:
-            risk = pure.poisson_cdf(c - 1, n * p1)
+            risk = poisson_cdf(c - 1, n * p1)
         else:
-            risk = pure.binom_cdf(c - 1, n, p1)
+            risk = binom_cdf(c - 1, n, p1)
         if c >= 1 and risk <= b_tail:
             return True, n, m, c
     return False, max_n, 0, 0
@@ -512,6 +512,11 @@ def test_discrete_scan_skips_most_n():
     assert evaluated < 400 and producer < 40    # of n = 3171
 
 
+def binom_exact(k, n, p):
+    """The kernel's P(X <= k) for Binomial(n, p), 1.0 for a count k past n."""
+    return pure._binom_pass(k, n, p)[0]
+
+
 @given(st.booleans(), st.floats(0.0005, 0.45), st.integers(1, 2000), st.integers(0, 2000),
        st.sampled_from([0.5, 0.975, 0.025, 0.9999, 1e-4]), st.booleans())
 @settings(max_examples=60, deadline=None)
@@ -523,7 +528,7 @@ def test_hold_keeps_the_exact_quantile(poisson, p, n0, dn, target, left):
     n = n0 + dn
     k = w.first(n, target, False)
     held = w.hold(target, 5000, left)
-    exact = (lambda j, m, p: pure.poisson_cdf(j, m * p)) if poisson else pure.binom_cdf
+    exact = (lambda j, m, p: poisson_cdf(j, m * p)) if poisson else binom_exact
     for m in range(n + 1, n + held + 1):
         assert exact(k, m, p) > target, (m, held)
         if left and k:
@@ -553,7 +558,7 @@ def test_keeps_the_producer_count(poisson, p, n, log_tail, span):
         return
     until = w.keeps(target, w.below_cap(target, n + span))
     assert n <= until <= n + span
-    exact = (lambda j, m, p: pure.poisson_cdf(j, m * p)) if poisson else pure.binom_cdf
+    exact = (lambda j, m, p: poisson_cdf(j, m * p)) if poisson else binom_exact
     for m in sorted({n + (until - n) * i // 8 for i in range(1, 9)}):
         if k:
             assert exact(k - 1, m, p) < target, (m, until)
@@ -714,7 +719,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
     monkeypatch.setattr(pure, "math", CountedMath())
     monkeypatch.setattr(pure, "exp", CountedMath.exp)
     monkeypatch.setattr(pure._Walk, "move", uncounted(pure._Walk.move))
-    for name in ("binom_cdf", "poisson_cdf"):
+    for name in ("_binom_pass", "_poisson_pass"):
         monkeypatch.setattr(pure, name, counted(getattr(pure, name)))
     assert solve(TestSpec(p0, p1), method).n == n
     assert calls["lead"] <= 4
@@ -775,7 +780,7 @@ def assert_kernel_error_bound(last):
             if last > 1 and k <= w.n:
                 w.reseed(k)
             w.move(n)  # one step or one jump, as a scan takes it
-            exact = pure.binom_cdf(k, n, p)
+            exact = binom_cdf(k, n, p)
             P = mpmath.mpf(p)
             term = total = (1 - P) ** n
             for j in range(k):
@@ -790,7 +795,7 @@ def assert_kernel_error_bound(last):
             if last > 1 and w.n:
                 w.reseed(k)
             w.move(n)
-            exact = pure.poisson_cdf(k, w.a)
+            exact = poisson_cdf(k, w.a)
             total = mpmath.gammainc(k + 1, w.a, regularized=True)
             assert abs(exact - total) <= exact * (w.ka + w.kb * k), (k, n, p)
             if last > 1 and w.k == k:

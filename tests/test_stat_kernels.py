@@ -181,7 +181,7 @@ class TestTermSumArrays:
             (v.hex(), x, t.hex()) for v, x, t in want]
         values = np.minimum(np.ldexp(total, e), 1.0).tolist()
         # a point binom_cdf cuts by its Chernoff bound sums to 0.0 in full
-        assert [v.hex() for v in values] == [pure.binom_cdf(c, n, p).hex() for p in ps]
+        assert [v.hex() for v in values] == [binom_cdf(c, n, p).hex() for p in ps]
         return e0, e
 
     @pytest.mark.parametrize("n,c", [(1, 0), (20, 19), (383, 12), (2000, 1500),
@@ -225,19 +225,19 @@ class TestZeroBits:
         p_sub = -math.expm1(-1022 * math.log(2.0) / n)
         ps = [p_sub + (1.0 - p_sub) * (j / 1000) ** 2 for j in range(1, 1000)]
         # the grid scales the lead of each subnormal q**n it keeps, by n log q
-        led, lead = [], pure._scaled_lead
-        monkeypatch.setattr(verification, "_scaled_lead", lambda x: led.append(x) or lead(x))
+        led, scaled_lead = [], pure._scaled_lead
+        monkeypatch.setattr(pure, "_scaled_lead", lambda x: led.append(x) or scaled_lead(x))
         plan = SamplingPlan(n=n, c=c + 1, t_h=(c + 1) / n, np0=0.0, method="Bin",
                             iterations=1, converged=True,
                             applicability=Applicability(True, True, True))
         points = verification.oc_curve(plan, [0.5] + ps).points[1:]
-        led = set(led)
+        summed = set(led)
         cut = [(p, v) for p, v in points
-               if pow(1.0 - p, float(n)) < 2.0**-1022 and n * math.log(1.0 - p) not in led]
+               if pow(1.0 - p, float(n)) < 2.0**-1022 and n * math.log(1.0 - p) not in summed]
         assert len(cut) > 50
         for p, v in cut:
             assert v == binom_cdf(c, n, p) == 0.0, p
-            lead = pure._scaled_lead(n * math.log(1.0 - p))
+            lead = scaled_lead(n * math.log(1.0 - p))
             total, e, _ = pure._term_sum(*lead, c, float(n), 1.0, p / (1.0 - p))
             assert math.ldexp(total, e) == 0.0, p
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dhtplan import (Applicability, DomainError, SamplingPlan, TestSpec,
                      accept_probability, monte_carlo_accept, oc_curve,
                      realized_errors, solve)
-from dhtplan import verification
+from dhtplan import _backend, verification
 
 #: The twelve plans of acceptance criterion 9: (method, p0, p1, epsilon).
 CRITERION_9 = (
@@ -103,7 +103,7 @@ def oc_cases(draw):
         grid.insert(draw(st.integers(0, len(grid))), bad)
     # fewest leads for an array run: every grid takes it, none does, or the
     # crossover falls inside the grid
-    array_points = draw(st.sampled_from([1, 10**9, verification._ARRAY_POINTS])
+    array_points = draw(st.sampled_from([1, 10**9, _backend._ARRAY_POINTS])
                         | st.integers(1, max(1, len(grid))))
     return types.SimpleNamespace(n=n, c=c, converged=converged), grid, array_points
 
@@ -136,7 +136,7 @@ class TestOcCurve:
     def test_same_bits_and_exceptions_as_per_point_loop(self, case):
         plan, grid, array_points = case
         want = _hex_or_raise(per_point_oc, plan, grid)
-        with mock.patch.object(verification, "_ARRAY_POINTS", array_points):
+        with mock.patch.object(_backend, "_ARRAY_POINTS", array_points):
             got = _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid)
         assert got == want
 
@@ -162,12 +162,12 @@ class TestOcCurve:
     def test_pinned_grids_equal_per_point_loop(self, n, c, grid):
         plan = _plan(n, c)
         want = _hex_or_raise(per_point_oc, plan, grid)
-        for array_points in (1, verification._ARRAY_POINTS, 10**9):
-            with mock.patch.object(verification, "_ARRAY_POINTS", array_points):
+        for array_points in (1, _backend._ARRAY_POINTS, 10**9):
+            with mock.patch.object(_backend, "_ARRAY_POINTS", array_points):
                 assert _hex_or_raise(lambda *a: oc_curve(*a).points, plan, grid) == want
 
     def test_numpy_log_within_the_slack(self):
-        # _grid_values sorts points by numpy's n log q; a numpy whose log
+        # _binom_grid sorts points by numpy's n log q; a numpy whose log
         # strays past the slack of math.log's must fail here, not move a lead
         p = np.concatenate([np.geomspace(2.0**-60, 0.5, 4001),
                             np.linspace(0.5, 1.0 - 2.0**-53, 4001),
@@ -176,7 +176,7 @@ class TestOcCurve:
         for n in (1, 2, 13, 383, 7360, 10**6, 2**40 + 1, 2**50 + 3, 2**53 - 1):
             got = float(n) * np.log(q)
             want = np.array([float(n) * math.log(v) for v in q.tolist()])
-            slack = np.abs(got) * verification._LOG_SLACK + verification._LOG_SLACK
+            slack = np.abs(got) * _backend._LOG_SLACK + _backend._LOG_SLACK
             assert np.all(np.abs(got - want) <= slack), n
 
     def test_criterion_9_points_bit_for_bit(self):
@@ -189,6 +189,16 @@ class TestOcCurve:
             for p, a in got:
                 digest.update(("%s %s\n" % (p.hex(), a.hex())).encode())
         assert digest.hexdigest() == CRITERION_9_OC_SHA256
+
+    def test_grid_pass_runs_through_the_backend(self, monkeypatch):
+        # a patch of _backend._term_sum reaches the OC path: one array run
+        # sums the 1001-point grid of the 1.5%/2% plan
+        runs = []
+        term_sum = _backend._term_sum
+        monkeypatch.setattr(_backend, "_term_sum",
+                            lambda term, *a: runs.append(np.ndim(term)) or term_sum(term, *a))
+        oc_curve(_plan(7360, 128), OC_GRID)
+        assert runs == [1]
 
     def test_empty_grid(self):
         assert oc_curve(_plan(383, 13), []).points == ()
