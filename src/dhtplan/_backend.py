@@ -248,10 +248,6 @@ def _poisson_pass(c, lam):
     return min(ldexp(total, e), 1.0), ldexp(term, e)
 
 
-def _reaches(value, target, strict):
-    return value > target or (value == target and not strict)
-
-
 def poisson_cap(lam):
     """Count past which a quantile scan at mean lam gives up: lam + 20 sqrt(lam) + 50.
 
@@ -321,7 +317,6 @@ _MIN_PMF = 2.0 ** -960     # below this a running pmf may have lost bits
 _REFRESH = 2.0 ** -30      # re-seed once the bound exceeds this share of the CDF
 _LEAD = 699.0              # a move keeps P(Y = 0) >= exp(-_LEAD), a normal double
 _SAFE = 1.0 - 2.0 ** -40   # shrinks a certified quantity past its own rounding
-_ROOM = 4.0                # a hold is worked out only past this many trials' fall
 _TAIL = 1e-30              # P(X > poisson_cap) at any mean lies below this
 _BLOCK = 3.0               # a block is probed only where l1 could change this often in it
 _QUIET = 64.0              # L1 is refreshed for a block only below a_half / _QUIET of margin
@@ -405,7 +400,8 @@ class _Walk:
         The exact CDF at a count only falls as n grows, and the kernel's
         error bound only grows, so the kernel's CDF at that count exceeds
         target at every trial count from this walker's n to n: the first
-        count at target, strict, lies at or below the copy's count at each.
+        count whose CDF exceeds target lies at or below the copy's count at
+        each.
 
         The copy starts at the count that k's average slope since n = 0
         reaches.  A quantile below the mean rises faster than that, so the
@@ -427,11 +423,13 @@ class _Walk:
             other.step()
         return None
 
-    def first(self, n, target, strict):
-        """Smallest count whose exact CDF at n is >= target (> target when strict).
+    def first(self, n, target):
+        """Smallest count whose exact CDF at n is >= target.
 
-        n must not decrease between calls.  The count stops at cap + 2 when
-        strict and raises SolverError past cap otherwise, for both families.
+        n must not decrease between calls.  Past the cap, poisson_cap at
+        the mean n p, it raises SolverError, for both families.  Every CDF
+        value is a double, so the first count whose CDF exceeds t is the
+        first at the next double above t.
         """
         self.move(n)
         ka = self.ka
@@ -439,24 +437,23 @@ class _Walk:
         # and the one below it still falls short, both certified
         if self.cdf_low(ka) > target and self.below_high(ka) < target:
             return self.k
-        return self._settle(target, strict)
+        return self._settle(target)
 
-    def _settle(self, target, strict):
+    def _settle(self, target):
         if self.cdf_err > _REFRESH * self.cdf:
             # the running value lost too much to decide from; start afresh
             self.reseed(self.k)
-        cap = self.cap()
-        stop = cap + (2 if strict else 1)
+        cap = poisson_cap(self.n * self.p)
         ka = self.ka
         k0 = k = self.k
-        while k < stop:
+        while k <= cap:
             if self.cdf_high(ka) >= target:
                 if not self.cdf_low(ka) > target:
                     # too close to call: the exact kernel decides, and on a
                     # shortfall steps up to the first count that reaches, each
                     # count summed once and the last pass re-seeding the walker
                     found = self.exact(k)
-                    while k < stop and not _reaches(found[0], target, strict):
+                    while k <= cap and found[0] < target:
                         k += 1
                         found = self.exact(k)
                     if k > self.k:
@@ -470,18 +467,14 @@ class _Walk:
             found = None
             while k:
                 below = self.exact(k - 1)
-                if not _reaches(below[0], target, strict):
+                if below[0] < target:
                     break
                 k, found = k - 1, below
             if found:
                 self.reseed(k, found)
-        if k > cap and not strict:
+        if k > cap:
             raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, self.n * self.p))
         return k
-
-    def cap(self):
-        """Count past which first gives up, from the mean n p as poisson_cap."""
-        return poisson_cap(self.n * self.p)
 
     def cdf_at_most(self, n, j, tail):
         """Whether the exact CDF at count j and trial count n is <= tail."""
@@ -504,14 +497,16 @@ class _Walk:
         k, which grows by at most a fixed factor per trial, so span bounds
         the fall over h trials.  Both are compared with the kernel's error
         bound at the last trial count of the range: it grows with n, so it
-        is largest there.
+        is largest there.  The span is worked out whenever limit > 0,
+        however near target the CDF lies: a hold of one or two trials still
+        spares the scan that many evaluated n, which cost more than its log.
         """
-        pmf = self.pmf
-        if self.cdf - target < _ROOM * self.p * pmf:
-            return 0  # a log costs more than the few trials it could skip
+        if limit <= 0:
+            return 0
         ka = self.linear_bound(self.n + limit)
         if left and not self.below_high(ka) < target:
             return 0
+        pmf = self.pmf
         room = self.cdf_low(ka) * _SAFE - target
         if not room > 0.0 or not pmf:
             return 0
@@ -522,7 +517,7 @@ class _Walk:
 
     def below_cap(self, target, limit):
         """Last trial count, at most limit, through which first at target
-        (non-strict) cannot give up at the cap; 0 when none.
+        cannot give up at the cap; 0 when none.
 
         P(X > cap) is below _TAIL, so the kernel's CDF at the cap reaches
         target while 1 - target exceeds _TAIL plus the kernel's error bound
@@ -539,8 +534,8 @@ class _Walk:
 
     def keeps(self, target, limit):
         """Last trial count, from n to limit, through which the exact
-        quantile at target (non-strict, as first finds it) stays at k or
-        above; n when none past n.
+        quantile at target, as first finds it, stays at k or above; n when
+        none past n.
 
         P(X <= k - 1) only falls as n grows, so the kernel's CDF at k - 1
         stays below target while below_high, at the kernel's error term of
@@ -742,7 +737,9 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     (upper quantile at a_half, plus one) and the first count beyond the
     consumer lower limit (lower quantile at b_half, plus one); stop when
     they cross or come within eps*n of each other.  One certified walker
-    per rate follows each count as n grows.
+    per rate follows each count as n grows.  The consumer count is the
+    first whose CDF exceeds b_half, which the consumer walker finds as the
+    first at the next double above it.
 
     The producer count L1 never falls as n grows, so a stale L1 already
     rules a stop out wherever L1 - l1 > eps*n.  The scan keeps the last L1
@@ -750,9 +747,10 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     that test fails, or past the trial count through which the walker
     keeps L1 certified as a lower bound with no cap error possible.  After
     an n that does not stop the scan, it jumps to the next n at which l1
-    could change, by the consumer walker's hold, cut where eps*n reaches
-    the gap and at that trial count.  Where the walker certifies no later
-    n (a target within the kernel's error of 1), the scan steps one n.
+    could change, by the consumer walker's hold over the n through that
+    trial count, cut where eps*n reaches the gap.  Where the walker
+    certifies no later n (a target within the kernel's error of 1), the
+    scan steps one n.
 
     Where the slack G = L1 - l1 - eps*n leaves room for _BLOCK changes of
     l1, the scan first tries to cross a whole block: G closes by about
@@ -781,6 +779,7 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     upper, lower = _Walk(p0, use_poisson), _Walk(p1, use_poisson)
     upper_first, lower_first = upper.first, lower.first
     target = 1.0 - a_half
+    above = math.nextafter(b_half, 1.0)  # CDF > b_half is CDF >= above
     last = upper.below_cap(target, max_n)
     # the slack L1 - l1 - eps n closes by about p1 + eps per trial, so a
     # slack of at least wide spans _BLOCK changes of l1
@@ -792,7 +791,7 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
     given = 0  # the n of the producer walker's last answer
     n = 1
     while n <= max_n:
-        l1 = lower_first(n, b_half, True)
+        l1 = lower_first(n, above)
         if l1:
             # the scan stops where the slack is <= 0; a stale L1 understates it
             slack = L1 - l1 - eps * n
@@ -801,7 +800,7 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
             # at the cap here
             if due or (slack < wide <= slack + p0 * (n - given)
                        and upper.cdf_err + upper.ka + upper.kb * upper.k < quiet):
-                count = upper_first(n, target, False) + 1
+                count = upper_first(n, target) + 1
                 given = n
                 if count <= l1 or abs(count - l1) <= eps * n:
                     return True, n, count, l1
@@ -820,15 +819,11 @@ def discrete_scan(use_poisson, p0, p1, a_half, b_half, eps, max_n):
                     n = end + 1
                     continue
                 reach *= 0.5
-        # until == n: the next n needs L1 again, so no hold can help
-        if until == n:
-            n += 1
-            continue
-        skip = lower.hold(b_half, max_n - n, True)
+        # once l1 > 0, n <= until <= max_n: L1 serves no further than until
+        skip = lower.hold(b_half, (until if l1 else max_n) - n, True)
         if l1 and skip:
-            skip = min(skip, until - n)
             gap = L1 - l1
-            if skip and gap <= eps * (n + skip):
+            if gap <= eps * (n + skip):
                 # the first n' past n at which the eps test passes
                 e = max(n + 1, int(gap / eps))
                 while e > n + 1 and gap <= eps * (e - 1):
@@ -857,12 +852,12 @@ def zero_scan(use_poisson, p1, b_tail, max_n):
     risk = _Walk(p1, use_poisson)
     n = 1
     while n <= max_n:
-        m = median.first(n, 0.5, False)
+        m = median.first(n, 0.5)
         c = int(math.floor(m / 2.0 + 0.5))
         if c >= 1 and risk.cdf_at_most(n, c - 1, b_tail):
             return True, n, m, c
         skip = median.hold(0.5, max_n - n, True)
-        if c >= 1 and skip:
+        if c >= 1:
             skip = risk.hold(b_tail, skip, False)
         n += 1 + skip
     return False, max_n, 0, 0

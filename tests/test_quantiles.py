@@ -78,38 +78,37 @@ def poisson_le(lam, tail, cap):
 
 
 def assert_walker_first(poisson, n, p, target):
-    """A fresh walker's counts at n, strict and not, are the first counts
-    whose kernel CDF reaches target, searched up to its stop past the cap,
-    and SolverError where a non-strict search ends there."""
+    """A fresh walker's counts at n, at target and at the next double above
+    it, are the first counts whose kernel CDF reaches target and exceeds
+    it, and SolverError where that count lies past the cap."""
     cap = pure.poisson_cap(n * p)
     for strict in (False, True):
         sums = poisson_sums(n * p) if poisson else binom_sums(n, p)
-        k = first_reaching(sums, target, strict, cap + 1 + strict)
+        k = first_reaching(sums, target, strict, cap + 1)
         walker = pure._Walk(p, poisson)
-        if k > cap and not strict:
+        at = math.nextafter(target, math.inf) if strict else target
+        if k > cap:
             with pytest.raises(SolverError, match="exceeded cap %d" % cap):
-                walker.first(n, target, strict)
+                walker.first(n, at)
         else:
-            assert walker.first(n, target, strict) == k, (n, p, target, strict)
+            assert walker.first(n, at) == k, (n, p, target, strict)
 
 
 def test_walker_search_ties_and_stop():
     # Binomial(4, 1/2): CDF 1/16, 5/16, 11/16, 15/16, 1 at counts 0 to 4.  A
     # target equal to a CDF value is within every error bound of it, so the
-    # exact kernel decides, and a strict search steps past the tie
+    # exact kernel decides, and a search at the next double steps past the tie
     cdf = [binom_cdf(k, 4, 0.5) for k in range(5)]
     assert cdf == [1 / 16, 5 / 16, 11 / 16, 15 / 16, 1.0]
-    first = lambda target, strict: pure._Walk(0.5, False).first(4, target, strict)  # noqa: E731
-    assert first(5 / 16, False) == 1
-    assert first(5 / 16, True) == 2
-    assert first(0.0, True) == 0
-    assert first(1.0, False) == 4
-    # no count exceeds 1.0: a strict search stops at the cap + 2, a
-    # non-strict one past 1.0 gives up at the cap
+    first = lambda target: pure._Walk(0.5, False).first(4, target)  # noqa: E731
+    assert first(5 / 16) == 1
+    assert first(math.nextafter(5 / 16, math.inf)) == 2
+    assert first(math.nextafter(0.0, math.inf)) == 0
+    assert first(1.0) == 4
+    # no count exceeds 1.0: a search past it gives up at the cap
     cap = pure.poisson_cap(2.0)
-    assert first(1.0, True) == cap + 2
     with pytest.raises(SolverError, match="exceeded cap %d at mean 2$" % cap):
-        first(math.nextafter(1.0, 2.0), False)
+        first(math.nextafter(1.0, 2.0))
 
 
 @pytest.mark.parametrize("poisson", [False, True])
@@ -126,12 +125,12 @@ def test_walker_steps_down_to_the_quantile(poisson):
             calls.append(j)
             return super().exact(j)
 
-    k = Counted(0.3, poisson).first(200, 0.5, False)
+    k = Counted(0.3, poisson).first(200, 0.5)
     w = Counted(0.3, poisson)
     w.move(200)
     w.reseed(k + 3)
     calls.clear()
-    assert w.first(200, 0.5, False) == k
+    assert w.first(200, 0.5) == k
     assert calls == [k + 2, k + 1, k, k - 1]
     assert (w.k, w.cdf, w.pmf) == (k, *w.exact(k))
     assert w.exact(k - 1)[0] < 0.5 <= w.cdf
@@ -142,7 +141,7 @@ def test_walker_sums_each_count_once(monkeypatch, poisson):
     # a spy on the kernels' one term-sum loop: a re-seed costs one pass, and
     # an exact search that steps up sums each count it visits once, then
     # re-seeds from the pass that reached
-    k = pure._Walk(0.3, poisson).first(200, 0.5, False)
+    k = pure._Walk(0.3, poisson).first(200, 0.5)
     passes = []
     term_sum = pure._term_sum
     monkeypatch.setattr(pure, "_term_sum", lambda *a: passes.append(a[2]) or term_sum(*a))
@@ -153,7 +152,7 @@ def test_walker_sums_each_count_once(monkeypatch, poisson):
     # a running CDF at the target itself is too close to call
     passes.clear()
     w.cdf = 0.5
-    assert w.first(200, 0.5, False) == k
+    assert w.first(200, 0.5) == k
     assert passes == [k - 3, k - 2, k - 1, k]
     assert (w.k, w.cdf, w.pmf) == (k, *w.exact(k))
 

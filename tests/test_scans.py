@@ -25,12 +25,12 @@ from kernel_reference import binom_sums, first_reaching, poisson_sums
 
 def exact_first(use_poisson, n, p, target, strict):
     """The first count at n whose exact CDF reaches target (exceeds it when
-    strict), searched no further than the walker's stop past the Poisson
-    cap at the mean n p; SolverError when a non-strict search ends there."""
+    strict); SolverError when it lies past the Poisson cap at the mean n p,
+    where the walker gives up."""
     cap = pure.poisson_cap(n * p)
     sums = poisson_sums(n * p) if use_poisson else binom_sums(n, p)
-    k = first_reaching(sums, target, strict, cap + 1 + strict)
-    if k > cap and not strict:
+    k = first_reaching(sums, target, strict, cap + 1)
+    if k > cap:
         raise SolverError("quantile scan exceeded cap %d at mean %g" % (cap, n * p))
     return k
 
@@ -221,8 +221,8 @@ FAMILIES = pytest.mark.parametrize("poisson", [False, True],
 @FAMILIES
 def test_walker_falls_back_when_the_quantile_moves_down(poisson):
     w = pure._Walk(0.05, poisson)
-    w.first(400, 0.975, False)
-    assert w.first(401, 0.5, False) == exact_first(poisson, 401, 0.05, 0.5, False)
+    w.first(400, 0.975)
+    assert w.first(401, 0.5) == exact_first(poisson, 401, 0.05, 0.5, False)
 
 
 # specs whose solves step the exact search both ways: it steps the Poisson
@@ -255,16 +255,14 @@ def test_exact_search_steps_both_ways(method, p0, p1, alpha, beta, plan):
 def test_poisson_walker_keeps_the_cap():
     cap = pure.poisson_cap(10 * 0.1)
     with pytest.raises(SolverError, match="exceeded cap %d" % cap):
-        pure._Walk(0.1, True).first(10, 2.0, False)
-    assert pure._Walk(0.1, True).first(10, 2.0, True) == cap + 2
+        pure._Walk(0.1, True).first(10, 2.0)
 
 
 def test_binomial_walker_keeps_the_cap():
     # the Poisson cap at the mean n p = 1, far below n = 1000
     cap = pure.poisson_cap(1000 * 0.001)
     with pytest.raises(SolverError, match="exceeded cap %d" % cap):
-        pure._Walk(0.001, False).first(1000, 2.0, False)
-    assert pure._Walk(0.001, False).first(1000, 2.0, True) == cap + 2
+        pure._Walk(0.001, False).first(1000, 2.0)
 
 
 def assert_within_bound(w):
@@ -301,8 +299,8 @@ def checking(log, kept, blocks):
             super().move(n)
             assert_within_bound(self)
 
-        def first(self, n, target, strict):
-            k = super().first(n, target, strict)
+        def first(self, n, target):
+            k = super().first(n, target)
             assert_within_bound(self)
             log.append((self.p, n, k))
             return k
@@ -377,7 +375,7 @@ def walk_zero(use_poisson, p1, b_tail, max_n):
     risk = pure._Walk(p1, use_poisson)
     held = {}
     for n in range(1, max_n + 1):
-        m = median.first(n, 0.5, False)
+        m = median.first(n, 0.5)
         assert_within_bound(median)
         c = int(math.floor(m / 2.0 + 0.5))
         if "median" in held and n <= held["median"][1]:
@@ -408,9 +406,9 @@ def test_running_cdf_within_bound_past_the_linear_branch():
 @pytest.mark.parametrize("method", ["Bin", "Poiss"])
 @pytest.mark.parametrize("p0,p1", [(0.2, 0.25), (0.3, 0.33)])
 def test_blocks_within_their_certificate(method, p0, p1):
-    # from p1 = 1/_ROOM on no hold skips an n, so every n the scan does not
-    # evaluate lies in a block, and each one is checked against the exact
-    # quantiles there (Bin 0.3/0.33 crosses the kernel's log branch too)
+    # every n the scan does not evaluate lies in a block or in a hold, and
+    # each one is checked against the exact quantiles there (Bin 0.3/0.33
+    # crosses the kernel's log branch too)
     _, evaluated, _, blocks = walk_discrete(*scan_args(method, p0, p1)[1])
     assert blocks and evaluated < 300
 
@@ -424,10 +422,10 @@ def test_failed_probe_leaves_the_walker_as_it_was():
     class Spied(pure._Walk):
         __slots__ = ()
 
-        def first(self, n, target, strict):
+        def first(self, n, target):
             if self.p == 0.33:
                 answers.append(n)
-            return super().first(n, target, strict)
+            return super().first(n, target)
 
         def probe(self, n, target, top):
             before = slots(self)
@@ -512,6 +510,42 @@ def test_discrete_scan_skips_most_n():
     assert evaluated < 400 and producer < 40    # of n = 3171
 
 
+def walker_answers(scan, args, p):
+    """The scan's tuple and the number of n at which it asks a walker of
+    rate p for its count."""
+    answers = []
+
+    class Spied(pure._Walk):
+        __slots__ = ()
+
+        def first(self, n, target):
+            if self.p == p:
+                answers.append(n)
+            return super().first(n, target)
+
+    with mock.patch.object(pure, "_Walk", Spied):
+        return scan(*args), len(answers)
+
+
+@pytest.mark.parametrize("p0,p1,plan,most", [(0.2, 0.25, (True, 1030, 232, 231), 53),
+                                             (0.3, 0.33, (True, 3273, 1034, 1028), 129)])
+def test_holds_skip_between_blocks(p0, p1, plan, most):
+    # where the consumer count changes every few trials, a hold still spans
+    # the trial or two through which it certainly stays: a scan whose hold
+    # gave up within 4 p1 pmf of b_half evaluated 141 and 219 n here
+    got, evaluated = walker_answers(pure.discrete_scan, scan_args("Bin", p0, p1)[1], p1)
+    assert got == plan and evaluated <= most
+
+
+@pytest.mark.parametrize("use_poisson,plan", [(False, (True, 313, 6, 3)),
+                                              (True, (True, 315, 6, 3))])
+def test_zero_scan_holds_the_median(use_poisson, plan):
+    # the median of 313 trials at 0.02 is asked at 13 n; a hold that gave
+    # up within 4 p pmf of 0.5 asked it at 20
+    got, asked = walker_answers(pure.zero_scan, (use_poisson, 0.02, 0.05, 200_000), 0.02)
+    assert got == plan and asked <= 13
+
+
 def binom_exact(k, n, p):
     """The kernel's P(X <= k) for Binomial(n, p), 1.0 for a count k past n."""
     return pure._binom_pass(k, n, p)[0]
@@ -524,9 +558,9 @@ def test_hold_keeps_the_exact_quantile(poisson, p, n0, dn, target, left):
     # a walker that took one jump holds its count; at no n in the held range
     # may the exact CDF at k reach the target, nor (with left) the one at k - 1
     w = pure._Walk(p, poisson)
-    w.first(n0, target, False)
+    w.first(n0, target)
     n = n0 + dn
-    k = w.first(n, target, False)
+    k = w.first(n, target)
     held = w.hold(target, 5000, left)
     exact = (lambda j, m, p: poisson_cdf(j, m * p)) if poisson else binom_exact
     for m in range(n + 1, n + held + 1):
@@ -553,7 +587,7 @@ def test_keeps_the_producer_count(poisson, p, n, log_tail, span):
     target = 1.0 - 10.0 ** log_tail
     w = pure._Walk(p, poisson)
     try:
-        k = w.first(n, target, False)
+        k = w.first(n, target)
     except SolverError:
         return
     until = w.keeps(target, w.below_cap(target, n + span))
@@ -572,7 +606,7 @@ def test_keeps_nothing_it_cannot_certify(poisson):
     # below the cap at a target whose distance from 1 the kernel's error
     # bound at the cap exceeds
     w = pure._Walk(0.05, poisson)
-    w.first(400, 0.975, False)
+    w.first(400, 0.975)
     assert w.keeps(0.975, w.below_cap(0.975, 5000)) > 400
     assert w.below_cap(0.975, 5000) == 5000
     assert w.below_cap(1.0 - 1e-15, 5000) == 0
@@ -585,7 +619,7 @@ def test_bound_below_covers_the_pmf_error(poisson):
     # the bound on the kernel's CDF at k - 1 holds with the running pmf off
     # by as much as pmf_rel allows, either way, and not only the CDF
     w = pure._Walk(0.05, poisson)
-    k = w.first(400, 0.5, False)
+    k = w.first(400, 0.5)
     below = w.exact(k - 1)[0]
     for factor in (1.0 + 1e-6, 1.0 - 1e-6):
         w.reseed(k)
@@ -599,10 +633,25 @@ def test_hold_checks_the_count_below(poisson):
     # at the 0.975 quantile k of n = 1000, P(X <= k - 1) is far above 0.5:
     # the count stays above 0.5 for a while, but it is no quantile of 0.5
     w = pure._Walk(0.02, poisson)
-    k = w.first(1000, 0.975, False)
+    k = w.first(1000, 0.975)
     assert w.exact(k - 1)[0] > 0.5
     assert w.hold(0.5, 1000, False) > 0
     assert w.hold(0.5, 1000, True) == 0
+
+
+@pytest.mark.parametrize("poisson,n,k", [(False, 12, 4), (True, 9, 3)])
+def test_hold_spans_a_few_trials(poisson, n, k):
+    # the median count k of Binomial(12, 0.3) and of Poisson(2.7) has a CDF
+    # within 4 p pmf of 0.5, and stays the median for 3 more trials: hold
+    # certifies all 3, and the exact CDF falls short at the 4th
+    w = pure._Walk(0.3, poisson)
+    assert w.first(n, 0.5) == k
+    assert w.cdf - 0.5 < 4.0 * 0.3 * w.pmf
+    assert w.hold(0.5, 1000, True) == 3
+    assert w.hold(0.5, 2, True) == 2
+    assert w.hold(0.5, 0, True) == 0
+    exact = (lambda m: poisson_cdf(k, m * 0.3)) if poisson else (lambda m: binom_cdf(k, m, 0.3))
+    assert exact(n + 3) > 0.5 > exact(n + 4)
 
 
 # (n, p) around the scans' regimes: q**n subnormal at (3273, 0.3) and
@@ -727,7 +776,7 @@ def test_scans_do_not_restart_from_zero(monkeypatch, method, p0, p1, n):
 
 
 @pytest.mark.parametrize("kind,args,expected", [
-    # visits every n, moving both walkers mostly one trial at a time
+    # the counts change every few trials; blocks and holds skip most n
     ("discrete", (True, 0.3, 0.33, 0.025, 0.025, EPS_POISS, 200_000), (True, 5049, 1592, 1587)),
     # reach max_n
     ("discrete", (False, 0.05, 0.06, 0.025, 0.025, EPS_BIN, 3000), (False, 3000, 0, 0)),

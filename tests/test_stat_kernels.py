@@ -243,14 +243,19 @@ class TestZeroBits:
 
 
 def binom_first(n, p, target, strict):
-    """A Binomial(n, p) walker's first count at n reaching target."""
-    return pure._Walk(p, False).first(n, target, strict)
+    """A Binomial(n, p) walker's first count at n reaching target (exceeding
+    it when strict: reaching the next double above it)."""
+    if strict:
+        target = math.nextafter(target, math.inf)
+    return pure._Walk(p, False).first(n, target)
 
 
 def poisson_first(lam, target, strict):
     """A Poisson(lam) walker's."""
     n, p = poisson_trials(lam)
-    return pure._Walk(p, True).first(n, target, strict)
+    if strict:
+        target = math.nextafter(target, math.inf)
+    return pure._Walk(p, True).first(n, target)
 
 
 class TestQuantiles:
@@ -314,7 +319,7 @@ class TestQuantiles:
                             lambda *a: counts.append(a[2]) or term_sum(*a))
         cap = pure.poisson_cap(10 * 0.1)
         with pytest.raises(SolverError, match="exceeded cap %d at mean 1$" % cap):
-            pure._Walk(0.1, True).first(10, math.nextafter(1.0, 2.0), False)
+            pure._Walk(0.1, True).first(10, math.nextafter(1.0, 2.0))
         assert counts == list(range(counts[0], cap + 2))
 
 

@@ -37,7 +37,7 @@ import time
 
 TAIL = 1e-12  # the smallest alpha and beta drawn
 MAX_N = 200_000  # the largest max_n drawn
-LIMIT = 3.0  # CPU seconds per solve
+LIMIT = 10.0  # CPU seconds per solve
 
 
 class _Timeout(BaseException):
