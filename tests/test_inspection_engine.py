@@ -387,6 +387,34 @@ class TestAgainstReferenceModel:
         assert (state.status, state.accepted_level, state.trials) == (ACCEPTED, 1, 351)
         assert len(list(outcomes)) == 30
 
+    @pytest.mark.parametrize("tail", ["accept", "c-th failure", "run breach"])
+    @pytest.mark.parametrize("split", [0, 500, 1000])
+    def test_a_transition_on_the_last_readable_outcome(self, table_ladder, tail, split):
+        # the last level is entered at trial 829; the tail puts its verdict
+        # at trial 7308, the largest n, so the list from ``split`` is exactly
+        # as long as the horizon: converted whole, and with one more outcome
+        # in chunks
+        plans, limits = table_ladder.plans, table_ladder.run_limits
+        horizon = max(plan.n for plan in plans)
+        head = [1, 0] * plans[-2].c
+        end = {"accept": [0],
+               "c-th failure": [0, 1] * (plans[-1].c - plans[-2].c),
+               "run breach": [1] * (limits[-1] + 1)}[tail]
+        stream = head + [0] * (horizon - len(head) - len(end)) + end
+        state = reference_run_stream(table_ladder, stream[:split])
+        for rest, whole in ((stream[split:], True), (stream[split:] + [0], False)):
+            with mock.patch.object(inspection_engine, "_bytes",
+                                   wraps=inspection_engine._bytes) as spy:
+                result = run_stream(table_ladder, rest, state)
+            assert result == reference_run_stream(table_ladder, rest, state)
+            assert (result.trials, result.status) == (
+                horizon, ACCEPTED if tail == "accept" else REJECTED)
+            sizes = [len(call.args[0]) for call in spy.call_args_list]
+            if whole:
+                assert sizes == [horizon - state.trials]
+            else:
+                assert max(sizes) <= inspection_engine._CHUNK_OUTCOMES
+
     def test_successes_before_a_raising_source_are_logged(self, step3_ladder):
         def source():
             yield from [0, 0, 1, 0, 0]
@@ -469,15 +497,50 @@ class TestSinklessReads:
         with pytest.raises(error):
             run_stream(newton_ladder, container([1] * 6 + [bad, 1]))
 
+    def test_an_error_past_the_verdict_does_not_escape(self, newton_ladder):
+        class Boom:
+            def __index__(self):
+                raise RuntimeError("an outcome past the verdict was converted")
+
+        # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7
+        stream = [1] * 8 + [0] * 5 + [Boom()]
+        state = reference_run_stream(newton_ladder, stream)
+        assert (state.status, state.trials) == (REJECTED, 7)
+        assert run_stream(newton_ladder, iter(stream)) == state
+        for container in (list, tuple):
+            assert run_stream(newton_ladder, container(stream)) == state
+
     def test_nothing_past_the_level_n_is_converted(self, step3_ladder):
+        # longer than the horizon, so read in chunks that stop at level n
+        converted = []
+
         class Spy:
             def __index__(self):
+                converted.append(self)
                 raise AssertionError("an outcome past the verdict was converted")
 
             __hash__ = __int__ = __index__
 
+        n0, horizon = step3_ladder.plans[0].n, max(plan.n for plan in step3_ladder.plans)
+        state = run_stream(step3_ladder, [0] * n0 + [Spy()] + [0] * (horizon - n0))
+        assert (state.status, state.trials) == (ACCEPTED, n0)
+        assert converted == []
+
+    @pytest.mark.parametrize("error", [AssertionError, RuntimeError, TypeError, ValueError,
+                                       OverflowError, KeyError, ZeroDivisionError])
+    def test_a_value_past_the_verdict_within_the_horizon_changes_nothing(
+            self, step3_ladder, error):
+        # converted whole, so the value past the verdict is read, and its
+        # error hands the list on in chunks that stop at level n
+        class Raising:
+            def __index__(self):
+                raise error("an outcome past the verdict")
+
+            __hash__ = __int__ = __index__
+
         n0 = step3_ladder.plans[0].n
-        state = run_stream(step3_ladder, [0] * n0 + [Spy()])
+        state = run_stream(step3_ladder, [0] * n0 + [Raising()])
+        assert state == run_stream(step3_ladder, [0] * (n0 + 1))
         assert (state.status, state.trials) == (ACCEPTED, n0)
 
 
