@@ -27,17 +27,17 @@ negative count) and a continuing state already past its level's limits,
 so a level's state can change only at a failure or at its cumulative n.
 Each outcome is checked as by one dict lookup (a value equal to 0 or 1 is
 a hit; any other goes through ``int()`` and must give 0 or 1).  Without a
-sink, a list or tuple no longer than the ladder's horizon (its largest n
-less the trials so far) is converted to a bytearray by one call, a longer
-one in chunks, and each level's next transition is found by C searches
-over windows of the bytes, so Python work runs once per transition or
-window; any other input, or a call with a sink, goes through one loop that
-applies the rule to each outcome in turn.  ``InspectionState`` holds
+sink, a list or tuple is converted to bytes up to the ladder's horizon
+(its largest n less the trials so far) by one call, and each level's next
+transition is found by C searches over windows of the bytes, so Python
+work runs once per transition or window; any other input, a list that
+does not convert to 0s and 1s, or a call with a sink goes through one loop
+that applies the rule to each outcome in turn.  ``InspectionState`` holds
 the counters and the verdict only.  ``observe`` runs it on a single
 outcome, and ``replay`` re-drives it from an event log.
 """
 
-from itertools import count, islice
+from itertools import count
 
 from ._record import _Record
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
@@ -63,14 +63,15 @@ class _Outcomes(dict):
 
 _OUTCOMES = _Outcomes({SUCCESS: SUCCESS, FAILURE: FAILURE})
 
-#: The longest window of the sink-less C searches, and the longest chunk a
-#: list or tuple is converted in when it runs past the horizon or does not
-#: convert whole to 0s and 1s.  Each ``find`` and ``count`` reads its whole
-#: window, so the window stays short even when the whole sequence is
-#: converted: on 7308-outcome streams over an eight-level ladder, windows of
-#: 8192 ran rate-0.2 streams 43% slower, 2048 ran them 14% slower, and 512
-#: ran the whole set 7% slower (2-vCPU host, Python 3.11).
-_CHUNK_OUTCOMES = 1024
+#: The longest window of the sink-less C searches.  Each ``find`` and
+#: ``count`` reads its whole window, so the window stays short even though
+#: the whole list is converted: on 7308-outcome streams over an eight-level
+#: ladder, windows of 8192 ran rate-0.2 streams 43% slower, 2048 ran them
+#: 14% slower, and 512 ran the whole set 7% slower (2-vCPU host, Python 3.11).
+_WINDOW = 1024
+#: The runs of failures the searches look for are cut from this: a run
+#: longer than the window can never match in it, whatever the run limit.
+_ONES = b"\x01" * (_WINDOW + 1)
 
 
 class LevelLadder(_Record):
@@ -202,59 +203,44 @@ def _bytes(seq):
 def _search(plans, limits, seq, level, trials, failures, run):
     """The sink-less rule over a list or tuple, read as bytes.
 
-    A sequence no longer than the horizon, the largest plan n less
-    ``trials``, is converted by one ``bytearray`` call.  Every stream has a
-    verdict by trial max n, so nothing past the horizon is read.  A longer
-    sequence, or one that does not convert whole to 0s and 1s, is converted
-    in chunks of up to ``_CHUNK_OUTCOMES`` that stop at the current level's
-    n, each only when the last one is used up.  C searches over a window of
-    the bytes, at most ``_CHUNK_OUTCOMES`` long and stopping at the level's
-    n, find the level's next transition: the first run longer than r, the
-    (c - failures)-th failure, or trial n.  Returns (level, trials,
-    failures, run, status, read), ``read`` being the number of outcomes
-    used; it stops with the status continuing at the first chunk that
-    ``_bytes`` refuses, leaving that chunk unread.
+    The outcomes up to the horizon, ``max(largest plan n - trials, 1)``,
+    are converted by one ``_bytes`` call; every stream has a verdict by
+    trial max n, so nothing past the horizon can matter.  C searches over
+    windows of at most ``_WINDOW`` bytes, stopping at the level's n, find
+    its next transition: the first run longer than r, the (c - failures)-th
+    failure, or trial n.  Returns (level, trials, failures, run, status),
+    or None if ``_bytes`` refuses the outcomes, which then all go to the loop.
     """
-    status, read, size = CONTINUE, 0, len(seq)
-    chunk = bytearray()
-    if size <= max([plan.n for plan in plans]) - trials:
-        chunk = _bytes(seq) or chunk
-    at = 0  # the chunk index of seq[read]; the chunk may be the whole of seq
-    while read < size:
+    horizon = max(max([plan.n for plan in plans]) - trials, 1)
+    data = _bytes(seq[:horizon] if len(seq) > horizon else seq)
+    if data is None:
+        return None
+    status, at = CONTINUE, 0
+    while at < len(data) and status == CONTINUE:
         n, c, r = plans[level].n, plans[level].c, limits[level]
-        if at == len(chunk):
-            chunk = _bytes(seq[read:min(size, read + _CHUNK_OUTCOMES,
-                                        read + max(n - trials, 1))])
-            if chunk is None:
-                break
-            at = 0
-        end = min(len(chunk), at + _CHUNK_OUTCOMES, at + max(n - trials, 1))
-        # k: the chunk index of the level's next transition, or end if none
+        end = min(len(data), at + _WINDOW, at + max(n - trials, 1))
+        # k: the index of the level's next transition, or end if none
         k = end - 1 if trials + end - at >= n else end
-        if chunk.startswith(b"\x01" * (r + 1 - run), at, end):
+        if data.startswith(_ONES[:r + 1 - run], at, end):
             k = min(k, at + r - run)
         else:
-            breach = chunk.find(b"\x01" * (r + 1), at, end)
+            breach = data.find(_ONES[:r + 1], at, end)
             if breach >= 0:
                 k = min(k, breach + r)
-        ones = chunk.count(1, at, min(k + 1, end))
+        ones = data.count(1, at, min(k + 1, end))
         if ones >= c - failures:
             ones = c - failures
             # marking the first ``ones`` failures leaves the last mark at the c-th
-            k = at + chunk[at:end].replace(b"\x01", b"\x02", ones).rfind(2)
+            k = at + data[at:end].replace(b"\x01", b"\x02", ones).rfind(2)
         used = min(k + 1, end) - at
-        zero = chunk.rfind(0, at, at + used)
+        zero = data.rfind(0, at, at + used)
         run = at + used - 1 - zero if zero >= 0 else run + used
         failures += ones
         trials += used
-        read += used
         at += used
         if k < end:
-            level, status = _settle(plans, limits, level, trials, chunk[k], failures, run,
-                                    None)
-            if status != CONTINUE:
-                break
-    return level, trials, failures, run, status, read
+            level, status = _settle(plans, limits, level, trials, data[k], failures, run, None)
+    return level, trials, failures, run, status
 
 
 def run_stream(ladder, outcomes, state=None, sink=None):
@@ -280,24 +266,21 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     at a level's cumulative n, and the outcomes take one of two paths:
 
     - Without a sink, a ``list`` or ``tuple`` (exactly those types) is
-      converted to a ``bytearray``: by one call when it is no longer than
-      the horizon, the largest plan n less the state's trials, and
-      otherwise in chunks of up to ``_CHUNK_OUTCOMES`` that stop at the
-      level's n.  C searches (``find``, ``count``, a counted ``replace``,
-      ``rfind``) over windows of at most ``_CHUNK_OUTCOMES`` locate each
-      level's next transition: Python work is O(1) per transition or
-      window.  ``bytearray`` reads a value by its ``__index__``, the value
-      itself for ints, bools and numpy integers.  A sequence that does not
-      convert whole to 0s and 1s (its conversion raises any ``Exception``,
-      or reads another byte) goes on in chunks, and the first such chunk
-      hands the rest of the sequence, from the current counters, to the
-      loop below, which checks and raises exactly as it would have from
-      the start.  So a value past the verdict may be converted, but never
-      raises or changes the result.
-    - Any other iterable, or any call with a sink, goes through one loop
-      that counts each outcome, hands ``_settle`` the outcomes that breach
-      the level's c or run limit or meet its n, and passes every other one
-      to the sink as a ``continue`` event.
+      converted to a ``bytearray`` by one call, up to the horizon: the
+      largest plan n less the state's trials, and at least one outcome.
+      Every stream has a verdict by then, so nothing past it is read.
+      ``bytearray`` reads a value by its ``__index__``, the value itself
+      for ints, bools and numpy integers.  C searches (``find``,
+      ``count``, a counted ``replace``, ``rfind``) over windows of at most
+      ``_WINDOW`` bytes locate each level's next transition: Python work is
+      O(1) per transition or window.  If the conversion raises any
+      ``Exception`` or reads a byte other than 0 or 1, the whole sequence
+      goes to the loop below from the given state.  So a value past the
+      verdict may be converted, but never raises or changes the result.
+    - Any other iterable, a refused list or tuple, or any call with a sink
+      goes through one loop that counts each outcome, hands ``_settle`` the
+      outcomes that breach the level's c or run limit or meet its n, and
+      passes every other one to the sink as a ``continue`` event.
     """
     if state is None:
         state = InspectionState()
@@ -314,11 +297,12 @@ def run_stream(ladder, outcomes, state=None, sink=None):
     if failures >= plans[level].c or run > limits[level]:
         raise StateError("state is past level %d's limits: failures %d (c = %d), run %d "
                          "(r = %d)" % (level, failures, plans[level].c, run, limits[level]))
+    found = None
     if sink is None and type(outcomes) in (list, tuple):
-        level, trials, failures, run, status, read = _search(plans, limits, outcomes,
-                                                             level, trials, failures, run)
-        outcomes = islice(outcomes, read, None)
-    if status == CONTINUE:
+        found = _search(plans, limits, outcomes, level, trials, failures, run)
+    if found is not None:
+        level, trials, failures, run, status = found
+    else:
         n, c, r = plans[level].n, plans[level].c, limits[level]
         for trials, outcome in zip(count(trials + 1), map(_OUTCOMES.__getitem__, outcomes)):
             if outcome:

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from dhtplan import TestSpec, solve
 from dhtplan.cli import _METHOD_FLAGS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def _env_with_src():
@@ -386,6 +389,33 @@ class TestSmallCommands:
     def test_usage_error(self):
         assert run(["plan", "--method", "bogus", "--p0", "0.1",
                     "--p1", "0.2"])[0] == 1
+
+
+#: Each ``$ dhtplan ...`` example in README: its command line and the lines
+#: shown under it, up to the next blank line or code fence.
+README_EXAMPLES = re.findall(r"^\$ dhtplan (.*)\n((?:(?!```).+\n)*)", README.read_text(),
+                             re.M)
+
+
+class TestReadmeExamples:
+    def test_every_example_is_found(self):
+        assert len(README_EXAMPLES) == 7
+
+    @pytest.mark.parametrize("command, shown", README_EXAMPLES,
+                             ids=[command for command, _ in README_EXAMPLES])
+    def test_example_output_is_reproduced(self, tmp_path, command, shown):
+        # "..." alone on a line stands for any lines, and within a line for
+        # any text; the inspect example reads 208 clean outcomes
+        stream = tmp_path / "outcomes.txt"
+        stream.write_text("0\n" * 208)
+        argv = [str(stream) if word == "outcomes.txt" else word
+                for word in shlex.split(command)]
+        pattern = "".join("(?:.*\n)*" if line == "..." else
+                          ".*".join(map(re.escape, line.split("..."))) + "\n"
+                          for line in shown.splitlines())
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert re.fullmatch(pattern, out), out
 
 
 class TestErrorBoundary:

@@ -4,6 +4,7 @@ the per-outcome reference model."""
 
 import hashlib
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -283,12 +284,12 @@ def _drive(engine, ladder, stream, state, with_sink, raise_at, container):
 
 @st.composite
 def engine_cases(draw, sinkless=False):
-    """(ladder index, stream, state, with_sink, raise_at, container, chunk);
+    """(ladder index, stream, state, with_sink, raise_at, container, window);
     ``sinkless`` draws only the inputs of the bytearray search path."""
     which = draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rate = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.06, 0.12, 0.3]))
-    # the table ladder's levels run past a default chunk of outcomes
+    # the table ladder's levels run past a default search window
     length = draw(st.integers(0, 3000 if which == 2 else 700))
     stream = [int(rng.random() < rate) for _ in range(length)]
     for pos, value in draw(st.lists(st.tuples(st.integers(0, 2999),
@@ -307,12 +308,12 @@ def engine_cases(draw, sinkless=False):
                  draw(st.sampled_from([False] * 9 + [True])))
     else:
         state = None
-    chunk = draw(st.sampled_from([1, 7, 64, inspection_engine._CHUNK_OUTCOMES]))
+    window = draw(st.sampled_from([1, 7, 64, inspection_engine._WINDOW]))
     if sinkless:
-        return which, stream, state, False, -1, draw(st.sampled_from([list, tuple])), chunk
+        return which, stream, state, False, -1, draw(st.sampled_from([list, tuple])), window
     raise_at = draw(st.one_of(st.just(-1), st.integers(0, len(stream))))
     return (which, stream, state, draw(st.booleans()), raise_at,
-            draw(st.sampled_from([None, list, tuple])), chunk)
+            draw(st.sampled_from([None, list, tuple])), window)
 
 
 def made_state(ladder, level, trials, f, r, status, past):
@@ -335,15 +336,23 @@ def made_state(ladder, level, trials, f, r, status, past):
 class TestAgainstReferenceModel:
     @staticmethod
     def _compare(ladders, case):
-        which, stream, state, with_sink, raise_at, container, chunk = case
+        which, stream, state, with_sink, raise_at, container, window = case
         ladder = ladders[which]
         if isinstance(state, list):  # resume from a state the model reached
             state = reference_run_stream(ladder, state)
         elif isinstance(state, tuple):
             state = made_state(ladder, *state)
         args = (ladder, stream, state, with_sink, raise_at, container)
-        with mock.patch.object(inspection_engine, "_CHUNK_OUTCOMES", chunk):
+        with mock.patch.object(inspection_engine, "_WINDOW", window), \
+                mock.patch.object(inspection_engine, "_bytes",
+                                  wraps=inspection_engine._bytes) as spy:
             assert _drive(run_stream, *args) == _drive(reference_run_stream, *args)
+        if container is not None and not with_sink:
+            # one conversion at most, and never past the horizon
+            trials = 0 if state is None else state.trials
+            horizon = max(max(plan.n for plan in ladder.plans) - trials, 1)
+            assert [len(call.args[0]) for call in spy.call_args_list] in (
+                [], [min(len(stream), horizon)])
 
     @settings(max_examples=400, deadline=None)
     @given(engine_cases())
@@ -357,19 +366,19 @@ class TestAgainstReferenceModel:
                                                        table_ladder, case):
         self._compare((step3_ladder, newton_ladder, table_ladder), case)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
-    def test_transitions_at_every_chunk_offset(self, step3_ladder, newton_ladder, chunk):
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8])
+    def test_transitions_at_every_chunk_offset(self, step3_ladder, newton_ladder, window):
         # a run breach, a run one short of it, the c-th failure, trial n, a
         # run past the breach and a run that breaches two levels at once,
-        # each placed at every offset from a chunk boundary
+        # each placed at every offset from a search window's boundary
         for ladder in (step3_ladder, newton_ladder):
             (n, c), r = (ladder.plans[0].n, ladder.plans[0].c), ladder.run_limits[0]
             tails = ([1] * (r + 1), [1] * r + [0], [1, 0] * c, [0] * n, [1] * (r + 2),
                      [1] * r + [0] + [1] * (ladder.run_limits[1] + 1))
-            for lead in range(2 * chunk + 1):
+            for lead in range(2 * window + 1):
                 for tail in tails:
                     stream = [0] * lead + tail + [0, 1, 0]
-                    with mock.patch.object(inspection_engine, "_CHUNK_OUTCOMES", chunk):
+                    with mock.patch.object(inspection_engine, "_WINDOW", window):
                         state = run_stream(ladder, stream)
                     assert state == reference_run_stream(ladder, stream), (lead, tail)
 
@@ -392,8 +401,8 @@ class TestAgainstReferenceModel:
     def test_a_transition_on_the_last_readable_outcome(self, table_ladder, tail, split):
         # the last level is entered at trial 829; the tail puts its verdict
         # at trial 7308, the largest n, so the list from ``split`` is exactly
-        # as long as the horizon: converted whole, and with one more outcome
-        # in chunks
+        # as long as the horizon, and converted whole; with one more outcome,
+        # only the outcomes up to the horizon are converted
         plans, limits = table_ladder.plans, table_ladder.run_limits
         horizon = max(plan.n for plan in plans)
         head = [1, 0] * plans[-2].c
@@ -402,18 +411,15 @@ class TestAgainstReferenceModel:
                "run breach": [1] * (limits[-1] + 1)}[tail]
         stream = head + [0] * (horizon - len(head) - len(end)) + end
         state = reference_run_stream(table_ladder, stream[:split])
-        for rest, whole in ((stream[split:], True), (stream[split:] + [0], False)):
+        for rest in (stream[split:], stream[split:] + [0]):
             with mock.patch.object(inspection_engine, "_bytes",
                                    wraps=inspection_engine._bytes) as spy:
                 result = run_stream(table_ladder, rest, state)
             assert result == reference_run_stream(table_ladder, rest, state)
             assert (result.trials, result.status) == (
                 horizon, ACCEPTED if tail == "accept" else REJECTED)
-            sizes = [len(call.args[0]) for call in spy.call_args_list]
-            if whole:
-                assert sizes == [horizon - state.trials]
-            else:
-                assert max(sizes) <= inspection_engine._CHUNK_OUTCOMES
+            assert [len(call.args[0]) for call in spy.call_args_list] == [
+                horizon - state.trials]
 
     def test_successes_before_a_raising_source_are_logged(self, step3_ladder):
         def source():
@@ -490,8 +496,8 @@ class TestSinklessReads:
     @pytest.mark.parametrize("bad, error", [(2, DomainError), ("x", ValueError)])
     def test_a_bad_value_is_read_only_before_the_verdict(self, newton_ladder, container,
                                                          bad, error):
-        # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7, in the
-        # chunk that also holds the bad value
+        # run 6 > 5 escalates, then run 7 > 6 rejects at trial 7, before the
+        # bad value that sends the list to the loop
         state = run_stream(newton_ladder, container([1] * 7 + [bad, 0]))
         assert (state.status, state.trials) == (REJECTED, 7)
         with pytest.raises(error):
@@ -510,8 +516,34 @@ class TestSinklessReads:
         for container in (list, tuple):
             assert run_stream(newton_ladder, container(stream)) == state
 
-    def test_nothing_past_the_level_n_is_converted(self, step3_ladder):
-        # longer than the horizon, so read in chunks that stop at level n
+    def test_list_tuple_and_iterator_agree_at_a_huge_run_limit(self, step3_ladder):
+        # no run of failures can reach r, so every window searches for one
+        ladder = LevelLadder(levels=step3_ladder.levels, plans=step3_ladder.plans,
+                             run_limits=(sys.maxsize - 1,) * 2, ex=step3_ladder.ex,
+                             methods=step3_ladder.methods)
+        rng = random.Random(11)
+        for rate in (0, 0.01, 0.05, 0.5, 1):
+            stream = [int(rng.random() < rate) for _ in range(5000)]
+            state = reference_run_stream(ladder, stream)
+            for outcomes in (stream, tuple(stream), iter(stream)):
+                assert run_stream(ladder, outcomes) == state, (rate, type(outcomes))
+
+    def test_run_limits_about_the_window_size(self):
+        # c of 2640 and more, so only the runs decide: r ones and a success,
+        # then r + 1 ones, at several offsets from a window's boundary
+        base = build_ladder([0.40, 0.42, 0.44])
+        window = inspection_engine._WINDOW
+        for r in (window - 1, window, window + 1):
+            ladder = LevelLadder(levels=base.levels, plans=base.plans, run_limits=(r, r),
+                                 ex=base.ex, methods=base.methods)
+            for lead in (0, 1, window - 1, window + 5):
+                stream = [0] * lead + [1] * r + [0] + [1] * (r + 1) + [0] * 9
+                state = reference_run_stream(ladder, stream)
+                assert (state.status, state.trials) == (REJECTED, lead + 2 * r + 2)
+                assert run_stream(ladder, stream) == state, (r, lead)
+
+    def test_nothing_past_the_horizon_is_converted(self, step3_ladder):
+        # longer than the horizon, so converted up to it only
         converted = []
 
         class Spy:
@@ -522,7 +554,7 @@ class TestSinklessReads:
             __hash__ = __int__ = __index__
 
         n0, horizon = step3_ladder.plans[0].n, max(plan.n for plan in step3_ladder.plans)
-        state = run_stream(step3_ladder, [0] * n0 + [Spy()] + [0] * (horizon - n0))
+        state = run_stream(step3_ladder, [0] * horizon + [Spy()] + [0] * n0)
         assert (state.status, state.trials) == (ACCEPTED, n0)
         assert converted == []
 
@@ -530,8 +562,8 @@ class TestSinklessReads:
                                        OverflowError, KeyError, ZeroDivisionError])
     def test_a_value_past_the_verdict_within_the_horizon_changes_nothing(
             self, step3_ladder, error):
-        # converted whole, so the value past the verdict is read, and its
-        # error hands the list on in chunks that stop at level n
+        # within the horizon, so the value past the verdict is converted, and
+        # its error sends the whole list to the loop, which stops at the verdict
         class Raising:
             def __index__(self):
                 raise error("an outcome past the verdict")
