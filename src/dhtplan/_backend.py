@@ -17,7 +17,7 @@ _binom_pass or _poisson_pass, gives P(X <= c) and P(X = c) together;
 stat_kernels' checked binom_cdf and poisson_cdf are its first value.
 _term_sum also sums one numpy array of leads at once, normal or scaled, each
 element bit for bit its scalar run: _binom_grid, the OC curve's pass, gives
-_binom_pass's first value at every point of a numpy grid that way.
+_binom_pass's first value at every point of a long grid that way.
 """
 
 import math
@@ -46,7 +46,7 @@ _LOG_NORMAL = log(_NORMAL)
 # the scalar pow or math.log that _binom_pass takes
 _LOG_SLACK = 2.0 ** -20
 # fewest leads for one numpy array run of _term_sum, and grid points for
-# oc_curve to try one.  A run costs c - 1 rounds of about six numpy calls
+# _binom_grid to try one.  A run costs c - 1 rounds of about six numpy calls
 # however few points it holds.  On the 12 criterion-9 plans, with every
 # point of a grid on [0, 0.1] summed, the array path took 1.3-1.9x the
 # time of the per-point loop at 16 points, 0.9-1.3x at 24 and 0.7-1.0x at
@@ -127,7 +127,7 @@ def _binom_pass(c, n, p):
     returns zeros at once: the full sum, within a factor 2 of the tail it
     approximates, would round to 0.0 under ldexp as well, so the result
     equals the full sum's bit for bit either way.  _binom_grid takes the same
-    leads and the same cut for a numpy array of p.
+    leads and the same cut for a grid of p.
     """
     if c < 0:
         return 0.0, 0.0
@@ -150,29 +150,41 @@ def _binom_pass(c, n, p):
     return min(ldexp(total, e), 1.0), ldexp(term, e)
 
 
-def _binom_grid(c, n, p):
-    """_binom_pass(c, n, p_i)[0] for each p_i of a numpy array p in (0, 1),
-    0 <= c < n, bit for bit, as a numpy array.
+def _binom_grid(c, n, ps):
+    """[_binom_pass(c, n, p)[0] for p in ps] for a list of floats ps, bit
+    for bit, or None if a point lies outside [0, 1] (NaN included).
 
-    Each point starts from _binom_pass's own lead, q**n by Python's pow or,
-    below the normal range, _scaled_lead(n log q) by math.log.  numpy's
-    n log q sorts the points first: where it lies below log 2**-1022 by
-    more than its slack, _LOG_SLACK of itself plus _LOG_SLACK, q**n is
-    certainly below the normal range and pow is not called.  Where the
-    Chernoff cut, _binom_vanishes over the arrays, shows that the sum
-    rounds to 0.0 the value is 0.0 and there is no lead to sum; the cut's
-    range test calls math.log only within the slack of its limit.  So only
-    the points whose lead is summed pay for math.log and _scaled_lead.
-    With _ARRAY_POINTS or more leads, one run of _term_sum sums them all
-    over numpy arrays; with fewer, each takes its scalar run.  numpy
-    computes the logs that sort the points and the cut's, whose slack and
-    margin let them be a few ulps off, and otherwise only IEEE operations
-    (q = 1 - p, p / q, the term loop, the clip) and the exact ldexp.
+    A grid of fewer than _ARRAY_POINTS points, or a c outside [0, n), is
+    that loop, without numpy.  On a longer grid a mask gives p = 0 and
+    p = 1 _binom_pass's 1.0 and 0.0, and each point between starts from
+    _binom_pass's own lead, q**n by Python's pow or, below the normal
+    range, _scaled_lead(n log q) by math.log.  numpy's n log q sorts the
+    points first: where it lies below log 2**-1022 by more than its slack,
+    _LOG_SLACK of itself plus _LOG_SLACK, q**n is certainly below the
+    normal range and pow is not called.  Where the Chernoff cut,
+    _binom_vanishes over the arrays, shows that the sum rounds to 0.0 the
+    value is 0.0 and there is no lead to sum; the cut's range test calls
+    math.log only within the slack of its limit.  So only the points whose
+    lead is summed pay for math.log and _scaled_lead.  With _ARRAY_POINTS
+    or more leads, one run of _term_sum sums them all over numpy arrays;
+    with fewer, each takes _binom_pass.  numpy computes the logs that sort
+    the points and the cut's, whose slack and margin let them be a few ulps
+    off, and otherwise only IEEE operations (q = 1 - p, p / q, the term
+    loop, the clip) and the exact ldexp.
     """
+    if len(ps) < _ARRAY_POINTS or not 0 <= c < n:
+        if not all(0.0 <= p <= 1.0 for p in ps):
+            return None
+        return [_binom_pass(c, n, p)[0] for p in ps]
     import numpy as np
 
+    p = np.fromiter(ps, float, count=len(ps))
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        return None
+    values = (p == 0.0).astype(float)
+    inner = ((p > 0.0) & (p < 1.0)).nonzero()[0]
+    p = p[inner]
     q = 1.0 - p
-    ratio = p / q
     fn = float(n)
     x = fn * np.log(q)
     slack = np.abs(x) * _LOG_SLACK + _LOG_SLACK
@@ -195,15 +207,13 @@ def _binom_grid(c, n, p):
         if kept.size:
             leads[kept], e[kept] = zip(*[_scaled_lead(fn * log(v)) for v in q[kept].tolist()])
     live = leads.nonzero()[0]
-    leads, e, ratio = leads[live], e[live], ratio[live]
-    values = np.zeros(p.size)
     if live.size >= _ARRAY_POINTS:
-        total, e, _ = _term_sum(leads, e if e.any() else 0, c, fn, 1.0, ratio)
-        values[live] = np.minimum(np.ldexp(total, e), 1.0)
+        e = e[live]
+        total, e, _ = _term_sum(leads[live], e if e.any() else 0, c, fn, 1.0, p[live] / q[live])
+        values[inner[live]] = np.minimum(np.ldexp(total, e), 1.0)
     else:
-        values[live] = [min(ldexp(*_term_sum(t, ej, c, fn, 1.0, r)[:2]), 1.0)
-                        for t, ej, r in zip(leads.tolist(), e.tolist(), ratio.tolist())]
-    return values
+        values[inner[live]] = [_binom_pass(c, n, v)[0] for v in p[live].tolist()]
+    return values.tolist()
 
 
 def _binom_vanishes(c, n, p, q, log):

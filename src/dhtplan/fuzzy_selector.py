@@ -74,12 +74,9 @@ DEFAULT_RULES = (
     ((("step", "I_zero", True), ("prec_abs", "Low", False)), "Norm_N"),
 )
 
-OUTPUT_BANDS = (
-    (0.10, 0.15, "Bin"),
-    (0.15, 0.32, "Poiss"),
-    (0.32, 0.71, "Norm_I"),
-    (0.71, 1.0, "Norm_N"),
-)
+#: (lo, hi, label): a score in (lo, hi] maps to label; the bands are the
+#: (a, d) ends of the default output sets
+OUTPUT_BANDS = tuple((a, d, label) for label, (a, _, _, d) in DEFAULT_OUTPUTS.items())
 
 
 class MembershipFunction(_Record):

@@ -153,10 +153,13 @@ class SamplingPlan(_Record):
             raise DomainError("unknown method %r" % (self.method,))
 
 
-def _applicability(n, p0, p1):
-    return Applicability(np0_gt5=n * p0 > 5.0,
-                         nq0_gt5=n * (1.0 - p0) > 5.0,
-                         p_lt_0_1=p1 < 0.1)
+def _plan(spec, method, n, c, t_h, iterations, converged=True, n_real=None):
+    """The SamplingPlan of (n, c) for spec, with np0 and the flags on it."""
+    np0 = n * spec.p0
+    applicability = Applicability(np0_gt5=np0 > 5.0, nq0_gt5=n * (1.0 - spec.p0) > 5.0,
+                                  p_lt_0_1=spec.p1 < 0.1)
+    return SamplingPlan(n=n, c=c, t_h=t_h, np0=np0, method=method, iterations=iterations,
+                        converged=converged, applicability=applicability, n_real=n_real)
 
 
 def _closed_form_norm(spec):
@@ -222,10 +225,7 @@ def _solve_norm_newton(spec):
 
     n = _round_half_up(x2)
     c = math.ceil(x1 * x2)
-    return SamplingPlan(n=n, c=c, t_h=x1, np0=n * spec.p0, method="Norm_N",
-                        iterations=iterations, converged=converged,
-                        applicability=_applicability(n, spec.p0, spec.p1),
-                        n_real=x2)
+    return _plan(spec, "Norm_N", n, c, x1, iterations, converged, n_real=x2)
 
 
 def _solve_norm_iterative(spec):
@@ -250,9 +250,7 @@ def _solve_norm_iterative(spec):
             best_gap=best, iterations=n)
     t_h = (upper + lower) / 2.0
     c = _round_half_up(n * t_h)
-    return SamplingPlan(n=n, c=c, t_h=t_h, np0=n * spec.p0, method="Norm_I",
-                        iterations=n, converged=True,
-                        applicability=_applicability(n, spec.p0, spec.p1))
+    return _plan(spec, "Norm_I", n, c, t_h, n)
 
 
 def _solve_discrete(spec, method):
@@ -285,9 +283,7 @@ def _solve_discrete(spec, method):
                 iterations=n)
         t_h = (first_beyond_upper + first_beyond_lower) / (2.0 * n)
         c = _round_half_up((first_beyond_upper + first_beyond_lower) / 2.0)
-    return SamplingPlan(n=n, c=c, t_h=t_h, np0=n * spec.p0, method=method,
-                        iterations=n, converged=True,
-                        applicability=_applicability(n, spec.p0, spec.p1))
+    return _plan(spec, method, n, c, t_h, n)
 
 
 _NORMAL_SOLVERS = {"Norm_N": _solve_norm_newton, "Norm_I": _solve_norm_iterative}

@@ -1,18 +1,16 @@
 """Exact and Monte Carlo validation of sampling plans.
 
-The exact side evaluates binomial tails directly.  An OC curve sums every
-point in (0, 1) after the first in one grid pass of the kernel,
-_backend._binom_grid, each value equal to its scalar binom_cdf bit for bit.
-The first point (which checks n and c), p = 0 or 1 and bad points take
-scalar calls, and so does every point of a grid shorter than
-_backend._ARRAY_POINTS.  The Monte Carlo side draws each lot's failure
-count as one Binomial(n, p) variate from a counter-based generator
-(Philox), so lot i is the i-th variate of the seed's stream and the result
-is bit-identical however the lots are blocked.  The count is sampled by
-numpy's BTPE/inversion algorithm, not from the exact CDF, so the check is
-independent of it.  numpy is imported only by a simulation or an OC curve
-on a grid of _backend._ARRAY_POINTS points or more; accept_probability, and
-so the CLI's oc, does without it.
+The exact side evaluates binomial tails directly.  An OC curve is one call
+of the kernel's grid pass, _backend._binom_grid, after the first point's
+scalar call has checked n and c; each value equals its scalar binom_cdf
+bit for bit.  The Monte Carlo side draws each lot's failure count as one
+Binomial(n, p) variate from a counter-based generator (Philox), so lot i
+is the i-th variate of the seed's stream and the result is bit-identical
+however the lots are blocked.  The count is sampled by numpy's
+BTPE/inversion algorithm, not from the exact CDF, so the check is
+independent of it.  numpy is imported only by a simulation or by an OC
+curve on a grid long enough for the grid pass's array run;
+accept_probability, and so the CLI's oc, does without it.
 """
 
 import math
@@ -53,10 +51,9 @@ def oc_curve(plan, grid):
 
     Each value equals accept_probability(plan.n, plan.c, p) bit for bit,
     and a bad point or plan raises what that per-point loop raises, at the
-    same point.  A grid of fewer than _backend._ARRAY_POINTS points is that
-    loop, without numpy.  On a longer one the first point's call checks n
-    and c, p = 0 or 1 and bad points keep the call, and _grid_values sums
-    the rest.
+    same point.  The first point's call checks n and c, and one
+    _backend._binom_grid call sums the grid; the loop runs only on a grid
+    that it refuses or that does not convert to floats.
     """
     if not plan.converged:
         raise DomainError("OC curve requires a converged plan")
@@ -66,32 +63,16 @@ def oc_curve(plan, grid):
         fault = None
     except Exception as exc:  # raised once the points before it are checked
         fault = exc
-    if fault is None and len(ps) >= _backend._ARRAY_POINTS:
-        first = accept_probability(plan.n, plan.c, ps[0])
-        # n and c are whole now; outside 0 <= k < n the kernel returns 0 or 1
-        n, k = int(plan.n), int(plan.c) - 1
-        if 0 <= k < n:
-            values = _grid_values(plan, ps, first, n, k)
-            return OcCurve(n=plan.n, c=plan.c, points=tuple(zip(ps, values)))
-    values = [accept_probability(plan.n, plan.c, p) for p in ps]
-    if fault is not None:
-        raise fault
+    values = None
+    if fault is None and ps:
+        accept_probability(plan.n, plan.c, ps[0])
+        # n and c are whole now
+        values = _backend._binom_grid(int(plan.c) - 1, int(plan.n), ps)
+    if values is None:
+        values = [accept_probability(plan.n, plan.c, p) for p in ps]
+        if fault is not None:
+            raise fault
     return OcCurve(n=plan.n, c=plan.c, points=tuple(zip(ps, values)))
-
-
-def _grid_values(plan, ps, first, n, k):
-    """accept_probability(plan.n, plan.c, p) for each p of ps, first given:
-    _backend._binom_grid sums the points in (0, 1) after the first."""
-    import numpy as np
-
-    p = np.fromiter(ps, float, count=len(ps))
-    inner = (p > 0.0) & (p < 1.0)
-    inner[0] = False
-    values = np.zeros(len(ps))
-    values[inner] = _backend._binom_grid(k, n, p[inner])
-    rest = (~inner).nonzero()[0].tolist()
-    values[rest] = [first] + [accept_probability(plan.n, plan.c, ps[i]) for i in rest[1:]]
-    return values.tolist()
 
 
 def realized_errors(plan, p0, p1, mc=None):

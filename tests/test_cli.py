@@ -219,6 +219,16 @@ class TestInspect:
                 last = out.getvalue().splitlines()[-1]
                 assert last.startswith("status=accepted level=0") and "trials=208" in last
 
+    def test_blank_lines_are_skipped(self, monkeypatch):
+        # an escalation and then an accept, with and without blank lines
+        tokens = ["1"] * 5 + ["0"] * 600
+        plain = run(self.ARGS, stdin_text="".join(t + "\n" for t in tokens),
+                    monkeypatch=monkeypatch)
+        spaced = run(self.ARGS, stdin_text="\n" + "".join(t + "\n\n  \n" for t in tokens),
+                     monkeypatch=monkeypatch)
+        assert spaced == plain
+        assert plain[0] == 0 and "escalate" in plain[1]
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "stream.txt"
         path.write_text("0\n" * 250)
@@ -447,6 +457,24 @@ class TestErrorBoundary:
                                         "--grid", "0:1:0.5"])
             assert "trial count n" in err
 
+    def test_oc_grid_without_three_fields(self):
+        err = self._one_line_error(["oc", "--n", "10", "--c", "2", "--grid", "0:1"])
+        assert err == "error: grid must be start:stop:step\n"
+
+    def test_oc_c_above_the_cap(self):
+        # README: an oc --c above 10^6 exits 1
+        err = self._one_line_error(["oc", "--n", "2000000", "--c", "1000001"])
+        assert err == "error: --c must be at most 1000000, got 1000001\n"
+
+    def test_inspect_levels_not_rates(self):
+        err = self._one_line_error(["inspect", "--levels", "0,abc"])
+        assert err == "error: --levels must be a comma-separated list of rates\n"
+
+    def test_norm_n_iterate_leaves_the_positive_domain(self):
+        err = self._one_line_error(["plan", "--method", "norm-n", "--p0", "0", "--p1", "0.49",
+                                    "--alpha", "0.49", "--beta", "0.49"], exit_code=2)
+        assert err == "error: Newton iterate left the positive domain\n"
+
     def test_table_rows_below_one(self):
         err = self._one_line_error(["table", "--step", "0.01", "--rows", "-1"])
         assert "--rows" in err
@@ -626,6 +654,13 @@ class TestErrorBoundary:
         cfg = readme_fuzzy_config()
         del cfg["outputs"]
         assert "'outputs'" in self._bad_fuzzy_config(tmp_path, cfg)
+
+    def test_select_fuzzy_config_variable_sets_not_an_object(self, tmp_path,
+                                                            readme_fuzzy_config):
+        cfg = readme_fuzzy_config()
+        cfg["memberships"]["step"] = list(cfg["memberships"]["step"].values())
+        err = self._bad_fuzzy_config(tmp_path, cfg)
+        assert err == "error: fuzzy config: memberships.step must be an object\n"
 
     def test_select_fuzzy_config_rules_not_a_list(self, tmp_path, readme_fuzzy_config):
         cfg = readme_fuzzy_config()

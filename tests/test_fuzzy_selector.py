@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dhtplan import (DomainError, FuzzyRuleBase, MembershipFunction,
                      NoRecommendationError, SelectorInput, infer, response_surface)
-from dhtplan.fuzzy_selector import (DEFAULT_OUTPUTS, DEFAULT_RULES, UNIVERSES,
+from dhtplan.fuzzy_selector import (DEFAULT_OUTPUTS, DEFAULT_RULES, OUTPUT_BANDS, UNIVERSES,
                                     _classify, _membership_degree)
 
 
@@ -192,6 +192,11 @@ class TestClassify:
         with pytest.raises(DomainError):
             _classify(1.5)
 
+    def test_bands_are_the_papers(self):
+        # the (a, d) ends of the default output sets
+        assert OUTPUT_BANDS == ((0.10, 0.15, "Bin"), (0.15, 0.32, "Poiss"),
+                                (0.32, 0.71, "Norm_I"), (0.71, 1.0, "Norm_N"))
+
 
 class TestConfig:
     def test_readme_template_scores_as_default(self, tmp_path, readme_fuzzy_config):
@@ -229,6 +234,17 @@ class TestConfig:
         one_rule = (((("step", "I_zero", False),), "Bin"),)
         with pytest.raises(DomainError):
             FuzzyRuleBase(rules=one_rule)
+
+    def test_consequent_without_output_set_refused(self):
+        rules = DEFAULT_RULES[:7] + (((("step", "I_zero", True),), "Exact"),)
+        with pytest.raises(DomainError, match="rule consequent 'Exact' has no output set"):
+            FuzzyRuleBase(rules=rules)
+
+    @pytest.mark.parametrize("var,lab", [("step", "Huge"), ("t_h", "Low")])
+    def test_rule_naming_an_unknown_set_refused(self, var, lab):
+        rules = DEFAULT_RULES[:7] + ((((var, lab, False),), "Bin"),)
+        with pytest.raises(DomainError, match="rule references unknown set %s.%s" % (var, lab)):
+            FuzzyRuleBase(rules=rules)
 
 
 class TestResponseSurface:

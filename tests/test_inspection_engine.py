@@ -134,6 +134,17 @@ class TestBuildLadder:
         with pytest.raises(LadderError, match="run limits must be at least 0"):
             LevelLadder(**{**vars(newton_ladder), "run_limits": (-1, 6)})
 
+    def test_record_levels_must_increase(self, newton_ladder):
+        # build_ladder refuses such levels before it solves; a ladder built
+        # directly meets the record's own check
+        lo, _, hi = newton_ladder.levels
+        with pytest.raises(LadderError, match="levels must be strictly increasing"):
+            LevelLadder(**{**vars(newton_ladder), "levels": (lo, lo, hi)})
+
+    def test_decreasing_run_limits(self, newton_ladder):
+        with pytest.raises(LadderError, match="run limits must be non-decreasing"):
+            LevelLadder(**{**vars(newton_ladder), "run_limits": (6, 5)})
+
     @pytest.mark.parametrize("field", ["levels", "plans", "run_limits"])
     def test_mismatched_lengths(self, newton_ladder, field):
         # unchecked, one run limit short ends run_stream in a bare IndexError,

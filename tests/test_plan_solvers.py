@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtplan import (DegenerateSpecError, DomainError, NoConvergenceError,
+from dhtplan import (DegenerateSpecError, DomainError, NoConvergenceError, SamplingPlan,
                      SolverError, TestSpec, binom_cdf, solve)
 from dhtplan.plan_solvers import _closed_form_norm
 
@@ -247,6 +247,15 @@ class TestPlanProperties:
     def test_max_n_must_be_a_whole_number(self, max_n):
         with pytest.raises(DomainError, match="max_n"):
             TestSpec(0.02, 0.05, max_n=max_n)
+
+    def test_max_n_below_two(self):
+        with pytest.raises(DomainError, match="max_n must be >= 2"):
+            TestSpec(0.02, 0.05, max_n=1)
+
+    def test_plan_of_an_unknown_method(self):
+        plan = solve(TestSpec(0.02, 0.05), "Norm_N")
+        with pytest.raises(DomainError, match="unknown method 'x'"):
+            SamplingPlan(**{**vars(plan), "method": "x"})
 
     def test_integral_max_n_is_kept_as_int(self):
         spec = TestSpec(0.02, 0.05, max_n=1e5)

@@ -200,6 +200,29 @@ class TestOcCurve:
         oc_curve(_plan(7360, 128), OC_GRID)
         assert runs == [1]
 
+    @pytest.mark.parametrize("grid", [OC_GRID, (0.0, 0.01, 0.02, 0.5, 1.0)],
+                             ids=["long", "short"])
+    def test_one_scalar_call_then_one_grid_call(self, monkeypatch, grid):
+        # the first point's accept_probability checks n and c, and one
+        # _binom_grid call takes the whole grid, 0 and 1 included
+        plan = _plan(7360, 128)
+        want = per_point_oc(plan, grid)
+        calls = []
+        binom_grid, accept = _backend._binom_grid, verification.accept_probability
+        monkeypatch.setattr(_backend, "_binom_grid",
+                            lambda *a: calls.append("grid") or binom_grid(*a))
+        monkeypatch.setattr(verification, "accept_probability",
+                            lambda *a: calls.append("point") or accept(*a))
+        assert oc_curve(plan, grid).points == want
+        assert calls == ["point", "grid"]
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("length", [3, 1001])
+    def test_grid_pass_refuses_a_point_outside_the_unit_interval(self, bad, length):
+        ps = list(OC_GRID[:length])
+        ps[length // 2] = bad
+        assert _backend._binom_grid(12, 383, ps) is None
+
     def test_empty_grid(self):
         assert oc_curve(_plan(383, 13), []).points == ()
         assert oc_curve(_plan(383, 13), iter(())).points == ()
