@@ -20,8 +20,9 @@ one event per step, all sharing the trial index that triggered it, and no
 ``run_stream`` applies this rule over plain counters and hands each
 transition to an optional event sink instead of storing a log; ``_settle``
 is the one copy of the escalate-then-accept order, called at each
-transition.  A ladder refuses a plan with c < 1, a run limit below 0 and
-tuples of mismatched lengths, and ``run_stream`` refuses with
+transition.  A ladder refuses a plan n or c or a run limit that is not an
+integer (``operator.index`` refuses it), a plan with c < 1, a run limit
+below 0 and tuples of mismatched lengths, and ``run_stream`` refuses with
 ``StateError`` a state outside the ladder (a level out of range or a
 negative count) and a continuing state already past its level's limits,
 so a level's state can change only at a failure or at its cumulative n.
@@ -30,14 +31,17 @@ a hit; any other goes through ``int()`` and must give 0 or 1).  Without a
 sink, a list or tuple is converted to bytes up to the ladder's horizon
 (its largest n less the trials so far) by one call, and each level's next
 transition is found by C searches over windows of the bytes, so Python
-work runs once per transition or window; any other input, a list that
-does not convert to 0s and 1s, or a call with a sink goes through one loop
-that applies the rule to each outcome in turn.  ``InspectionState`` holds
+work runs once per transition or window; only the bytes the searches read
+are checked to be 0s and 1s, by one count at the end.  Any other input, a
+list that does not convert or whose bytes read are not all 0s and 1s, or a
+call with a sink goes through one loop that applies the rule to each
+outcome in turn.  ``InspectionState`` holds
 the counters and the verdict only.  ``observe`` runs it on a single
 outcome, and ``replay`` re-drives it from an event log.
 """
 
 from itertools import count
+from operator import index
 
 from ._record import _Record
 from .errors import DomainError, LadderError, NoConvergenceError, StateError
@@ -88,7 +92,14 @@ class LevelLadder(_Record):
                                              len(self.plans), len(self.run_limits)))
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise LadderError("ladder levels must be strictly increasing")
-        for (lo, hi), plan in zip(zip(self.levels, self.levels[1:]), self.plans):
+        for (lo, hi), plan, r in zip(zip(self.levels, self.levels[1:]), self.plans,
+                                     self.run_limits):
+            for name, value in (("plan's n", plan.n), ("plan's c", plan.c), ("run limit", r)):
+                try:
+                    index(value)
+                except TypeError:
+                    raise LadderError("the %s for level pair (%g, %g) is %r, not an integer"
+                                      % (name, lo, hi, value)) from None
             if not (lo < plan.t_h < hi):
                 raise LadderError(
                     "plan threshold %g escapes its level pair (%g, %g)"
@@ -129,6 +140,11 @@ class InspectionState(_Record):
     @property
     def terminal(self):
         return self.status != CONTINUE
+
+
+#: The state ``run_stream`` starts from when given none; records are frozen,
+#: so every call can share it.
+_FRESH = InspectionState()
 
 
 def build_ladder(levels, alpha_tail=0.05, beta_tail=0.05, method="Norm_I",
@@ -191,13 +207,12 @@ def _settle(plans, limits, level, t, outcome, failures, run, sink):
 
 
 def _bytes(seq):
-    """``seq`` as a bytearray, or None if ``bytearray`` raises on it or reads
-    a value other than 0 or 1."""
+    """``seq`` as a bytearray, or None if ``bytearray`` raises on it.  No
+    byte is checked here: ``_search`` checks the bytes it read."""
     try:
-        data = bytearray(seq)
+        return bytearray(seq)
     except Exception:  # any error: the loop raises it at the value, if it gets there
         return None
-    return None if data.translate(None, b"\x00\x01") else data
 
 
 def _search(plans, limits, seq, level, trials, failures, run):
@@ -208,16 +223,30 @@ def _search(plans, limits, seq, level, trials, failures, run):
     trial max n, so nothing past the horizon can matter.  C searches over
     windows of at most ``_WINDOW`` bytes, stopping at the level's n, find
     its next transition: the first run longer than r, the (c - failures)-th
-    failure, or trial n.  Returns (level, trials, failures, run, status),
-    or None if ``_bytes`` refuses the outcomes, which then all go to the loop.
+    failure, or trial n.  The level's n, c and r are loaded again only
+    after a transition.  Returns (level, trials, failures, run, status),
+    or None if ``_bytes`` refuses the outcomes or a byte the searches read
+    is neither 0 nor 1; the loop then reads them all from the given state.
+
+    Only the bytes read, the first ``at``, are checked, by one count at the
+    end: their 0s plus the failures the searches counted must make ``at``.
+    Every search decision at position x reads only bytes up to x: a byte
+    other than 0 or 1 matches no run of 1s and is not counted as a failure,
+    so ``startswith``, ``find`` and ``count(1)`` treat a stray past x as a
+    0.  The one exception is the counted ``replace`` plus ``rfind(2)``,
+    which lands on the c-th failure or on a stray 2 past it (before the
+    window's other stop), and in either case the stray is then inside the
+    bytes read.  So a byte other than 0 or
+    1 that is never read cannot change the verdict, and one that is read is
+    caught by the final count.
     """
     horizon = max(max([plan.n for plan in plans]) - trials, 1)
     data = _bytes(seq[:horizon] if len(seq) > horizon else seq)
     if data is None:
         return None
-    status, at = CONTINUE, 0
-    while at < len(data) and status == CONTINUE:
-        n, c, r = plans[level].n, plans[level].c, limits[level]
+    status, at, before = CONTINUE, 0, failures
+    n, c, r = plans[level].n, plans[level].c, limits[level]
+    while at < len(data):
         end = min(len(data), at + _WINDOW, at + max(n - trials, 1))
         # k: the index of the level's next transition, or end if none
         k = end - 1 if trials + end - at >= n else end
@@ -227,24 +256,32 @@ def _search(plans, limits, seq, level, trials, failures, run):
             breach = data.find(_ONES[:r + 1], at, end)
             if breach >= 0:
                 k = min(k, breach + r)
-        ones = data.count(1, at, min(k + 1, end))
+        stop = min(k + 1, end)
+        ones = data.count(1, at, stop)
         if ones >= c - failures:
             ones = c - failures
-            # marking the first ``ones`` failures leaves the last mark at the c-th
-            k = at + data[at:end].replace(b"\x01", b"\x02", ones).rfind(2)
-        used = min(k + 1, end) - at
-        zero = data.rfind(0, at, at + used)
-        run = at + used - 1 - zero if zero >= 0 else run + used
+            # the c-th failure lies before stop: marking the first ``ones``
+            # failures leaves the last mark on it
+            k = at + data[at:stop].replace(b"\x01", b"\x02", ones).rfind(2)
+            stop = k + 1
+        zero = data.rfind(0, at, stop)
+        run = stop - 1 - zero if zero >= 0 else run + stop - at
         failures += ones
-        trials += used
-        at += used
+        trials += stop - at
+        at = stop
         if k < end:
             level, status = _settle(plans, limits, level, trials, data[k], failures, run, None)
+            if status != CONTINUE:
+                break
+            n, c, r = plans[level].n, plans[level].c, limits[level]
+    if data.count(0, 0, at) + failures - before != at:
+        return None
     return level, trials, failures, run, status
 
 
 def run_stream(ladder, outcomes, state=None, sink=None):
-    """Consume outcomes from ``state`` (fresh by default) until a verdict.
+    """Consume outcomes from ``state`` until a verdict.  Without a state,
+    every call starts from one shared fresh ``InspectionState``.
 
     Stops at the first terminal status without drawing another outcome, so
     a lazy iterable is read no further than needed.  A stream that ends
@@ -273,17 +310,20 @@ def run_stream(ladder, outcomes, state=None, sink=None):
       for ints, bools and numpy integers.  C searches (``find``,
       ``count``, a counted ``replace``, ``rfind``) over windows of at most
       ``_WINDOW`` bytes locate each level's next transition: Python work is
-      O(1) per transition or window.  If the conversion raises any
-      ``Exception`` or reads a byte other than 0 or 1, the whole sequence
-      goes to the loop below from the given state.  So a value past the
-      verdict may be converted, but never raises or changes the result.
+      O(1) per transition or window, and a level's n, c and r are loaded
+      again only after a transition.  Only the bytes the searches read, up
+      to the verdict, are checked to be 0s and 1s, by one count at the
+      end.  If the conversion raises any ``Exception``, or a byte read is
+      other than 0 or 1, the whole sequence goes to the loop below from the
+      given state.  So a value past the verdict may be converted, but never
+      raises or changes the result.
     - Any other iterable, a refused list or tuple, or any call with a sink
       goes through one loop that counts each outcome, hands ``_settle`` the
       outcomes that breach the level's c or run limit or meet its n, and
       passes every other one to the sink as a ``continue`` event.
     """
     if state is None:
-        state = InspectionState()
+        state = _FRESH
     level, trials, failures, run = state.level_index, state.trials, state.failures, state.run
     status, accepted_level, accepted_t_h = state.status, state.accepted_level, state.accepted_t_h
     plans, limits = ladder.plans, ladder.run_limits

@@ -75,6 +75,21 @@ def _run_recorded(ladder, outcomes):
     return run_stream(ladder, outcomes, sink=events.append), events
 
 
+def _remade(ladder, field, convert):
+    """ladder with convert applied to its first plan's n or c, or to every
+    run limit."""
+    if field == "run limits":
+        return LevelLadder(**{**vars(ladder),
+                              "run_limits": tuple(map(convert, ladder.run_limits))})
+    first = ladder.plans[0]
+    plan = type(first)(**{**vars(first), field: convert(getattr(first, field))})
+    return LevelLadder(**{**vars(ladder), "plans": (plan,) + ladder.plans[1:]})
+
+
+class _Count(int):
+    """An int subclass, which ``operator.index`` accepts."""
+
+
 @pytest.fixture(scope="module")
 def step3_ladder():
     # Bin pair from zero, then the unit-step normal method
@@ -151,6 +166,30 @@ class TestBuildLadder:
         # and one level short still runs both plans
         with pytest.raises(LadderError, match="plans and run limits, not"):
             LevelLadder(**{**vars(newton_ladder), field: getattr(newton_ladder, field)[:-1]})
+
+
+    @pytest.mark.parametrize("value", [5.0, 2.5, float("nan"), float("inf")], ids=repr)
+    @pytest.mark.parametrize("field", ["n", "c", "run limits"])
+    def test_counts_must_be_integers(self, newton_ladder, field, value):
+        # unchecked, a list of 400 zeros raised TypeError from a slice or a
+        # repeat where an iterator accepted at trial 383
+        name = {"n": "plan's n", "c": "plan's c", "run limits": "run limit"}[field]
+        with pytest.raises(LadderError, match=r"the %s for level pair \(0\.02, 0\.05\) is "
+                                              r"%s, not an integer" % (name, value)):
+            _remade(newton_ladder, field, lambda _: value)
+
+    @pytest.mark.parametrize("kind", [int, _Count, np.int64, np.int32], ids=repr)
+    @pytest.mark.parametrize("field", ["n", "c", "run limits"])
+    def test_lists_tuples_and_iterators_agree_on_integer_counts(self, newton_ladder, field,
+                                                                 kind):
+        ladder = _remade(newton_ladder, field, kind)
+        rng = random.Random(3)
+        streams = [[0] * 400] + [[int(rng.random() < rate) for _ in range(700)]
+                                 for rate in (0.01, 0.04, 0.08, 0.3)]
+        for stream in streams:
+            state = reference_run_stream(ladder, stream)
+            for outcomes in (stream, tuple(stream), iter(stream)):
+                assert run_stream(ladder, outcomes) == state, type(outcomes)
 
 
 class TestObserve:
@@ -585,6 +624,66 @@ class TestSinklessReads:
         state = run_stream(step3_ladder, [0] * n0 + [Raising()])
         assert state == run_stream(step3_ladder, [0] * (n0 + 1))
         assert (state.status, state.trials) == (ACCEPTED, n0)
+
+
+class TestSearchPath:
+    """Sink-less lists and tuples are read by the C searches alone: a silent
+    fall-back to the per-outcome loop would keep every result but lose the
+    speed, so each test here counts the loop's outcome checks."""
+
+    RATES = (0.005, 0.05, 0.2)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        checked = []
+
+        class Recording(inspection_engine._Outcomes):
+            def __getitem__(self, value):
+                checked.append(value)
+                return super().__getitem__(value)
+
+        monkeypatch.setattr(inspection_engine, "_OUTCOMES",
+                            Recording(inspection_engine._OUTCOMES))
+        return checked
+
+    @staticmethod
+    def streams(ladder, rate):
+        # as long as the horizon, as the benchmark's streams are
+        horizon = max(plan.n for plan in ladder.plans)
+        rng = random.Random(int(rate * 1000))
+        return [[int(rng.random() < rate) for _ in range(horizon)] for _ in range(4)]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_valid_outcomes_never_reach_the_loop(self, table_ladder, checked, rate):
+        for stream in self.streams(table_ladder, rate):
+            state = reference_run_stream(table_ladder, stream)
+            for container in (list, tuple):
+                assert run_stream(table_ladder, container(stream)) == state
+        assert checked == []
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_a_2_past_the_verdict_does_not_reach_the_loop(self, table_ladder, checked,
+                                                          rate):
+        # the last outcome, more than a search window past the verdict, so
+        # no search reads it
+        for stream in self.streams(table_ladder, rate):
+            state = reference_run_stream(table_ladder, stream)
+            assert state.trials < len(stream) - inspection_engine._WINDOW
+            stream[-1] = 2
+            for container in (list, tuple):
+                assert run_stream(table_ladder, container(stream)) == state
+        assert checked == []
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_a_2_before_the_verdict_raises_in_the_loop(self, table_ladder, checked, rate):
+        for stream in self.streams(table_ladder, rate):
+            pos = reference_run_stream(table_ladder, stream).trials // 2
+            stream[pos] = 2
+            for container in (list, tuple):
+                checked.clear()
+                with pytest.raises(DomainError, match="outcome value must be 0 or 1"):
+                    run_stream(table_ladder, container(stream))
+                assert len(checked) == pos + 1 and checked[-1] == 2
 
 
 class TestEventSourcing:
